@@ -2,9 +2,10 @@
 
 Each neuron emits ``floor((carry + desired) / s)`` spikes of height ``s``
 per timestep and keeps the remainder as carry, so cumulative emitted
-output never drifts more than ``s`` from cumulative desired output. The
-spiking LCA substitutes these spike values for the graded code inside the
-membrane dynamics.
+output never drifts more than ``s`` from cumulative desired output.
+Spiking LCA runs on the same period engine as graded LCA with one extra
+output stage: soft-threshold, discretize with carry, then filter. The
+spike values, not the graded code, drive the membrane dynamics.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from lcalearn.dictionary import Dictionary
 from lcalearn.errors import NumericError
 from lcalearn.filters import CodeFilter, IdentityFilter
-from lcalearn.lca import LcaParams, MembraneState, lca_step, soft_threshold
+from lcalearn.lca import LcaParams, MembraneState, _run_period, lca_step, soft_threshold
 
 RASTER_HEADER = ["step", "neuron", "count"]
 
@@ -126,6 +127,33 @@ def slca_step(
     return mstate, astate, spikes
 
 
+class _SpikingStage:
+    """Spiking output stage: soft-threshold, discretize with carry, filter; tallies spikes."""
+
+    def __init__(self, lam, accumulator, code_filter, raster):
+        self.lam = lam
+        self.accumulator = accumulator
+        self.code_filter = code_filter
+        self.raster = raster
+        self.value = None
+        self.steps = self.max_counts = self.total_counts = 0
+
+    def emit(self, u: np.ndarray, code: np.ndarray) -> np.ndarray:
+        spikes, self.accumulator = accumulate_step(
+            self.accumulator, soft_threshold(u, self.lam)
+        )
+        self.max_counts = max(self.max_counts, int(spikes.counts.max()))
+        self.total_counts += int(spikes.counts.sum())
+        if self.raster is not None:
+            self.raster[self.steps] = spikes.counts
+        self.steps += 1
+        self.value = spikes.value
+        return self.value
+
+    def read(self, u: np.ndarray, value: np.ndarray) -> np.ndarray:
+        return self.code_filter.step(value)
+
+
 def run_spiking_inference(
     dictionary: Dictionary,
     input_vector: np.ndarray,
@@ -144,58 +172,24 @@ def run_spiking_inference(
     The filter smooths the per-step spike values; with no filter the
     returned code is the raw spike value at the final step.
     """
-    input_vector = np.asarray(input_vector, dtype=np.float64)
-    if input_vector.shape != (dictionary.input_size,):
-        raise ValueError(
-            f"input has shape {input_vector.shape}, expected ({dictionary.input_size},)"
-        )
     n = dictionary.element_count
-    mstate = initial_state if initial_state is not None else MembraneState.zeros(n)
-    astate = (
-        initial_accumulator
-        if initial_accumulator is not None
-        else AccumulatorState.zeros(n, spike_height)
-    )
+    astate = initial_accumulator
+    if astate is None:
+        astate = AccumulatorState.zeros(n, spike_height)
     if astate.spike_height != spike_height:
         raise ValueError("initial accumulator has a different spike height")
     code_filter = code_filter if code_filter is not None else IdentityFilter()
-
     raster = np.zeros((params.steps, n), dtype=np.int64) if record_raster else None
-    codes = np.zeros((params.steps, n)) if record_codes else None
-    half_start = params.steps // 2
-    half_sum = np.zeros(n)
-    half_count = 0
-    filtered = np.zeros(n)
-    value = np.zeros(n)
-    max_counts = 0
-    total_counts = 0
-    for i in range(params.steps):
-        drive = input_vector if input_encoder is None else input_encoder.step()
-        mstate, astate, spikes = slca_step(mstate, astate, dictionary, drive, params)
-        value = spikes.value
-        filtered = code_filter.step(value)
-        step_max = int(spikes.counts.max())
-        if step_max > max_counts:
-            max_counts = step_max
-        total_counts += int(spikes.counts.sum())
-        if i >= half_start:
-            half_sum += filtered
-            half_count += 1
-        if record_raster:
-            raster[i] = spikes.counts
-        if record_codes:
-            codes[i] = filtered
-    half_mean = half_sum / half_count if half_count else filtered.copy()
+    stage = _SpikingStage(params.lam, astate, code_filter, raster)
+    period = _run_period(
+        dictionary, input_vector, params, stage,
+        initial_state=initial_state, record_codes=record_codes, input_encoder=input_encoder,
+    )
     return SpikingResult(
-        code=filtered,
-        final_value=value,
-        state=mstate,
-        accumulator=astate,
-        max_counts=max_counts,
-        total_counts=total_counts,
-        half_mean=half_mean,
-        raster=raster,
-        codes=codes,
+        code=period.code, final_value=stage.value, state=period.state,
+        accumulator=stage.accumulator, max_counts=stage.max_counts,
+        total_counts=stage.total_counts, half_mean=period.half_mean,
+        raster=raster, codes=period.codes,
     )
 
 

@@ -21,11 +21,10 @@ from lcalearn import classifier as classifier_mod
 from lcalearn import data as data_mod
 from lcalearn import experiment as experiment_mod
 from lcalearn import export as export_mod
-from lcalearn.accumulator import run_spiking_inference, write_raster_csv
+from lcalearn.accumulator import write_raster_csv
 from lcalearn.dictionary import load_checkpoint, save_checkpoint
 from lcalearn.errors import ConfigError, FormatError, NumericError
-from lcalearn.filters import make_filter
-from lcalearn.lca import run_inference, write_trace_csv
+from lcalearn.lca import write_trace_csv
 
 
 class UsageError(Exception):
@@ -140,6 +139,12 @@ def _cmd_sweep(args) -> int:
         print("interrupted; wrote partial.marker", file=sys.stderr)
         return 2
     result.write_csv(out / "sweep.csv")
+    for failure in result.failures:
+        print(
+            f"failed run: {args.axis}={failure['value']} seed={failure['seed']}: "
+            f"{failure['error']}",
+            file=sys.stderr,
+        )
     print(",".join(experiment_mod.SWEEP_HEADER))
     for row in result.rows:
         print(
@@ -163,19 +168,12 @@ def _cmd_infer(args) -> int:
         raise UsageError(f"--index {args.index} out of range for {len(samples)} samples")
     sample = samples[args.index]
     vec = sample.input.flattened
-    params = config.lca_params()
+    result = experiment_mod.infer_period(
+        dictionary, vec, config.lca_params(), config.spike_height, config.filter, record=True
+    )
     if config.spike_height > 0:
-        result = run_spiking_inference(
-            dictionary,
-            vec,
-            params,
-            config.spike_height,
-            make_filter(config.filter, config.dt),
-            record_raster=True,
-        )
         write_raster_csv(out / "raster.csv", result.raster)
     else:
-        result = run_inference(dictionary, vec, params, record_trace=True)
         write_trace_csv(out / "trace.csv", result.trace)
     np.save(out / "code.npy", result.code)
     recon = experiment_mod.synthesize(dictionary, result.code)
@@ -196,15 +194,8 @@ def _cmd_classify_train(args) -> int:
     train, valid = experiment_mod.load_dataset(config.dataset, config.seed)
     _log(args, f"extracting features for {len(train)} train / {len(valid)} valid samples")
     train_features = experiment_mod.collect_features(dictionary, train, config)
-    spec = config.classifier or {}
     model = classifier_mod.train(
-        train_features,
-        np.array([s.label for s in train]),
-        classifier_mod.ClassifierConfig(
-            epochs=spec.get("epochs", 200),
-            learning_rate=spec.get("learning_rate", 0.01),
-            seed=config.seed,
-        ),
+        train_features, np.array([s.label for s in train]), config.classifier_config()
     )
     classifier_mod.save_model(model, out / "classifier.lcls")
     train_acc = classifier_mod.evaluate(
@@ -317,13 +308,9 @@ def _cmd_export_recon(args) -> int:
     originals, recons = [], []
     for sample in valid[:count]:
         vec = sample.input.flattened
-        if config.spike_height > 0:
-            code = run_spiking_inference(
-                dictionary, vec, params, config.spike_height,
-                make_filter(config.filter, config.dt),
-            ).code
-        else:
-            code = run_inference(dictionary, vec, params).code
+        code = experiment_mod.infer_period(
+            dictionary, vec, params, config.spike_height, config.filter
+        ).code
         originals.append(vec)
         recons.append(experiment_mod.synthesize(dictionary, code))
     strip = export_mod.render_reconstruction_strip(originals, recons, dictionary.dims)

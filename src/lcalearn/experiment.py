@@ -20,11 +20,7 @@ import numpy as np
 from scipy import stats
 
 from lcalearn import data as data_mod
-from lcalearn.accumulator import (
-    AccumulatorState,
-    InputRateEncoder,
-    run_spiking_inference,
-)
+from lcalearn.accumulator import InputRateEncoder, run_spiking_inference
 from lcalearn.dictionary import (
     Dictionary,
     InputDims,
@@ -61,14 +57,6 @@ _DATASET_KEYS = {
     "npy": {"kind", "path"},
 }
 
-_FILTER_KEYS = {
-    "identity": {"kind"},
-    "exponential": {"kind", "time_constant_ms"},
-    "boxcar": {"kind", "window_ms"},
-}
-
-_CLASSIFIER_KEYS = {"epochs", "learning_rate", "feature_scheme"}
-
 _CONFIG_KEYS = {
     "dataset", "dict_size", "lambda", "spike_height", "dt", "tau",
     "display_ms", "gap_ms", "epochs", "learning_rate", "filter",
@@ -101,12 +89,13 @@ class ExperimentConfig:
     batch_size: int = 1
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
+        # Fields owned by other types are checked by building those types.
+        try:
+            self.lca_params()
+        except ValueError as exc:
+            raise ConfigError(f"invalid inference parameters: {exc}") from exc
         if self.spike_height < 0:
             raise ConfigError(f"spike_height must be >= 0, got {self.spike_height}")
-        if not 0 < self.dt <= self.tau:
-            raise ConfigError(f"need 0 < dt <= tau, got dt={self.dt}, tau={self.tau}")
         for name in ("display_ms", "gap_ms"):
             value = getattr(self, name)
             if value < 0:
@@ -114,8 +103,6 @@ class ExperimentConfig:
             ratio = value / self.dt
             if abs(ratio - round(ratio)) > 1e-9:
                 raise ConfigError(f"{name}={value} is not a whole number of dt={self.dt} steps")
-        if self.display_ms < self.dt:
-            raise ConfigError("display period must cover at least one step")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.learning_rate <= 0:
@@ -136,16 +123,21 @@ class ExperimentConfig:
                 raise ConfigError("dict_size ratio must be > 0")
         elif self.dict_size < 1:
             raise ConfigError(f"dict_size must be >= 1, got {self.dict_size}")
-        _check_keys(self.dataset, _DATASET_KEYS, "dataset")
-        if self.filter is not None:
-            _check_keys(self.filter, _FILTER_KEYS, "filter")
-        if self.classifier is not None:
-            extra = set(self.classifier) - _CLASSIFIER_KEYS
-            if extra:
-                raise ConfigError(f"unknown classifier keys {sorted(extra)}")
-            scheme = self.classifier.get("feature_scheme", "mean_last_half")
-            if scheme not in classifier_mod.FEATURE_SCHEMES:
-                raise ConfigError(f"unknown feature_scheme {scheme!r}")
+        kind = self.dataset.get("kind")
+        if kind not in _DATASET_KEYS:
+            raise ConfigError(f"unknown dataset kind {kind!r}")
+        extra = set(self.dataset) - _DATASET_KEYS[kind]
+        if extra:
+            raise ConfigError(f"unknown dataset keys {sorted(extra)}")
+        if kind != "synthetic" and "path" not in self.dataset:
+            raise ConfigError(f"dataset kind {kind!r} needs a path")
+        make_filter(self.filter, self.dt)
+        if self.feature_scheme not in classifier_mod.FEATURE_SCHEMES:
+            raise ConfigError(f"unknown feature_scheme {self.feature_scheme!r}")
+        try:
+            self.classifier_config()
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"classifier: {exc}") from exc
 
     @property
     def display_steps(self) -> int:
@@ -155,17 +147,17 @@ class ExperimentConfig:
     def gap_steps(self) -> int:
         return round(self.gap_ms / self.dt)
 
+    @property
+    def feature_scheme(self) -> str:
+        return (self.classifier or {}).get("feature_scheme", "mean_last_half")
+
     def lca_params(self) -> LcaParams:
         return LcaParams(lam=self.lam, dt=self.dt, tau=self.tau, steps=self.display_steps)
 
-
-def _check_keys(spec: dict, allowed_by_kind: dict, what: str) -> None:
-    kind = spec.get("kind")
-    if kind not in allowed_by_kind:
-        raise ConfigError(f"unknown {what} kind {kind!r}")
-    extra = set(spec) - allowed_by_kind[kind]
-    if extra:
-        raise ConfigError(f"unknown {what} keys {sorted(extra)}")
+    def classifier_config(self) -> classifier_mod.ClassifierConfig:
+        """Readout settings: the ``classifier`` block minus ``feature_scheme``, plus the seed."""
+        spec = {k: v for k, v in (self.classifier or {}).items() if k != "feature_scheme"}
+        return classifier_mod.ClassifierConfig(**spec, seed=self.seed)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -306,29 +298,41 @@ def load_dataset(
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
+def infer_period(
+    dictionary, vec, params, spike_height=0.0, filter_spec=None, *,
+    warm=None, input_encoder=None, record=False,
+):
+    """One period of graded (``spike_height`` 0) or spiking inference.
+
+    The one place that chooses between ``run_inference`` and
+    ``run_spiking_inference``. ``warm`` is the previous period's result to
+    continue from. ``record`` asks for the trace (graded) or raster (spiking).
+    """
+    state = None if warm is None else warm.state
+    if spike_height > 0:
+        return run_spiking_inference(
+            dictionary, vec, params, spike_height, make_filter(filter_spec, params.dt),
+            initial_state=state, initial_accumulator=None if warm is None else warm.accumulator,
+            record_raster=record, input_encoder=input_encoder,
+        )
+    return run_inference(
+        dictionary, vec, params, initial_state=state, record_trace=record,
+        input_encoder=input_encoder,
+    )
+
+
+def _feature(result, scheme: str) -> np.ndarray:
+    """Classifier feature of one period: the final code or its last-half mean."""
+    return result.code if scheme == "final" else result.half_mean
+
+
 def _infer_once(dictionary, sample_vec, config, params, *, warm=None):
     """One display period; returns (code_for_update, result_object)."""
-    encoder = None
-    if config.input_encoding == "rate":
-        encoder = InputRateEncoder(sample_vec, config.input_spike_height)
-    if config.spike_height > 0:
-        result = run_spiking_inference(
-            dictionary,
-            sample_vec,
-            params,
-            config.spike_height,
-            make_filter(config.filter, config.dt),
-            initial_state=None if warm is None else warm[0],
-            initial_accumulator=None if warm is None else warm[1],
-            input_encoder=encoder,
-        )
-        return result.code, result
-    result = run_inference(
-        dictionary,
-        sample_vec,
-        params,
-        initial_state=None if warm is None else warm[0],
-        input_encoder=encoder,
+    rate = config.input_encoding == "rate"
+    encoder = InputRateEncoder(sample_vec, config.input_spike_height) if rate else None
+    result = infer_period(
+        dictionary, sample_vec, params, config.spike_height, config.filter,
+        warm=warm, input_encoder=encoder,
     )
     return result.code, result
 
@@ -341,16 +345,9 @@ def _run_gap(dictionary, config, params, warm):
     """
     if warm is None or config.gap_steps == 0:
         return warm
-    gap_params = LcaParams(lam=config.lam, dt=config.dt, tau=config.tau, steps=config.gap_steps)
     zero = np.zeros(dictionary.input_size)
-    if config.spike_height > 0:
-        result = run_spiking_inference(
-            dictionary, zero, gap_params, config.spike_height,
-            initial_state=warm[0], initial_accumulator=warm[1],
-        )
-        return (result.state, result.accumulator)
-    result = run_inference(dictionary, zero, gap_params, initial_state=warm[0])
-    return (result.state, None)
+    gap_params = replace(params, steps=config.gap_steps)
+    return infer_period(dictionary, zero, gap_params, config.spike_height, warm=warm)
 
 
 def run_training(
@@ -389,11 +386,6 @@ def run_training(
     params = config.lca_params()
     spiking = config.spike_height > 0
     want_features = config.classifier is not None
-    scheme = (
-        config.classifier.get("feature_scheme", "mean_last_half")
-        if want_features
-        else "mean_last_half"
-    )
     rng = np.random.default_rng(config.seed)
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
@@ -415,15 +407,14 @@ def run_training(
             warm = _run_gap(dictionary, config, params, warm)
             code, result = _infer_once(dictionary, vec, config, params, warm=warm)
             if config.warm_start:
-                warm = (result.state, result.accumulator if spiking else None)
+                warm = result
             residual = vec - synthesize(dictionary, code)
             rmse_sum += float(np.sqrt(np.mean(residual * residual)))
             if spiking:
                 max_counts = max(max_counts, result.max_counts)
                 total_counts += result.total_counts
             if want_features:
-                feature = result.code if scheme == "final" else result.half_mean
-                epoch_train_features[sample_idx] = feature
+                epoch_train_features[sample_idx] = _feature(result, config.feature_scheme)
             pending.append((code, residual))
             if len(pending) >= config.batch_size or position == len(order) - 1:
                 for upd_code, upd_residual in pending:
@@ -445,8 +436,7 @@ def run_training(
                 max_counts = max(max_counts, result.max_counts)
                 total_counts += result.total_counts
             if want_features:
-                feature = result.code if scheme == "final" else result.half_mean
-                epoch_valid_features[v_idx] = feature
+                epoch_valid_features[v_idx] = _feature(result, config.feature_scheme)
 
         accuracy = math.nan
         if want_features:
@@ -454,11 +444,7 @@ def run_training(
             model = classifier_mod.train(
                 train_features,
                 np.array([s.label for s in train_samples]),
-                classifier_mod.ClassifierConfig(
-                    epochs=config.classifier.get("epochs", 200),
-                    learning_rate=config.classifier.get("learning_rate", 0.01),
-                    seed=config.seed,
-                ),
+                config.classifier_config(),
             )
             if valid_samples:
                 accuracy = classifier_mod.evaluate(
@@ -519,15 +505,10 @@ def evaluate_codes(
     max_counts = 0
     for sample in samples:
         vec = sample.input.flattened
+        result = infer_period(dictionary, vec, params, spike_height, filter_spec)
+        code = result.code
         if spike_height > 0:
-            result = run_spiking_inference(
-                dictionary, vec, params, spike_height,
-                make_filter(filter_spec, params.dt),
-            )
-            code = result.code
             max_counts = max(max_counts, result.max_counts)
-        else:
-            code = run_inference(dictionary, vec, params).code
         rmse_sum += rmse(vec, synthesize(dictionary, code))
         sparsity_sum += sparsity(code)
     return {
@@ -542,15 +523,10 @@ def collect_features(
 ) -> np.ndarray:
     """Classifier features from a frozen dictionary, one row per sample."""
     params = config.lca_params()
-    scheme = (
-        config.classifier.get("feature_scheme", "mean_last_half")
-        if config.classifier is not None
-        else "mean_last_half"
-    )
     features = np.zeros((len(samples), dictionary.element_count))
     for i, sample in enumerate(samples):
         _, result = _infer_once(dictionary, sample.input.flattened, config, params)
-        features[i] = result.code if scheme == "final" else result.half_mean
+        features[i] = _feature(result, config.feature_scheme)
     return features
 
 
@@ -573,6 +549,8 @@ SWEEP_HEADER = [
 class SweepResult:
     axis: str
     rows: list[dict]
+    # One {"value", "seed", "error": "ExceptionType: message"} per failed run.
+    failures: list[dict] = field(default_factory=list)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -622,7 +600,8 @@ def run_sweep(
     """Repeated seeded runs per axis value; reports mean and 95% CI half-widths.
 
     A run that raises marks its cell as failed instead of aborting the
-    sweep; statistics cover the runs that completed.
+    sweep, and its exception is kept in ``failures``; statistics cover the
+    runs that completed.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -631,6 +610,7 @@ def run_sweep(
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     rows = []
+    failures = []
     for value in values:
         metrics_lists: dict[str, list[float]] = {
             "rmse_val": [], "sparsity": [], "accuracy": [], "max_spikes": []
@@ -640,8 +620,10 @@ def run_sweep(
             try:
                 cfg = apply_axis(replace(base, seed=base.seed + r), axis, value)
                 result = run_training(cfg)
-            except Exception:  # noqa: BLE001 - failed cells are recorded, not fatal
+            except Exception as exc:  # noqa: BLE001 - failed cells are recorded, not fatal
                 failed += 1
+                error = f"{type(exc).__name__}: {exc}"
+                failures.append({"value": value, "seed": base.seed + r, "error": error})
                 continue
             m = result.metrics
             if m.rmse_val:
@@ -664,7 +646,7 @@ def run_sweep(
             "accuracy_mean": acc_mean, "accuracy_ci": acc_ci,
             "max_spikes_mean": spikes_mean,
         })
-    return SweepResult(axis=axis, rows=rows)
+    return SweepResult(axis=axis, rows=rows, failures=failures)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Non-spiking LCA inference: leaky-integrator dynamics with soft-threshold outputs.
+"""LCA inference: leaky-integrator dynamics with a pluggable output stage.
 
 The membrane potentials follow a forward-Euler integration of
 
     du/dt ~ -u + analyze(input - synthesize(output)) + output
 
-where ``output`` is the soft-thresholded code for graded inference, or an
-accumulator spike value for the spiking variant (see ``accumulator``).
+where ``output`` is what the neurons emit. One engine, ``_run_period``,
+integrates a period for graded and spiking LCA; only its output stage
+differs. The graded stage emits the soft-thresholded code itself; the
+spiking stage (see ``accumulator``) discretizes that code into spikes.
 At a fixed point with output = soft_threshold(u), u minimizes the energy
 ``0.5 * ||input - synthesize(code)||^2 + lam * ||code||_1`` locally.
 """
@@ -102,6 +104,71 @@ def energy(
     return 0.5 * float(residual @ residual) + lam * float(np.abs(code).sum())
 
 
+class _GradedStage:
+    """Graded output stage: neurons emit their soft-thresholded potential."""
+
+    def __init__(self, lam: float):
+        self.lam = lam
+
+    def emit(self, u: np.ndarray, code: np.ndarray) -> np.ndarray:
+        return code  # the last reading, already soft_threshold(u)
+
+    def read(self, u: np.ndarray, value: np.ndarray) -> np.ndarray:
+        return soft_threshold(u, self.lam)
+
+
+def _run_period(
+    dictionary, input_vector, params, stage, *, initial_state=None,
+    record_codes=False, record_trace=False, early_stop=None, input_encoder=None,
+) -> InferenceResult:
+    """Integrate one period of the dynamics through an output stage.
+
+    Each step, ``stage.emit(u, code)`` gives the value that drives
+    ``lca_step``, and ``stage.read(u, value)`` gives the code recorded for
+    the step from the new potentials. The code before the first step is
+    ``soft_threshold(u)``. ``lca_step`` is looked up on every step, so a
+    wrapper installed on it (a profiler or tracer) sees each one.
+    """
+    input_vector = np.asarray(input_vector, dtype=np.float64)
+    if input_vector.shape != (dictionary.input_size,):
+        raise ValueError(
+            f"input has shape {input_vector.shape}, expected ({dictionary.input_size},)"
+        )
+    n = dictionary.element_count
+    state = initial_state if initial_state is not None else MembraneState.zeros(n)
+    if state.u.shape != (n,):
+        raise ValueError(f"state has {state.u.shape[0]} neurons, dictionary has {n}")
+
+    codes = np.zeros((params.steps, n)) if record_codes else None
+    trace: list = []
+    watch_du = record_trace or early_stop is not None
+    half_start = params.steps // 2
+    half_sum = np.zeros(n)
+    half_count = 0
+    code = soft_threshold(state.u, params.lam)
+    for i in range(params.steps):
+        drive = input_vector if input_encoder is None else input_encoder.step()
+        value = stage.emit(state.u, code)
+        new_state = lca_step(state, dictionary, drive, params, value)
+        du_inf = float(np.abs(new_state.u - state.u).max()) if watch_du else 0.0
+        state = new_state
+        code = stage.read(state.u, value)
+        if i >= half_start:
+            half_sum += code
+            half_count += 1
+        if record_codes:
+            codes[i] = code
+        if record_trace:
+            step_energy = energy(dictionary, input_vector, code, params.lam)
+            trace.append([state.step_index, step_energy, int(np.count_nonzero(code)), du_inf])
+        if early_stop is not None and du_inf < early_stop:
+            if record_codes:
+                codes = codes[: i + 1]
+            break
+    half_mean = half_sum / half_count if half_count else code.copy()
+    return InferenceResult(code=code, state=state, half_mean=half_mean, codes=codes, trace=trace)
+
+
 def run_inference(
     dictionary: Dictionary,
     input_vector: np.ndarray,
@@ -121,48 +188,11 @@ def run_inference(
     optionally replaces the constant input current with a per-step encoded
     version (see ``accumulator.InputRateEncoder``).
     """
-    input_vector = np.asarray(input_vector, dtype=np.float64)
-    if input_vector.shape != (dictionary.input_size,):
-        raise ValueError(
-            f"input has shape {input_vector.shape}, expected ({dictionary.input_size},)"
-        )
-    n = dictionary.element_count
-    state = initial_state if initial_state is not None else MembraneState.zeros(n)
-    if state.u.shape != (n,):
-        raise ValueError(f"state has {state.u.shape[0]} neurons, dictionary has {n}")
-
-    codes = np.zeros((params.steps, n)) if record_codes else None
-    trace: list = []
-    half_start = params.steps // 2
-    half_sum = np.zeros(n)
-    half_count = 0
-    code = soft_threshold(state.u, params.lam)
-    for i in range(params.steps):
-        drive = input_vector if input_encoder is None else input_encoder.step()
-        new_state = lca_step(state, dictionary, drive, params, code)
-        du_inf = float(np.abs(new_state.u - state.u).max())
-        state = new_state
-        code = soft_threshold(state.u, params.lam)
-        if i >= half_start:
-            half_sum += code
-            half_count += 1
-        if record_codes:
-            codes[i] = code
-        if record_trace:
-            trace.append(
-                [
-                    state.step_index,
-                    energy(dictionary, input_vector, code, params.lam),
-                    int(np.count_nonzero(code)),
-                    du_inf,
-                ]
-            )
-        if early_stop is not None and du_inf < early_stop:
-            if record_codes:
-                codes = codes[: i + 1]
-            break
-    half_mean = half_sum / half_count if half_count else code.copy()
-    return InferenceResult(code=code, state=state, half_mean=half_mean, codes=codes, trace=trace)
+    return _run_period(
+        dictionary, input_vector, params, _GradedStage(params.lam),
+        initial_state=initial_state, record_codes=record_codes, record_trace=record_trace,
+        early_stop=early_stop, input_encoder=input_encoder,
+    )
 
 
 def write_trace_csv(path, trace: list) -> None:

@@ -263,3 +263,64 @@ class TestConvCheck:
         assert run("conv-check", "--size", 4, "--kernel", 2) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "not-applicable"
+
+
+class TestConfigRejectedAtLoad:
+    """Invalid configs exit 1 before any run starts."""
+
+    def write(self, tmp_path, **overrides):
+        raw = {
+            "dataset": {
+                "kind": "synthetic", "seed": 1, "height": 8, "width": 8, "frames": 2,
+                "train_per_class": 3, "valid_per_class": 2,
+            },
+            "dict_size": 16, "lambda": 0.3,
+            "dt": 1.0, "tau": 10.0, "display_ms": 30.0,
+            "epochs": 1, "learning_rate": 0.01, "seed": 0,
+        }
+        raw.update(overrides)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        return path
+
+    def test_sweep_with_boxcar_missing_window_is_usage_error(self, tmp_path, capsys):
+        path = self.write(tmp_path, spike_height=1.0, filter={"kind": "boxcar"})
+        code = run("sweep", "--config", path, "--out", tmp_path / "sw",
+                   "--axis", "s", "--values", "1,5")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "window_ms" in captured.err
+        assert not (tmp_path / "sw" / "sweep.csv").exists()
+
+    def test_npy_dataset_without_path_is_usage_error(self, tmp_path, capsys):
+        path = self.write(tmp_path, dataset={"kind": "npy"})
+        code = run("train", "--config", path, "--out", tmp_path / "o")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "path" in captured.err
+
+    def test_classifier_zero_epochs_fails_before_training(self, tmp_path, capsys):
+        path = self.write(tmp_path, classifier={"epochs": 0})
+        code = run("train", "--config", path, "--out", tmp_path / "o")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "epochs" in captured.err
+        assert not (tmp_path / "o" / "metrics.csv").exists()
+
+
+class TestSweepFailureReport:
+    def test_failed_cell_names_its_exception_on_stderr(self, config_path, tmp_path, capsys):
+        out = tmp_path / "sw"
+        code = run("sweep", "--config", config_path, "--out", out,
+                   "--axis", "lambda", "--values", "0.3,-1")
+        captured = capsys.readouterr()
+        assert code == 0
+        failures = [l for l in captured.err.splitlines() if l.startswith("failed run:")]
+        assert len(failures) == 1
+        assert "lambda=-1.0" in failures[0]
+        assert "ConfigError: " in failures[0]
+        assert "threshold must be >= 0" in failures[0]
+        # The table itself is unchanged: the failure shows only as a count.
+        rows = (out / "sweep.csv").read_text().strip().splitlines()
+        assert rows[0] == ",".join(experiment_mod.SWEEP_HEADER)
+        assert rows[2].split(",")[2] == "1"

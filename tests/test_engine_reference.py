@@ -1,0 +1,185 @@
+"""The shared period engine against the frozen two-loop reference, bit for bit.
+
+``run_inference`` and ``run_spiking_inference`` are wrappers over one
+engine; ``reference_lca`` holds the separate loops they replaced. Every
+field is compared with ``np.array_equal``: the engine runs the same NumPy
+operations in the same order, so no tolerance is allowed.
+"""
+
+import numpy as np
+import pytest
+
+from lcalearn.accumulator import AccumulatorState, InputRateEncoder, run_spiking_inference
+from lcalearn.dictionary import InputDims, init_random
+from lcalearn.filters import make_filter
+from lcalearn.lca import LcaParams, MembraneState, run_inference
+
+from reference_lca import reference_run_inference, reference_run_spiking_inference
+
+FILTERS = [
+    None,
+    {"kind": "identity"},
+    {"kind": "exponential", "time_constant_ms": 5.0},
+    {"kind": "boxcar", "window_ms": 7.0},
+]
+
+
+def instance(seed, n=12, side=4, frames=2):
+    dictionary = init_random(seed, n, InputDims(height=side, width=side, frames=frames))
+    rng = np.random.default_rng(seed + 100)
+    x = rng.normal(size=dictionary.input_size)
+    return dictionary, x, rng
+
+
+def assert_graded_equal(got, want):
+    assert np.array_equal(got.code, want.code)
+    assert np.array_equal(got.half_mean, want.half_mean)
+    assert np.array_equal(got.state.u, want.state.u)
+    assert got.state.step_index == want.state.step_index
+    if want.codes is None:
+        assert got.codes is None
+    else:
+        assert np.array_equal(got.codes, want.codes)
+    assert np.array_equal(np.array(got.trace), np.array(want.trace))
+
+
+def assert_spiking_equal(got, want):
+    assert np.array_equal(got.code, want.code)
+    assert np.array_equal(got.final_value, want.final_value)
+    assert np.array_equal(got.half_mean, want.half_mean)
+    assert np.array_equal(got.state.u, want.state.u)
+    assert got.state.step_index == want.state.step_index
+    assert np.array_equal(got.accumulator.carry, want.accumulator.carry)
+    assert got.accumulator.spike_height == want.accumulator.spike_height
+    assert got.max_counts == want.max_counts
+    assert got.total_counts == want.total_counts
+    for name in ("raster", "codes"):
+        mine, theirs = getattr(got, name), getattr(want, name)
+        if theirs is None:
+            assert mine is None
+        else:
+            assert mine.dtype == theirs.dtype
+            assert np.array_equal(mine, theirs)
+
+
+class TestGraded:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cold_start_with_codes_and_trace(self, seed):
+        dictionary, x, _ = instance(seed)
+        params = LcaParams(lam=0.3, dt=1.0, tau=10.0, steps=37)
+        kwargs = dict(record_codes=True, record_trace=True)
+        assert_graded_equal(
+            run_inference(dictionary, x, params, **kwargs),
+            reference_run_inference(dictionary, x, params, **kwargs),
+        )
+
+    def test_warm_start(self):
+        dictionary, x, rng = instance(3)
+        params = LcaParams(lam=0.2, dt=0.5, tau=8.0, steps=25)
+        u0 = rng.normal(size=dictionary.element_count)
+        got = run_inference(dictionary, x, params, initial_state=MembraneState(u0.copy(), 7))
+        want = reference_run_inference(
+            dictionary, x, params, initial_state=MembraneState(u0.copy(), 7)
+        )
+        assert_graded_equal(got, want)
+
+    def test_input_rate_encoder(self):
+        dictionary, x, _ = instance(4)
+        params = LcaParams(lam=0.3, dt=1.0, tau=10.0, steps=40)
+        got = run_inference(
+            dictionary, x, params, record_codes=True,
+            input_encoder=InputRateEncoder(x, 0.05),
+        )
+        want = reference_run_inference(
+            dictionary, x, params, record_codes=True,
+            input_encoder=InputRateEncoder(x, 0.05),
+        )
+        assert_graded_equal(got, want)
+
+    @pytest.mark.parametrize("tolerance", [1e-2, 1e-4, 1e-9])
+    def test_early_stop(self, tolerance):
+        dictionary, x, _ = instance(5)
+        params = LcaParams(lam=0.3, dt=1.0, tau=5.0, steps=500)
+        kwargs = dict(record_codes=True, record_trace=True, early_stop=tolerance)
+        got = run_inference(dictionary, x, params, **kwargs)
+        want = reference_run_inference(dictionary, x, params, **kwargs)
+        assert len(want.trace) < params.steps  # the stop actually fired
+        assert_graded_equal(got, want)
+
+    def test_early_stop_before_half_period(self):
+        dictionary, x, _ = instance(6)
+        params = LcaParams(lam=0.3, dt=1.0, tau=5.0, steps=500)
+        got = run_inference(dictionary, x, params, early_stop=1e3)
+        want = reference_run_inference(dictionary, x, params, early_stop=1e3)
+        assert want.state.step_index == 1
+        assert_graded_equal(got, want)
+
+
+class TestSpiking:
+    @pytest.mark.parametrize("spec", FILTERS)
+    @pytest.mark.parametrize("height", [0.05, 0.5, 3.0])
+    def test_filters_and_heights(self, spec, height):
+        dictionary, x, _ = instance(7)
+        params = LcaParams(lam=0.2, dt=1.0, tau=10.0, steps=31)
+        kwargs = dict(record_raster=True, record_codes=True)
+        got = run_spiking_inference(
+            dictionary, x, params, height, make_filter(spec, params.dt), **kwargs
+        )
+        want = reference_run_spiking_inference(
+            dictionary, x, params, height, make_filter(spec, params.dt), **kwargs
+        )
+        assert want.total_counts > 0
+        assert_spiking_equal(got, want)
+
+    @pytest.mark.parametrize("spec", FILTERS)
+    def test_warm_start_with_accumulator(self, spec):
+        dictionary, x, rng = instance(8)
+        params = LcaParams(lam=0.2, dt=1.0, tau=10.0, steps=20)
+        n = dictionary.element_count
+        u0 = rng.normal(size=n)
+        carry0 = rng.uniform(0.0, 0.4, size=n)
+        got = run_spiking_inference(
+            dictionary, x, params, 0.4, make_filter(spec, params.dt),
+            initial_state=MembraneState(u0.copy(), 11),
+            initial_accumulator=AccumulatorState(carry0.copy(), 0.4),
+            record_raster=True,
+        )
+        want = reference_run_spiking_inference(
+            dictionary, x, params, 0.4, make_filter(spec, params.dt),
+            initial_state=MembraneState(u0.copy(), 11),
+            initial_accumulator=AccumulatorState(carry0.copy(), 0.4),
+            record_raster=True,
+        )
+        assert_spiking_equal(got, want)
+
+    @pytest.mark.parametrize("spec", FILTERS)
+    def test_input_rate_encoder(self, spec):
+        dictionary, x, _ = instance(9)
+        params = LcaParams(lam=0.2, dt=1.0, tau=10.0, steps=30)
+        got = run_spiking_inference(
+            dictionary, x, params, 0.5, make_filter(spec, params.dt),
+            record_codes=True, input_encoder=InputRateEncoder(x, 0.1),
+        )
+        want = reference_run_spiking_inference(
+            dictionary, x, params, 0.5, make_filter(spec, params.dt),
+            record_codes=True, input_encoder=InputRateEncoder(x, 0.1),
+        )
+        assert_spiking_equal(got, want)
+
+    def test_chained_periods(self):
+        # Warm state carried across three periods, as warm-start training does.
+        dictionary, x, _ = instance(10)
+        params = LcaParams(lam=0.2, dt=1.0, tau=10.0, steps=15)
+        got = want = None
+        for _ in range(3):
+            got = run_spiking_inference(
+                dictionary, x, params, 0.3, make_filter({"kind": "boxcar", "window_ms": 4.0}, 1.0),
+                initial_state=None if got is None else got.state,
+                initial_accumulator=None if got is None else got.accumulator,
+            )
+            want = reference_run_spiking_inference(
+                dictionary, x, params, 0.3, make_filter({"kind": "boxcar", "window_ms": 4.0}, 1.0),
+                initial_state=None if want is None else want.state,
+                initial_accumulator=None if want is None else want.accumulator,
+            )
+            assert_spiking_equal(got, want)

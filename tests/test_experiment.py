@@ -366,3 +366,53 @@ class TestDatasetSpecs:
         raw["dataset"] = {"kind": "imagenet"}
         with pytest.raises(ConfigError):
             config_from_dict(raw)
+
+
+class TestConfigValidatedAtLoad:
+    """Fields are checked by the code that owns them, when the config is built."""
+
+    def test_boxcar_without_window_rejected(self):
+        with pytest.raises(ConfigError, match="window_ms"):
+            config_from_dict(base_raw(filter={"kind": "boxcar"}))
+
+    def test_exponential_without_time_constant_rejected(self):
+        with pytest.raises(ConfigError, match="time_constant_ms"):
+            config_from_dict(base_raw(filter={"kind": "exponential"}))
+
+    def test_boxcar_window_shorter_than_dt_rejected(self):
+        with pytest.raises(ConfigError, match="window"):
+            config_from_dict(base_raw(filter={"kind": "boxcar", "window_ms": 0.5}))
+
+    @pytest.mark.parametrize("kind", ["npy", "cifar", "events"])
+    def test_file_dataset_without_path_rejected(self, kind):
+        raw = base_raw()
+        raw["dataset"] = {"kind": kind}
+        with pytest.raises(ConfigError, match="path"):
+            config_from_dict(raw)
+
+    def test_classifier_zero_epochs_rejected(self):
+        with pytest.raises(ConfigError, match="epochs"):
+            config_from_dict(base_raw(classifier={"epochs": 0}))
+
+    def test_classifier_nonpositive_learning_rate_rejected(self):
+        with pytest.raises(ConfigError, match="learning rate"):
+            config_from_dict(base_raw(classifier={"learning_rate": 0.0}))
+
+    def test_zero_display_period_rejected(self):
+        with pytest.raises(ConfigError, match="step"):
+            config_from_dict(base_raw(display_ms=0.0))
+
+
+class TestSweepFailureReasons:
+    def test_failed_run_keeps_exception_type_and_message(self):
+        config = config_from_dict(base_raw(epochs=1))
+        result = run_sweep(config, "lambda", [0.3, -1.0], repeats=2)
+        assert result.rows[1]["failed"] == 2
+        assert [(f["value"], f["seed"]) for f in result.failures] == [(-1.0, 0), (-1.0, 1)]
+        for failure in result.failures:
+            assert failure["error"].startswith("ConfigError: ")
+            assert "threshold must be >= 0" in failure["error"]
+
+    def test_no_failures_when_every_run_completes(self):
+        config = config_from_dict(base_raw(epochs=1))
+        assert run_sweep(config, "lambda", [0.3], repeats=1).failures == []
