@@ -5,7 +5,8 @@ per timestep and keeps the remainder as carry, so cumulative emitted
 output never drifts more than ``s`` from cumulative desired output.
 Spiking LCA runs on the same period engine as graded LCA with one extra
 output stage: soft-threshold, discretize with carry, then filter. The
-spike values, not the graded code, drive the membrane dynamics.
+spike values, not the graded code, drive the membrane dynamics. Like the
+engine, the stage takes one sample or a (B, N) batch of them.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ class AccumulatorState:
             raise ValueError(f"spike height must be > 0, got {self.spike_height}")
 
     @classmethod
-    def zeros(cls, n: int, spike_height: float) -> "AccumulatorState":
-        return cls(np.zeros(n), spike_height)
+    def zeros(cls, shape, spike_height: float) -> "AccumulatorState":
+        return cls(np.zeros(shape), spike_height)
 
 
 @dataclass
@@ -54,12 +55,12 @@ class SpikeFrame:
 
 @dataclass
 class SpikingResult:
-    code: np.ndarray                 # filtered code at period end
+    code: np.ndarray                 # filtered code at period end; (B, N) for a batch
     final_value: np.ndarray          # raw spike value at the last step
     state: MembraneState
     accumulator: AccumulatorState
-    max_counts: int                  # max spikes by any neuron in any single step
-    total_counts: int                # total spikes over the period
+    max_counts: int                  # max spikes by any neuron in any single step (any row)
+    total_counts: int                # total spikes over the period (all rows)
     half_mean: np.ndarray = None     # mean filtered code over the last half
     raster: Optional[np.ndarray] = None  # (steps, N) int counts when recorded
     codes: Optional[np.ndarray] = None   # (steps, N) filtered codes when recorded
@@ -78,7 +79,7 @@ class InputRateEncoder:
         values = np.asarray(values, dtype=np.float64)
         self.signs = np.sign(values)
         self.magnitudes = np.abs(values)
-        self.state = AccumulatorState.zeros(values.shape[0], spike_height)
+        self.state = AccumulatorState.zeros(values.shape, spike_height)
 
     def step(self) -> np.ndarray:
         frame, self.state = accumulate_step(self.state, self.magnitudes)
@@ -170,14 +171,21 @@ def run_spiking_inference(
     """Run one display period of spiking LCA and return the filtered code.
 
     The filter smooths the per-step spike values; with no filter the
-    returned code is the raw spike value at the final step.
+    returned code is the raw spike value at the final step. A (B, D)
+    input runs B samples at once (see ``lca._run_period``); the raster is
+    single-sample only.
     """
     n = dictionary.element_count
+    if record_raster and np.ndim(input_vector) != 1:
+        raise ValueError("a spike raster is recorded for one sample, not a batch")
+    shape = np.shape(input_vector)[:-1] + (n,)
     astate = initial_accumulator
     if astate is None:
-        astate = AccumulatorState.zeros(n, spike_height)
+        astate = AccumulatorState.zeros(shape, spike_height)
     if astate.spike_height != spike_height:
         raise ValueError("initial accumulator has a different spike height")
+    if astate.carry.shape != shape:
+        raise ValueError(f"initial accumulator has shape {astate.carry.shape}, expected {shape}")
     code_filter = code_filter if code_filter is not None else IdentityFilter()
     raster = np.zeros((params.steps, n), dtype=np.int64) if record_raster else None
     stage = _SpikingStage(params.lam, astate, code_filter, raster)

@@ -168,9 +168,7 @@ def _cmd_infer(args) -> int:
         raise UsageError(f"--index {args.index} out of range for {len(samples)} samples")
     sample = samples[args.index]
     vec = sample.input.flattened
-    result = experiment_mod.infer_period(
-        dictionary, vec, config.lca_params(), config.spike_height, config.filter, record=True
-    )
+    result = experiment_mod.config_period(dictionary, vec, config, record=True)
     if config.spike_height > 0:
         write_raster_csv(out / "raster.csv", result.raster)
     else:
@@ -304,15 +302,11 @@ def _cmd_export_recon(args) -> int:
     if not valid:
         raise FormatError("validation split is empty")
     count = min(args.count, len(valid))
-    params = config.lca_params()
     originals, recons = [], []
-    for sample in valid[:count]:
-        vec = sample.input.flattened
-        code = experiment_mod.infer_period(
-            dictionary, vec, params, config.spike_height, config.filter
-        ).code
-        originals.append(vec)
-        recons.append(experiment_mod.synthesize(dictionary, code))
+    for stack in experiment_mod.sample_stacks(valid[:count]):
+        code = experiment_mod.config_period(dictionary, stack, config).code
+        originals.extend(stack)
+        recons.extend(experiment_mod.synthesize(dictionary, code))
     strip = export_mod.render_reconstruction_strip(originals, recons, dictionary.dims)
     name = _image_name("reconstructions", dictionary.dims.channels)
     strip.save(out / name)

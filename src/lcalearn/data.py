@@ -93,6 +93,12 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n_classes < 1:
             raise ValueError("need at least one class")
+        for name in ("height", "width", "frames", "saturation"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("train_per_class", "valid_per_class"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0 < self.density <= 1:
             raise ValueError(f"density must be in (0, 1], got {self.density}")
         if self.noise < 0:

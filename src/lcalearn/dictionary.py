@@ -91,23 +91,23 @@ def init_random(seed: int, n: int, dims: InputDims) -> Dictionary:
 
 
 def synthesize(dictionary: Dictionary, code: np.ndarray) -> np.ndarray:
-    """Linear reconstruction sum_i code[i] * element[i], length D."""
+    """Linear reconstruction sum_i code[..., i] * element[i]; one row per code row."""
     code = np.asarray(code, dtype=np.float64)
-    if code.shape != (dictionary.element_count,):
+    if code.shape[-1:] != (dictionary.element_count,):
         raise ValueError(
-            f"code has shape {code.shape}, expected ({dictionary.element_count},)"
+            f"code has shape {code.shape}, expected (..., {dictionary.element_count})"
         )
     return code @ dictionary.elements
 
 
 def analyze(dictionary: Dictionary, residual: np.ndarray) -> np.ndarray:
-    """Adjoint map: per-element inner products with the residual, length N."""
+    """Adjoint map: per-element inner products with each residual row."""
     residual = np.asarray(residual, dtype=np.float64)
-    if residual.shape != (dictionary.input_size,):
+    if residual.shape[-1:] != (dictionary.input_size,):
         raise ValueError(
-            f"residual has shape {residual.shape}, expected ({dictionary.input_size},)"
+            f"residual has shape {residual.shape}, expected (..., {dictionary.input_size})"
         )
-    return dictionary.elements @ residual
+    return residual @ dictionary.elements.T
 
 
 def hebbian_update(

@@ -4,7 +4,8 @@ One training run shows each sample for a fixed display period (preceded
 by a zero-input gap), infers a sparse code with graded or spiking
 dynamics, and applies one Hebbian dictionary update per period from the
 period-end (filtered) code. Runs are reproducible bit-for-bit from the
-config and seed.
+config and seed. Passes over a frozen dictionary (validation, evaluation,
+classifier features) stack their samples and integrate them as batches.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from lcalearn import data as data_mod
 from lcalearn.accumulator import InputRateEncoder, run_spiking_inference
@@ -64,6 +65,10 @@ _CONFIG_KEYS = {
     "input_spike_height", "checkpoint_every", "batch_size",
 }
 
+# Samples per batched frozen-dictionary period. It caps memory: a boxcar
+# filter holds window x chunk x N floats.
+INFER_CHUNK = 64
+
 
 @dataclass
 class ExperimentConfig:
@@ -89,6 +94,10 @@ class ExperimentConfig:
     batch_size: int = 1
 
     def __post_init__(self):
+        for name in ("dataset", "filter", "classifier"):
+            value = getattr(self, name)
+            if not isinstance(value, dict) and (name == "dataset" or value is not None):
+                raise ConfigError(f"{name} must be a JSON object, got {value!r}")
         # Fields owned by other types are checked by building those types.
         try:
             self.lca_params()
@@ -129,7 +138,12 @@ class ExperimentConfig:
         extra = set(self.dataset) - _DATASET_KEYS[kind]
         if extra:
             raise ConfigError(f"unknown dataset keys {sorted(extra)}")
-        if kind != "synthetic" and "path" not in self.dataset:
+        if kind == "synthetic":
+            try:
+                _synthetic_spec(self.dataset)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"dataset: {exc}") from exc
+        elif "path" not in self.dataset:
             raise ConfigError(f"dataset kind {kind!r} needs a path")
         make_filter(self.filter, self.dt)
         if self.feature_scheme not in classifier_mod.FEATURE_SCHEMES:
@@ -263,16 +277,17 @@ def resolve_dict_size(dict_size: int | dict, input_size: int) -> int:
     return int(dict_size)
 
 
+def _synthetic_spec(spec: dict) -> data_mod.SyntheticSpec:
+    return data_mod.SyntheticSpec(**{k: v for k, v in spec.items() if k not in ("kind", "seed")})
+
+
 def load_dataset(
     spec: dict, fallback_seed: int = 0
 ) -> tuple[list[data_mod.LabeledSample], list[data_mod.LabeledSample]]:
     """Materialize (train, valid) sample lists from a dataset config."""
     kind = spec["kind"]
     if kind == "synthetic":
-        params = {k: v for k, v in spec.items() if k not in ("kind", "seed")}
-        return data_mod.generate_synthetic(
-            spec.get("seed", fallback_seed), data_mod.SyntheticSpec(**params)
-        )
+        return data_mod.generate_synthetic(spec.get("seed", fallback_seed), _synthetic_spec(spec))
     if kind == "npy":
         return data_mod.load_dataset_npy(spec["path"])
     if kind == "cifar":
@@ -305,8 +320,10 @@ def infer_period(
     """One period of graded (``spike_height`` 0) or spiking inference.
 
     The one place that chooses between ``run_inference`` and
-    ``run_spiking_inference``. ``warm`` is the previous period's result to
-    continue from. ``record`` asks for the trace (graded) or raster (spiking).
+    ``run_spiking_inference``. ``vec`` is one sample (D,) or a stack of
+    them (B, D). ``warm`` is the previous period's result to continue
+    from. ``record`` asks for the trace (graded) or raster (spiking) of one
+    sample.
     """
     state = None if warm is None else warm.state
     if spike_height > 0:
@@ -326,15 +343,27 @@ def _feature(result, scheme: str) -> np.ndarray:
     return result.code if scheme == "final" else result.half_mean
 
 
-def _infer_once(dictionary, sample_vec, config, params, *, warm=None):
-    """One display period; returns (code_for_update, result_object)."""
+def config_period(dictionary, vec, config, *, warm=None, record=False):
+    """One display period as the config sets it: spike height, filter, input encoding.
+
+    The one place that turns ``input_encoding`` into an input encoder.
+    ``vec`` is one sample or a (B, D) stack.
+    """
     rate = config.input_encoding == "rate"
-    encoder = InputRateEncoder(sample_vec, config.input_spike_height) if rate else None
-    result = infer_period(
-        dictionary, sample_vec, params, config.spike_height, config.filter,
-        warm=warm, input_encoder=encoder,
+    return infer_period(
+        dictionary, vec, config.lca_params(), config.spike_height, config.filter,
+        warm=warm, record=record,
+        input_encoder=InputRateEncoder(vec, config.input_spike_height) if rate else None,
     )
-    return result.code, result
+
+
+def sample_stacks(samples):
+    """Yield the samples' vectors as (B, D) stacks of at most ``INFER_CHUNK`` rows, in order.
+
+    A frozen-dictionary pass makes one batched period per stack.
+    """
+    for start in range(0, len(samples), INFER_CHUNK):
+        yield np.stack([s.input.flattened for s in samples[start:start + INFER_CHUNK]])
 
 
 def _run_gap(dictionary, config, params, warm):
@@ -405,7 +434,8 @@ def run_training(
             sample = train_samples[sample_idx]
             vec = sample.input.flattened
             warm = _run_gap(dictionary, config, params, warm)
-            code, result = _infer_once(dictionary, vec, config, params, warm=warm)
+            result = config_period(dictionary, vec, config, warm=warm)
+            code = result.code
             if config.warm_start:
                 warm = result
             residual = vec - synthesize(dictionary, code)
@@ -427,16 +457,20 @@ def run_training(
         val_rmse_sum = 0.0
         val_sparsity_sum = 0.0
         epoch_valid_features = np.zeros((len(valid_samples), n)) if want_features else None
-        for v_idx, sample in enumerate(valid_samples):
-            vec = sample.input.flattened
-            code, result = _infer_once(dictionary, vec, config, params)
-            val_rmse_sum += rmse(vec, synthesize(dictionary, code))
-            val_sparsity_sum += sparsity(code)
+        v_idx = 0
+        for stack in sample_stacks(valid_samples):
+            result = config_period(dictionary, stack, config)
+            for vec, code, recon in zip(stack, result.code, synthesize(dictionary, result.code)):
+                val_rmse_sum += rmse(vec, recon)
+                val_sparsity_sum += sparsity(code)
             if spiking:
                 max_counts = max(max_counts, result.max_counts)
                 total_counts += result.total_counts
             if want_features:
-                epoch_valid_features[v_idx] = _feature(result, config.feature_scheme)
+                epoch_valid_features[v_idx:v_idx + len(stack)] = _feature(
+                    result, config.feature_scheme
+                )
+            v_idx += len(stack)
 
         accuracy = math.nan
         if want_features:
@@ -503,14 +537,13 @@ def evaluate_codes(
     rmse_sum = 0.0
     sparsity_sum = 0.0
     max_counts = 0
-    for sample in samples:
-        vec = sample.input.flattened
-        result = infer_period(dictionary, vec, params, spike_height, filter_spec)
-        code = result.code
+    for stack in sample_stacks(samples):
+        result = infer_period(dictionary, stack, params, spike_height, filter_spec)
         if spike_height > 0:
             max_counts = max(max_counts, result.max_counts)
-        rmse_sum += rmse(vec, synthesize(dictionary, code))
-        sparsity_sum += sparsity(code)
+        for vec, code, recon in zip(stack, result.code, synthesize(dictionary, result.code)):
+            rmse_sum += rmse(vec, recon)
+            sparsity_sum += sparsity(code)
     return {
         "rmse": rmse_sum / len(samples),
         "sparsity_pct": sparsity_sum / len(samples),
@@ -522,12 +555,11 @@ def collect_features(
     dictionary: Dictionary, samples: list, config: ExperimentConfig
 ) -> np.ndarray:
     """Classifier features from a frozen dictionary, one row per sample."""
-    params = config.lca_params()
-    features = np.zeros((len(samples), dictionary.element_count))
-    for i, sample in enumerate(samples):
-        _, result = _infer_once(dictionary, sample.input.flattened, config, params)
-        features[i] = _feature(result, config.feature_scheme)
-    return features
+    rows = [
+        _feature(config_period(dictionary, stack, config), config.feature_scheme)
+        for stack in sample_stacks(samples)
+    ]
+    return np.concatenate(rows) if rows else np.zeros((0, dictionary.element_count))
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +606,7 @@ def _mean_ci(values: list[float]) -> tuple[float, float]:
     if len(clean) < 2:
         return mean, math.nan
     half = float(
-        stats.t.ppf(0.975, len(clean) - 1) * np.std(clean, ddof=1) / math.sqrt(len(clean))
+        stdtrit(len(clean) - 1, 0.975) * np.std(clean, ddof=1) / math.sqrt(len(clean))
     )
     return mean, half
 

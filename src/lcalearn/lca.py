@@ -10,6 +10,12 @@ differs. The graded stage emits the soft-thresholded code itself; the
 spiking stage (see ``accumulator``) discretizes that code into spikes.
 At a fixed point with output = soft_threshold(u), u minimizes the energy
 ``0.5 * ||input - synthesize(code)||^2 + lam * ||code||_1`` locally.
+
+The engine takes one sample, input (D,) and state (N,), or a batch of
+independent samples, input (B, D) and state (B, N), against the same
+dictionary. Frozen-dictionary passes (evaluation, classifier features,
+validation, reconstruction export) run batched; training periods run one
+sample at a time, because each sample's update changes the dictionary.
 """
 
 from __future__ import annotations
@@ -52,13 +58,14 @@ class MembraneState:
     step_index: int = 0
 
     @classmethod
-    def zeros(cls, n: int) -> "MembraneState":
-        return cls(np.zeros(n), 0)
+    def zeros(cls, shape) -> "MembraneState":
+        """Rest potentials: shape N for one sample, (B, N) for a batch."""
+        return cls(np.zeros(shape), 0)
 
 
 @dataclass
 class InferenceResult:
-    code: np.ndarray
+    code: np.ndarray  # (N,), or (B, N) for a batch like every per-sample field
     state: MembraneState
     half_mean: np.ndarray = None  # mean code over the last half of the period
     codes: Optional[np.ndarray] = None  # (steps, N) per-step codes when traced
@@ -83,13 +90,17 @@ def lca_step(
 
     ``output_code`` is whatever the neurons currently emit (graded code or
     spike value); it enters both the reconstruction term and the
-    self-excitation term.
+    self-excitation term. A batch carries one row per sample in every
+    argument but ``dictionary`` and ``params``.
     """
     residual = input_vector - synthesize(dictionary, output_code)
     du = -state.u + analyze(dictionary, residual) + output_code
     u_next = state.u + (params.dt / params.tau) * du
     if not np.isfinite(u_next).all():
-        raise NumericError(f"non-finite membrane potential at step {state.step_index}")
+        where = f"step {state.step_index}"
+        if u_next.ndim == 2:
+            where += f", row {int(np.flatnonzero(~np.isfinite(u_next).all(axis=1))[0])}"
+        raise NumericError(f"non-finite membrane potential at {where}")
     return MembraneState(u_next, state.step_index + 1)
 
 
@@ -128,44 +139,59 @@ def _run_period(
     the step from the new potentials. The code before the first step is
     ``soft_threshold(u)``. ``lca_step`` is looked up on every step, so a
     wrapper installed on it (a profiler or tracer) sees each one.
+
+    A (B, D) input integrates B independent samples at once; each row
+    matches its single-sample run up to float reordering in the matrix
+    products. Under ``early_stop`` a settled row is held where it
+    stopped while the others go on, and ``step_index`` counts the steps
+    the batch ran. Per-step codes and traces are single-sample only.
     """
     input_vector = np.asarray(input_vector, dtype=np.float64)
-    if input_vector.shape != (dictionary.input_size,):
-        raise ValueError(
-            f"input has shape {input_vector.shape}, expected ({dictionary.input_size},)"
-        )
-    n = dictionary.element_count
-    state = initial_state if initial_state is not None else MembraneState.zeros(n)
-    if state.u.shape != (n,):
-        raise ValueError(f"state has {state.u.shape[0]} neurons, dictionary has {n}")
+    d, n = dictionary.input_size, dictionary.element_count
+    if input_vector.ndim not in (1, 2) or input_vector.shape[-1] != d:
+        raise ValueError(f"input has shape {input_vector.shape}, expected ({d},) or (B, {d})")
+    batched = input_vector.ndim == 2
+    if batched and (record_codes or record_trace):
+        raise ValueError("per-step codes and traces are recorded for one sample, not a batch")
+    shape = input_vector.shape[:-1] + (n,)
+    state = initial_state if initial_state is not None else MembraneState.zeros(shape)
+    if state.u.shape != shape:
+        raise ValueError(f"state has shape {state.u.shape}, expected {shape}")
 
     codes = np.zeros((params.steps, n)) if record_codes else None
     trace: list = []
     watch_du = record_trace or early_stop is not None
+    hold = batched and early_stop is not None  # a settled row keeps its state
+    live = np.ones(shape[:-1] + (1,), dtype=bool)  # rows not yet stopped early
     half_start = params.steps // 2
-    half_sum = np.zeros(n)
-    half_count = 0
+    half_sum = np.zeros(shape)
+    half_count = np.zeros(live.shape, dtype=np.int64)
     code = soft_threshold(state.u, params.lam)
     for i in range(params.steps):
         drive = input_vector if input_encoder is None else input_encoder.step()
         value = stage.emit(state.u, code)
         new_state = lca_step(state, dictionary, drive, params, value)
-        du_inf = float(np.abs(new_state.u - state.u).max()) if watch_du else 0.0
+        if hold:
+            new_state.u = np.where(live, new_state.u, state.u)
+        du_inf = np.abs(new_state.u - state.u).max(axis=-1, keepdims=True) if watch_du else 0.0
         state = new_state
         code = stage.read(state.u, value)
         if i >= half_start:
-            half_sum += code
-            half_count += 1
+            half_sum += np.where(live, code, 0.0) if hold else code
+            half_count += live
         if record_codes:
             codes[i] = code
         if record_trace:
             step_energy = energy(dictionary, input_vector, code, params.lam)
-            trace.append([state.step_index, step_energy, int(np.count_nonzero(code)), du_inf])
-        if early_stop is not None and du_inf < early_stop:
-            if record_codes:
-                codes = codes[: i + 1]
-            break
-    half_mean = half_sum / half_count if half_count else code.copy()
+            trace.append([state.step_index, step_energy, int(np.count_nonzero(code)),
+                          float(du_inf[0])])
+        if early_stop is not None:
+            live &= ~(du_inf < early_stop)
+            if not live.any():
+                if record_codes:
+                    codes = codes[: i + 1]
+                break
+    half_mean = np.where(half_count > 0, half_sum / np.maximum(half_count, 1), code)
     return InferenceResult(code=code, state=state, half_mean=half_mean, codes=codes, trace=trace)
 
 

@@ -7,7 +7,9 @@ import pytest
 
 from lcalearn import cli
 from lcalearn import experiment as experiment_mod
+from lcalearn.accumulator import InputRateEncoder
 from lcalearn.data import EventRecord, save_events
+from lcalearn.dictionary import load_checkpoint
 
 
 @pytest.fixture()
@@ -306,6 +308,62 @@ class TestConfigRejectedAtLoad:
         assert code == 1
         assert "epochs" in captured.err
         assert not (tmp_path / "o" / "metrics.csv").exists()
+
+
+    @pytest.mark.parametrize("field", ["filter", "dataset", "classifier"])
+    def test_non_object_block_is_usage_error(self, tmp_path, capsys, field):
+        path = self.write(tmp_path, **{field: "boxcar"})
+        code = run("train", "--config", path, "--out", tmp_path / "o")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("config error:")
+        assert field in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_bad_synthetic_value_fails_before_writing(self, tmp_path, capsys):
+        path = self.write(tmp_path, dataset={"kind": "synthetic", "density": 2.0})
+        code = run("train", "--config", path, "--out", tmp_path / "o")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "density" in captured.err
+        assert not (tmp_path / "o" / "config.json").exists()
+
+
+class TestRateEncodedInference:
+    """``infer`` and ``export-recon`` drive the dynamics as training does."""
+
+    @pytest.mark.parametrize("spike_height", [0.0, 0.5])
+    def test_infer_code_is_the_training_path_code(self, tmp_path, capsys, spike_height):
+        raw = {
+            "dataset": {"kind": "synthetic", "seed": 1, "height": 8, "width": 8,
+                        "frames": 2, "train_per_class": 3, "valid_per_class": 2},
+            "dict_size": 16, "lambda": 0.3, "spike_height": spike_height,
+            "dt": 1.0, "tau": 10.0, "display_ms": 30.0,
+            "epochs": 1, "learning_rate": 0.01, "seed": 0,
+            "input_encoding": "rate", "input_spike_height": 0.3,
+            "filter": {"kind": "exponential", "time_constant_ms": 5.0},
+        }
+        path = tmp_path / "rate.json"
+        path.write_text(json.dumps(raw))
+        assert run("train", "--config", path, "--out", tmp_path / "run") == 0
+        dict_path = tmp_path / "run" / "dict_epoch_1.lcad"
+        out = tmp_path / "inf"
+        assert run("infer", "--config", path, "--out", out, "--dict", dict_path,
+                   "--index", 1) == 0
+        config = experiment_mod.load_config(path)
+        dictionary = load_checkpoint(dict_path)
+        _, valid = experiment_mod.load_dataset(config.dataset)
+        vec = valid[1].input.flattened
+        params = config.lca_params()
+        trained = experiment_mod.infer_period(
+            dictionary, vec, params, spike_height, config.filter,
+            input_encoder=InputRateEncoder(vec, 0.3),
+        )
+        constant = experiment_mod.infer_period(dictionary, vec, params, spike_height,
+                                               config.filter)
+        code = np.load(out / "code.npy")
+        assert np.array_equal(code, trained.code)
+        assert not np.array_equal(code, constant.code)
 
 
 class TestSweepFailureReport:

@@ -2,10 +2,15 @@
 
 import json
 import math
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lcalearn
 from lcalearn.data import SyntheticSpec, generate_synthetic
 from lcalearn.dictionary import init_random, load_checkpoint
 from lcalearn.errors import ConfigError
@@ -317,6 +322,19 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             run_sweep(config, "lambda", [])
 
+    def test_two_repeat_ci_is_the_t_interval(self):
+        config = config_from_dict(base_raw(epochs=1))
+        row = run_sweep(config, "lambda", [0.3], repeats=2).rows[0]
+        values = [
+            run_training(replace(config, seed=config.seed + r)).metrics.rmse_val[-1]
+            for r in range(2)
+        ]
+        t_975_df1 = 12.706204736174707  # Student t quantile, 0.975, one degree of freedom
+        sd = abs(values[0] - values[1]) / math.sqrt(2.0)
+        assert values[0] != values[1]
+        assert row["rmse_val_mean"] == pytest.approx((values[0] + values[1]) / 2, rel=1e-15)
+        assert row["rmse_val_ci"] == pytest.approx(t_975_df1 * sd / math.sqrt(2.0), rel=1e-12)
+
     def test_csv_output(self, tmp_path):
         config = config_from_dict(base_raw(epochs=1))
         result = run_sweep(config, "lambda", [0.3, 0.5], repeats=1)
@@ -401,6 +419,40 @@ class TestConfigValidatedAtLoad:
     def test_zero_display_period_rejected(self):
         with pytest.raises(ConfigError, match="step"):
             config_from_dict(base_raw(display_ms=0.0))
+
+    @pytest.mark.parametrize("field", ["dataset", "filter", "classifier"])
+    @pytest.mark.parametrize("value", ["boxcar", [1, 2], 3])
+    def test_non_object_block_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be a JSON object"):
+            config_from_dict(base_raw(**{field: value}))
+
+    def test_null_filter_and_classifier_allowed(self):
+        config = config_from_dict(base_raw(filter=None, classifier=None))
+        assert config.filter is None and config.classifier is None
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("density", 2.0, "density"),
+        ("noise", -0.1, "noise"),
+        ("n_classes", 0, "class"),
+        ("height", 0, "height"),
+        ("saturation", 0, "saturation"),
+        ("valid_per_class", -1, "valid_per_class"),
+    ])
+    def test_synthetic_values_rejected(self, key, value, message):
+        raw = base_raw()
+        raw["dataset"][key] = value
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(raw)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone takes most of a second to import.
+    src = str(Path(lcalearn.__file__).resolve().parents[1])
+    probe = f"import sys; sys.path.insert(0, {src!r}); import lcalearn.cli; " \
+        "print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "False"
 
 
 class TestSweepFailureReasons:
