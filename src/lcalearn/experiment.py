@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import stdtrit
 
 from lcalearn import data as data_mod
 from lcalearn.accumulator import InputRateEncoder, run_spiking_inference
@@ -605,6 +604,8 @@ def _mean_ci(values: list[float]) -> tuple[float, float]:
     mean = float(np.mean(clean))
     if len(clean) < 2:
         return mean, math.nan
+    from scipy.special import stdtrit  # deferred: most of the CLI's import time
+
     half = float(
         stdtrit(len(clean) - 1, 0.975) * np.std(clean, ddof=1) / math.sqrt(len(clean))
     )
@@ -633,7 +634,9 @@ def run_sweep(
 
     A run that raises marks its cell as failed instead of aborting the
     sweep, and its exception is kept in ``failures``; statistics cover the
-    runs that completed.
+    runs that completed. The dataset is loaded once per seed it depends
+    on: every run shares it unless it is a synthetic spec without its own
+    ``seed``, which each repeat generates from its run seed.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -643,6 +646,8 @@ def run_sweep(
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     rows = []
     failures = []
+    run_seeded = base.dataset["kind"] == "synthetic" and "seed" not in base.dataset
+    datasets: dict = {}  # run seed the data depends on (None if none) -> (train, valid)
     for value in values:
         metrics_lists: dict[str, list[float]] = {
             "rmse_val": [], "sparsity": [], "accuracy": [], "max_spikes": []
@@ -651,7 +656,10 @@ def run_sweep(
         for r in range(repeats):
             try:
                 cfg = apply_axis(replace(base, seed=base.seed + r), axis, value)
-                result = run_training(cfg)
+                key = cfg.seed if run_seeded else None
+                if key not in datasets:
+                    datasets[key] = load_dataset(cfg.dataset, cfg.seed)
+                result = run_training(cfg, *datasets[key])
             except Exception as exc:  # noqa: BLE001 - failed cells are recorded, not fatal
                 failed += 1
                 error = f"{type(exc).__name__}: {exc}"

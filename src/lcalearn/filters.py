@@ -8,8 +8,6 @@ nonnegativity, and have unit DC gain.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from lcalearn.errors import ConfigError
@@ -62,6 +60,9 @@ class BoxcarFilter(CodeFilter):
 
     During warm-up the mean runs over the frames seen so far, which avoids
     the systematic underestimate zero-padding would give at period start.
+    Frames live in a preallocated ring of ``window_steps`` rows, and each
+    step sums the filled rows afresh: a running sum kept by subtraction
+    would leave rounding residues where the window holds only zeros.
     """
 
     def __init__(self, window_ms: float, dt: float = 1.0):
@@ -70,14 +71,21 @@ class BoxcarFilter(CodeFilter):
         if window_ms < dt:
             raise ValueError(f"window {window_ms} ms shorter than dt {dt} ms")
         self.window_steps = int(np.ceil(window_ms / dt))
-        self._frames: deque = deque(maxlen=self.window_steps)
+        self._ring: np.ndarray | None = None
+        self._seen = 0
 
     def step(self, value: np.ndarray) -> np.ndarray:
-        self._frames.append(np.asarray(value, dtype=np.float64))
-        return np.mean(self._frames, axis=0)
+        value = np.asarray(value, dtype=np.float64)
+        if self._ring is None:
+            self._ring = np.empty((self.window_steps,) + value.shape)
+        self._ring[self._seen % self.window_steps] = value
+        self._seen += 1
+        filled = min(self._seen, self.window_steps)
+        return self._ring[:filled].sum(axis=0) / filled
 
     def reset(self) -> None:
-        self._frames.clear()
+        self._ring = None
+        self._seen = 0
 
 
 _FILTER_PARAMS = {

@@ -1,15 +1,19 @@
 """LCA inference: leaky-integrator dynamics with a pluggable output stage.
 
-The membrane potentials follow a forward-Euler integration of
+The membrane potentials follow a forward-Euler integration of the
+inhibition-matrix form (Rozell et al., Neural Computation 2008)
 
-    du/dt ~ -u + analyze(input - synthesize(output)) + output
+    du/dt ~ b - u - (Phi Phi^T - I) output,    b = Phi input
 
-where ``output`` is what the neurons emit. One engine, ``_run_period``,
-integrates a period for graded and spiking LCA; only its output stage
-differs. The graded stage emits the soft-thresholded code itself; the
-spiking stage (see ``accumulator``) discretizes that code into spikes.
-At a fixed point with output = soft_threshold(u), u minimizes the energy
-``0.5 * ||input - synthesize(code)||^2 + lam * ||code||_1`` locally.
+where ``Phi`` is the (N, D) dictionary and ``output`` is what the neurons
+emit. It equals ``analyze(input - synthesize(output)) + output - u``, so
+the feed-forward drive ``b`` is computed once per period (once per step
+for an encoded input) and each step costs one N x N product. One engine,
+``_run_period``, integrates a period for graded and spiking LCA; only its
+output stage differs. The graded stage emits the soft-thresholded code
+itself; the spiking stage (see ``accumulator``) discretizes that code into
+spikes. At a fixed point with output = soft_threshold(u), u minimizes the
+energy ``0.5 * ||input - synthesize(code)||^2 + lam * ||code||_1`` locally.
 
 The engine takes one sample, input (D,) and state (N,), or a batch of
 independent samples, input (B, D) and state (B, N), against the same
@@ -79,6 +83,37 @@ def soft_threshold(u: np.ndarray, lam: float) -> np.ndarray:
     return np.maximum(np.asarray(u, dtype=np.float64) - lam, 0.0)
 
 
+def inhibition(dictionary: Dictionary) -> np.ndarray:
+    """Lateral inhibition matrix ``Phi Phi^T - I`` (N, N): element overlaps, no self-term."""
+    elements = dictionary.elements
+    inhib = elements @ elements.T
+    inhib[np.diag_indices_from(inhib)] -= 1.0
+    return inhib
+
+
+def inhibit_step(
+    state: MembraneState,
+    drive: np.ndarray,
+    inhib: np.ndarray,
+    output_code: np.ndarray,
+    rate: float,
+) -> MembraneState:
+    """One forward-Euler step ``u += rate * (drive - u - output_code @ inhib)``.
+
+    ``drive`` is ``analyze(dictionary, input)``, ``inhib`` is
+    ``inhibition(dictionary)`` and ``rate`` is ``dt / tau``. This is the
+    one update formula; ``lca_step`` and the period engine both use it.
+    """
+    u = state.u
+    u_next = u + rate * (drive - u - output_code @ inhib)
+    if not np.isfinite(u_next).all():
+        where = f"step {state.step_index}"
+        if u_next.ndim == 2:
+            where += f", row {int(np.flatnonzero(~np.isfinite(u_next).all(axis=1))[0])}"
+        raise NumericError(f"non-finite membrane potential at {where}")
+    return MembraneState(u_next, state.step_index + 1)
+
+
 def lca_step(
     state: MembraneState,
     dictionary: Dictionary,
@@ -89,19 +124,16 @@ def lca_step(
     """One forward-Euler step of the membrane dynamics.
 
     ``output_code`` is whatever the neurons currently emit (graded code or
-    spike value); it enters both the reconstruction term and the
-    self-excitation term. A batch carries one row per sample in every
-    argument but ``dictionary`` and ``params``.
+    spike value); it enters through the inhibition matrix, which holds
+    both the reconstruction term and the self-excitation term. A batch
+    carries one row per sample in every argument but ``dictionary`` and
+    ``params``. Builds the drive and the inhibition matrix for this one
+    step; the period engine builds them once per period.
     """
-    residual = input_vector - synthesize(dictionary, output_code)
-    du = -state.u + analyze(dictionary, residual) + output_code
-    u_next = state.u + (params.dt / params.tau) * du
-    if not np.isfinite(u_next).all():
-        where = f"step {state.step_index}"
-        if u_next.ndim == 2:
-            where += f", row {int(np.flatnonzero(~np.isfinite(u_next).all(axis=1))[0])}"
-        raise NumericError(f"non-finite membrane potential at {where}")
-    return MembraneState(u_next, state.step_index + 1)
+    return inhibit_step(
+        state, analyze(dictionary, input_vector), inhibition(dictionary), output_code,
+        params.dt / params.tau,
+    )
 
 
 def energy(
@@ -134,11 +166,14 @@ def _run_period(
 ) -> InferenceResult:
     """Integrate one period of the dynamics through an output stage.
 
-    Each step, ``stage.emit(u, code)`` gives the value that drives
-    ``lca_step``, and ``stage.read(u, value)`` gives the code recorded for
-    the step from the new potentials. The code before the first step is
-    ``soft_threshold(u)``. ``lca_step`` is looked up on every step, so a
-    wrapper installed on it (a profiler or tracer) sees each one.
+    The drive ``analyze(input)`` and the inhibition matrix are built once
+    per period; under an input encoder the drive is rebuilt from each
+    step's encoded input. Each step, ``stage.emit(u, code)`` gives the
+    value that drives ``inhibit_step``, and ``stage.read(u, value)`` gives
+    the code recorded for the step from the new potentials. The code
+    before the first step is ``soft_threshold(u)``. ``inhibit_step`` is
+    looked up on every step, so a wrapper installed on it (a profiler or
+    tracer) sees each one.
 
     A (B, D) input integrates B independent samples at once; each row
     matches its single-sample run up to float reordering in the matrix
@@ -166,11 +201,15 @@ def _run_period(
     half_start = params.steps // 2
     half_sum = np.zeros(shape)
     half_count = np.zeros(live.shape, dtype=np.int64)
+    inhib = inhibition(dictionary)
+    rate = params.dt / params.tau
+    drive = analyze(dictionary, input_vector) if input_encoder is None else None
     code = soft_threshold(state.u, params.lam)
     for i in range(params.steps):
-        drive = input_vector if input_encoder is None else input_encoder.step()
+        if input_encoder is not None:
+            drive = analyze(dictionary, input_encoder.step())
         value = stage.emit(state.u, code)
-        new_state = lca_step(state, dictionary, drive, params, value)
+        new_state = inhibit_step(state, drive, inhib, value, rate)
         if hold:
             new_state.u = np.where(live, new_state.u, state.u)
         du_inf = np.abs(new_state.u - state.u).max(axis=-1, keepdims=True) if watch_du else 0.0

@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 import lcalearn
-from lcalearn.data import SyntheticSpec, generate_synthetic
+from lcalearn import experiment
+from lcalearn.data import EventRecord, SyntheticSpec, generate_synthetic, save_events
 from lcalearn.dictionary import init_random, load_checkpoint
 from lcalearn.errors import ConfigError
 from lcalearn.experiment import (
     METRICS_HEADER,
     ExperimentConfig,
+    SweepResult,
     collect_features,
     config_from_dict,
     config_to_dict,
@@ -453,6 +455,60 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_cli_import_loads_no_scipy():
+    # The sweep's confidence interval imports scipy.special when it needs it.
+    src = str(Path(lcalearn.__file__).resolve().parents[1])
+    probe = f"import sys; sys.path.insert(0, {src!r}); import lcalearn.cli; " \
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"
+
+
+class TestSweepLoadsDataOnce:
+    @staticmethod
+    def count_loads(monkeypatch):
+        seeds = []
+        real = experiment.load_dataset
+        monkeypatch.setattr(experiment, "load_dataset",
+                            lambda spec, seed=0: seeds.append(seed) or real(spec, seed))
+        return seeds
+
+    def test_events_sweep_loads_once_and_writes_the_same_csv(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        root = tmp_path / "events"
+        for split, count in (("train", 4), ("valid", 2)):
+            (root / split).mkdir(parents=True)
+            for k in range(count):
+                times = np.sort(rng.integers(0, 6000, size=80))
+                events = [EventRecord(int(t), int(rng.integers(4)), int(rng.integers(4)),
+                                      int(rng.choice([-1, 1]))) for t in times]
+                save_events(root / split / f"{k % 2}_{k}.evt", events, width=4, height=4)
+        config = config_from_dict(base_raw(
+            dataset={"kind": "events", "path": str(root), "frames_per_window": 2},
+            dict_size=8, epochs=1, spike_height=1.0,
+            filter={"kind": "boxcar", "window_ms": 5.0},
+        ))
+        values = [0.5, 1.0, 2.0, 4.0]
+        seeds = self.count_loads(monkeypatch)
+        swept = run_sweep(config, "s", values)
+        assert seeds == [0]
+        per_cell = [run_sweep(config, "s", [value]).rows[0] for value in values]
+        assert len(seeds) == 1 + len(values)
+        swept.write_csv(tmp_path / "once.csv")
+        SweepResult(axis="s", rows=per_cell).write_csv(tmp_path / "per_cell.csv")
+        assert (tmp_path / "once.csv").read_bytes() == (tmp_path / "per_cell.csv").read_bytes()
+        assert all(row["failed"] == 0 for row in swept.rows)
+
+    def test_synthetic_spec_without_seed_loads_once_per_run_seed(self, monkeypatch):
+        raw = base_raw(epochs=1)
+        del raw["dataset"]["seed"]
+        seeds = self.count_loads(monkeypatch)
+        result = run_sweep(config_from_dict(raw), "lambda", [0.2, 0.3], repeats=2)
+        assert seeds == [0, 1]
+        assert result.failures == []
 
 
 class TestSweepFailureReasons:

@@ -117,3 +117,24 @@ class TestFactory:
     def test_missing_parameter_rejected(self):
         with pytest.raises(ConfigError):
             make_filter({"kind": "boxcar"}, 1.0)
+
+
+class TestBoxcarRing:
+    """The ring buffer against a plain mean over the last W frames."""
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 7)])
+    def test_matches_mean_of_last_window(self, shape):
+        rng = np.random.default_rng(0)
+        frames = rng.exponential(size=(60,) + shape) * (rng.random((60,) + shape) < 0.5)
+        f = BoxcarFilter(9.0, 1.0)
+        for k in range(len(frames)):
+            want = np.mean(frames[max(0, k - 8):k + 1], axis=0)
+            np.testing.assert_allclose(f.step(frames[k]), want, rtol=0, atol=1e-12)
+
+    def test_exact_zero_once_window_is_all_zero(self):
+        f = BoxcarFilter(4.0, 1.0)
+        for value in (0.1, 1e-17, 3.3, 1e10):
+            f.step(np.array([value, 0.7]))
+        outs = [f.step(np.zeros(2)) for _ in range(4)]
+        assert np.all(outs[2] > 0)
+        assert np.array_equal(outs[3], np.zeros(2))
