@@ -52,24 +52,6 @@ class LinearClassifier:
         return self.weights.shape[1]
 
 
-def extract_features(codes: np.ndarray, scheme: str = "mean_last_half") -> np.ndarray:
-    """Reduce a per-step code trace (T, N) to one feature vector.
-
-    ``final`` takes the last step; ``mean_last_half`` averages the second
-    half of the display period, which is robust to spike timing at large
-    spike heights.
-    """
-    codes = np.asarray(codes, dtype=np.float64)
-    if codes.ndim != 2 or codes.shape[0] == 0:
-        raise ValueError(f"need a nonempty (steps, neurons) trace, got shape {codes.shape}")
-    if scheme == "final":
-        return codes[-1].copy()
-    if scheme == "mean_last_half":
-        start = codes.shape[0] // 2
-        return codes[start:].mean(axis=0)
-    raise ValueError(f"unknown feature scheme {scheme!r}")
-
-
 def _softmax(scores: np.ndarray) -> np.ndarray:
     shifted = scores - scores.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)

@@ -115,13 +115,16 @@ def _parse_values(axis: str, raw: str) -> list:
         item = item.strip()
         if not item:
             raise UsageError(f"empty entry in --values {raw!r}")
-        if axis == "dict_size":
-            if item.endswith("x"):
-                values.append({"ratio": float(item[:-1])})
+        try:
+            if axis == "dict_size":
+                if item.endswith("x"):
+                    values.append({"ratio": float(item[:-1])})
+                else:
+                    values.append(int(item))
             else:
-                values.append(int(item))
-        else:
-            values.append(float(item))
+                values.append(float(item))
+        except ValueError:
+            raise UsageError(f"--values entry {item!r} is not a valid {axis} value") from None
     return values
 
 
@@ -314,18 +317,6 @@ def _cmd_export_recon(args) -> int:
     return 0
 
 
-def _cmd_conv_check(args) -> int:
-    report = experiment_mod.conv_equivalence_check(
-        seed=args.seed if args.seed is not None else 0,
-        input_shape=(args.size, args.size),
-        kernel_shape=(args.kernel, args.kernel) if args.kernel else None,
-    )
-    print(json.dumps(report, indent=2))
-    if report["status"] == "ok" and not report["passed"]:
-        return 2
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Parser wiring
 # ---------------------------------------------------------------------------
@@ -382,10 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("export-recon", _cmd_export_recon, "render originals above reconstructions")
     p.add_argument("--dict", required=True)
     p.add_argument("--count", type=int, default=10)
-
-    p = add("conv-check", _cmd_conv_check, "dense vs one-position convolution identity")
-    p.add_argument("--size", type=int, default=4, help="square input side")
-    p.add_argument("--kernel", type=int, help="square kernel side (default: same as size)")
 
     return parser
 

@@ -406,13 +406,6 @@ def generate_synthetic(
     return train, valid
 
 
-def synthetic_templates(seed: int, spec: SyntheticSpec | None = None) -> np.ndarray:
-    """The class templates behind :func:`generate_synthetic`, flattened per class."""
-    spec = spec if spec is not None else SyntheticSpec()
-    templates = _draw_templates(np.random.default_rng(seed), spec)
-    return np.stack([t.reshape(-1) for t in templates])
-
-
 def generate_sparse_vectors(
     seed: int,
     n_elements: int,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -23,8 +23,6 @@ from lcalearn import data as data_mod
 from lcalearn.accumulator import InputRateEncoder, run_spiking_inference
 from lcalearn.dictionary import (
     Dictionary,
-    InputDims,
-    analyze,
     hebbian_update,
     init_random,
     save_checkpoint,
@@ -55,13 +53,6 @@ _DATASET_KEYS = {
         "saturation", "sensor_width", "sensor_height",
     },
     "npy": {"kind", "path"},
-}
-
-_CONFIG_KEYS = {
-    "dataset", "dict_size", "lambda", "spike_height", "dt", "tau",
-    "display_ms", "gap_ms", "epochs", "learning_rate", "filter",
-    "classifier", "seed", "warm_start", "input_encoding",
-    "input_spike_height", "checkpoint_every", "batch_size",
 }
 
 # Samples per batched frozen-dictionary period. It caps memory: a boxcar
@@ -137,13 +128,15 @@ class ExperimentConfig:
         extra = set(self.dataset) - _DATASET_KEYS[kind]
         if extra:
             raise ConfigError(f"unknown dataset keys {sorted(extra)}")
-        if kind == "synthetic":
-            try:
-                _synthetic_spec(self.dataset)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"dataset: {exc}") from exc
-        elif "path" not in self.dataset:
+        if kind != "synthetic" and self.dataset.get("path") is None:
             raise ConfigError(f"dataset kind {kind!r} needs a path")
+        try:
+            if kind == "synthetic":
+                _synthetic_spec(self.dataset)
+            else:
+                _file_options(self.dataset)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"dataset: {exc}") from exc
         make_filter(self.filter, self.dt)
         if self.feature_scheme not in classifier_mod.FEATURE_SCHEMES:
             raise ConfigError(f"unknown feature_scheme {self.feature_scheme!r}")
@@ -171,6 +164,9 @@ class ExperimentConfig:
         """Readout settings: the ``classifier`` block minus ``feature_scheme``, plus the seed."""
         spec = {k: v for k, v in (self.classifier or {}).items() if k != "feature_scheme"}
         return classifier_mod.ClassifierConfig(**spec, seed=self.seed)
+
+
+_CONFIG_KEYS = {"lambda" if f.name == "lam" else f.name for f in fields(ExperimentConfig)}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -276,8 +272,32 @@ def resolve_dict_size(dict_size: int | dict, input_size: int) -> int:
     return int(dict_size)
 
 
+def _dataset_options(spec: dict) -> dict:
+    """The loader arguments a dataset spec sets; an absent or null key keeps the loader's default."""
+    return {k: v for k, v in spec.items() if k not in ("kind", "path", "seed") and v is not None}
+
+
 def _synthetic_spec(spec: dict) -> data_mod.SyntheticSpec:
-    return data_mod.SyntheticSpec(**{k: v for k, v in spec.items() if k not in ("kind", "seed")})
+    return data_mod.SyntheticSpec(**_dataset_options(spec))
+
+
+def _file_options(spec: dict) -> dict:
+    """The checked options a file dataset spec sets; the two sensor keys become ``sensor``."""
+    options = _dataset_options(spec)
+    for key in ("crop", "limit", "window_us", "frames_per_window", "stride", "saturation",
+                "sensor_width", "sensor_height"):
+        value = options.get(key, 1)
+        if not isinstance(value, int) or value < 1:
+            raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+    if options.get("crop", 1) > 32:
+        raise ValueError(f"crop must be in 1..32, got {options['crop']}")
+    if not 0 <= options.get("valid_fraction", 0) < 1:
+        raise ValueError(f"valid_fraction must be in [0, 1), got {options['valid_fraction']}")
+    if ("sensor_width" in options) != ("sensor_height" in options):
+        raise ValueError("sensor_width and sensor_height must be given together")
+    if "sensor_width" in options:
+        options["sensor"] = (options.pop("sensor_width"), options.pop("sensor_height"))
+    return options
 
 
 def load_dataset(
@@ -286,29 +306,20 @@ def load_dataset(
     """Materialize (train, valid) sample lists from a dataset config."""
     kind = spec["kind"]
     if kind == "synthetic":
-        return data_mod.generate_synthetic(spec.get("seed", fallback_seed), _synthetic_spec(spec))
+        seed = spec.get("seed")
+        return data_mod.generate_synthetic(
+            fallback_seed if seed is None else seed, _synthetic_spec(spec)
+        )
     if kind == "npy":
         return data_mod.load_dataset_npy(spec["path"])
+    options = _file_options(spec)
     if kind == "cifar":
-        samples = data_mod.load_cifar(
-            spec["path"], crop=spec.get("crop", 16), limit=spec.get("limit")
-        )
-        fraction = spec.get("valid_fraction", 0.2)
+        fraction = options.pop("valid_fraction", 0.2)
+        samples = data_mod.load_cifar(spec["path"], **options)
         split = len(samples) - max(1, int(len(samples) * fraction))
         return samples[:split], samples[split:]
     if kind == "events":
-        return data_mod.load_event_dataset(
-            spec["path"],
-            window_us=spec.get("window_us", 1000),
-            frames_per_window=spec.get("frames_per_window", 5),
-            stride=spec.get("stride", 1),
-            saturation=spec.get("saturation", 2),
-            sensor=(
-                (spec["sensor_width"], spec["sensor_height"])
-                if "sensor_width" in spec
-                else None
-            ),
-        )
+        return data_mod.load_event_dataset(spec["path"], **options)
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
@@ -646,7 +657,7 @@ def run_sweep(
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     rows = []
     failures = []
-    run_seeded = base.dataset["kind"] == "synthetic" and "seed" not in base.dataset
+    run_seeded = base.dataset["kind"] == "synthetic" and base.dataset.get("seed") is None
     datasets: dict = {}  # run seed the data depends on (None if none) -> (train, valid)
     for value in values:
         metrics_lists: dict[str, list[float]] = {
@@ -688,59 +699,3 @@ def run_sweep(
         })
     return SweepResult(axis=axis, rows=rows, failures=failures)
 
-
-# ---------------------------------------------------------------------------
-# Dense/convolutional equivalence
-# ---------------------------------------------------------------------------
-
-def conv_equivalence_check(
-    seed: int = 0,
-    input_shape: tuple[int, int] = (4, 4),
-    kernel_shape: Optional[tuple[int, int]] = None,
-    n_kernels: int = 3,
-) -> dict:
-    """Compare dense synthesis/analysis against a one-position convolution.
-
-    A dense dictionary whose input dims equal a kernel's full support is
-    the same linear map as a single-position convolutional dictionary;
-    this check documents that reading. Kernels smaller than the input
-    would have multiple placements, which the dense layout does not
-    represent, so that case reports not-applicable.
-    """
-    from scipy import signal
-
-    kernel_shape = input_shape if kernel_shape is None else kernel_shape
-    if kernel_shape != input_shape:
-        return {"status": "not-applicable", "passed": False,
-                "reason": "kernel support does not cover the full input"}
-
-    rng = np.random.default_rng(seed)
-    kernels = rng.normal(size=(n_kernels,) + kernel_shape)
-    kernels /= np.sqrt((kernels ** 2).sum(axis=(1, 2), keepdims=True))
-    dense = Dictionary(
-        kernels.reshape(n_kernels, -1),
-        InputDims(height=input_shape[0], width=input_shape[1]),
-    )
-
-    image = rng.normal(size=input_shape)
-    code = rng.uniform(0, 1, size=n_kernels)
-
-    conv_drive = np.array([
-        signal.correlate2d(image, k, mode="valid")[0, 0] for k in kernels
-    ])
-    dense_drive = analyze(dense, image.reshape(-1))
-    analysis_diff = float(np.abs(conv_drive - dense_drive).max())
-
-    conv_recon = np.zeros(input_shape)
-    for amp, k in zip(code, kernels):
-        conv_recon[0 : kernel_shape[0], 0 : kernel_shape[1]] += amp * k
-    dense_recon = synthesize(dense, code).reshape(input_shape)
-    synthesis_diff = float(np.abs(conv_recon - dense_recon).max())
-
-    passed = analysis_diff < 1e-10 and synthesis_diff < 1e-10
-    return {
-        "status": "ok",
-        "passed": passed,
-        "max_analysis_diff": analysis_diff,
-        "max_synthesis_diff": synthesis_diff,
-    }

@@ -1,8 +1,8 @@
 """Figure rendering to dependency-free portable image files.
 
-Dictionaries, reconstruction strips, and spike rasters are written as
-binary PGM (grayscale, ``P5``) or PPM (color, ``P6``) with maxval 255.
-Rendering is a pure function of its inputs, so identical data produces
+Dictionaries and reconstruction strips are written as binary PGM
+(grayscale, ``P5``) or PPM (color, ``P6``) with maxval 255. Rendering
+is a pure function of its inputs, so identical data produces
 byte-identical files; convert to PNG externally if needed
 (``pnmtopng`` or any image tool).
 """
@@ -184,13 +184,3 @@ def render_reconstruction_strip(
     tiles += [_element_tile(np.asarray(v, dtype=np.float64), dims) for v in reconstructions]
     return ImageGrid(tiles, rows=2, cols=len(originals), normalization="global", pad=pad)
 
-
-def render_spike_raster(raster: np.ndarray) -> np.ndarray:
-    """Spike counts (steps x neurons) as grayscale: white quiet, darker busier."""
-    raster = np.asarray(raster, dtype=np.float64)
-    if raster.ndim != 2:
-        raise ValueError(f"raster must be 2-d, got shape {raster.shape}")
-    peak = raster.max()
-    if peak <= 0:
-        return np.full(raster.shape, 255, dtype=np.uint8)
-    return (255 - np.round(255.0 * raster / peak)).astype(np.uint8)

@@ -19,16 +19,10 @@ class CodeFilter:
     def step(self, value: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def reset(self) -> None:
-        raise NotImplementedError
-
 
 class IdentityFilter(CodeFilter):
     def step(self, value: np.ndarray) -> np.ndarray:
         return np.asarray(value, dtype=np.float64)
-
-    def reset(self) -> None:
-        pass
 
 
 class ExponentialFilter(CodeFilter):
@@ -50,9 +44,6 @@ class ExponentialFilter(CodeFilter):
             self._y = np.zeros_like(value)
         self._y = self._y + self.alpha * (value - self._y)
         return self._y
-
-    def reset(self) -> None:
-        self._y = None
 
 
 class BoxcarFilter(CodeFilter):
@@ -82,10 +73,6 @@ class BoxcarFilter(CodeFilter):
         self._seen += 1
         filled = min(self._seen, self.window_steps)
         return self._ring[:filled].sum(axis=0) / filled
-
-    def reset(self) -> None:
-        self._ring = None
-        self._seen = 0
 
 
 _FILTER_PARAMS = {

@@ -177,17 +177,14 @@ def _run_period(
 
     A (B, D) input integrates B independent samples at once; each row
     matches its single-sample run up to float reordering in the matrix
-    products. Under ``early_stop`` a settled row is held where it
-    stopped while the others go on, and ``step_index`` counts the steps
-    the batch ran. Per-step codes and traces are single-sample only.
+    products. Per-step codes, traces and early stop are single-sample only.
     """
     input_vector = np.asarray(input_vector, dtype=np.float64)
     d, n = dictionary.input_size, dictionary.element_count
     if input_vector.ndim not in (1, 2) or input_vector.shape[-1] != d:
         raise ValueError(f"input has shape {input_vector.shape}, expected ({d},) or (B, {d})")
-    batched = input_vector.ndim == 2
-    if batched and (record_codes or record_trace):
-        raise ValueError("per-step codes and traces are recorded for one sample, not a batch")
+    if input_vector.ndim == 2 and (record_codes or record_trace or early_stop is not None):
+        raise ValueError("per-step codes, traces and early stop are for one sample, not a batch")
     shape = input_vector.shape[:-1] + (n,)
     state = initial_state if initial_state is not None else MembraneState.zeros(shape)
     if state.u.shape != shape:
@@ -196,11 +193,9 @@ def _run_period(
     codes = np.zeros((params.steps, n)) if record_codes else None
     trace: list = []
     watch_du = record_trace or early_stop is not None
-    hold = batched and early_stop is not None  # a settled row keeps its state
-    live = np.ones(shape[:-1] + (1,), dtype=bool)  # rows not yet stopped early
     half_start = params.steps // 2
     half_sum = np.zeros(shape)
-    half_count = np.zeros(live.shape, dtype=np.int64)
+    half_count = 0
     inhib = inhibition(dictionary)
     rate = params.dt / params.tau
     drive = analyze(dictionary, input_vector) if input_encoder is None else None
@@ -210,27 +205,22 @@ def _run_period(
             drive = analyze(dictionary, input_encoder.step())
         value = stage.emit(state.u, code)
         new_state = inhibit_step(state, drive, inhib, value, rate)
-        if hold:
-            new_state.u = np.where(live, new_state.u, state.u)
-        du_inf = np.abs(new_state.u - state.u).max(axis=-1, keepdims=True) if watch_du else 0.0
+        du_inf = float(np.abs(new_state.u - state.u).max()) if watch_du else 0.0
         state = new_state
         code = stage.read(state.u, value)
         if i >= half_start:
-            half_sum += np.where(live, code, 0.0) if hold else code
-            half_count += live
+            half_sum += code
+            half_count += 1
         if record_codes:
             codes[i] = code
         if record_trace:
             step_energy = energy(dictionary, input_vector, code, params.lam)
-            trace.append([state.step_index, step_energy, int(np.count_nonzero(code)),
-                          float(du_inf[0])])
-        if early_stop is not None:
-            live &= ~(du_inf < early_stop)
-            if not live.any():
-                if record_codes:
-                    codes = codes[: i + 1]
-                break
-    half_mean = np.where(half_count > 0, half_sum / np.maximum(half_count, 1), code)
+            trace.append([state.step_index, step_energy, int(np.count_nonzero(code)), du_inf])
+        if early_stop is not None and du_inf < early_stop:
+            if record_codes:
+                codes = codes[: i + 1]
+            break
+    half_mean = half_sum / half_count if half_count else code.copy()
     return InferenceResult(code=code, state=state, half_mean=half_mean, codes=codes, trace=trace)
 
 
@@ -248,8 +238,8 @@ def run_inference(
     """Integrate the dynamics for ``params.steps`` steps from rest (or a warm start).
 
     ``early_stop`` halts once the membrane update falls below the given
-    infinity-norm tolerance; intended for convergence tests, not the
-    fixed-length display periods used in training. ``input_encoder``
+    infinity-norm tolerance; intended for convergence tests of one sample,
+    not the fixed-length display periods used in training. ``input_encoder``
     optionally replaces the constant input current with a per-step encoded
     version (see ``accumulator.InputRateEncoder``).
     """

@@ -1,4 +1,4 @@
-"""Linear softmax readout: training, prediction, feature pooling, persistence."""
+"""Linear softmax readout: training, prediction, persistence."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from lcalearn.classifier import (
     LinearClassifier,
     MODEL_MAGIC,
     evaluate,
-    extract_features,
     load_model,
     predict,
     save_model,
@@ -31,32 +30,6 @@ def separable_blobs(seed=0, per_class=40, spread=0.1):
         features.append(np.abs(center + spread * rng.normal(size=(per_class, 6))))
         labels += [label] * per_class
     return np.vstack(features), np.array(labels)
-
-
-class TestExtractFeatures:
-    def test_final_scheme_takes_last_row(self):
-        codes = np.arange(12, dtype=np.float64).reshape(4, 3)
-        np.testing.assert_array_equal(extract_features(codes, "final"), codes[-1])
-
-    def test_mean_last_half(self):
-        codes = np.arange(12, dtype=np.float64).reshape(4, 3)
-        np.testing.assert_allclose(
-            extract_features(codes, "mean_last_half"), codes[2:].mean(axis=0)
-        )
-
-    def test_odd_length_half(self):
-        codes = np.arange(15, dtype=np.float64).reshape(5, 3)
-        np.testing.assert_allclose(
-            extract_features(codes, "mean_last_half"), codes[2:].mean(axis=0)
-        )
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            extract_features(np.zeros((0, 3)))
-
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError):
-            extract_features(np.zeros((2, 3)), "max")
 
 
 class TestTraining:

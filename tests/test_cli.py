@@ -255,18 +255,6 @@ class TestExportCommands:
         assert (a / "dictionary.pgm").read_bytes() == (b / "dictionary.pgm").read_bytes()
 
 
-class TestConvCheck:
-    def test_passes_by_default(self, capsys):
-        assert run("conv-check") == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["passed"]
-
-    def test_mismatched_kernel_reports_not_applicable(self, capsys):
-        assert run("conv-check", "--size", 4, "--kernel", 2) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["status"] == "not-applicable"
-
-
 class TestConfigRejectedAtLoad:
     """Invalid configs exit 1 before any run starts."""
 
@@ -327,6 +315,80 @@ class TestConfigRejectedAtLoad:
         assert code == 1
         assert "density" in captured.err
         assert not (tmp_path / "o" / "config.json").exists()
+
+
+class TestDatasetValues:
+    """File-dataset values are checked at config load; a null value keeps the default."""
+
+    @pytest.fixture()
+    def paths(self, tmp_path):
+        rng = np.random.default_rng(0)
+        images = tmp_path / "images.bin"
+        records = rng.integers(0, 256, size=(10, 3073), dtype=np.uint8)
+        records[:, 0] = np.arange(10) % 2
+        images.write_bytes(records.tobytes())
+        events = tmp_path / "events"
+        for split in ("train", "valid"):
+            (events / split).mkdir(parents=True)
+            for k in range(2):
+                times = np.sort(rng.integers(0, 8000, size=60))
+                save_events(events / split / f"{k}_{k}.evt", [
+                    EventRecord(int(t), int(rng.integers(4)), int(rng.integers(4)), 1)
+                    for t in times
+                ], width=4, height=4)
+        return {"cifar": str(images), "events": str(events)}
+
+    def write(self, tmp_path, dataset):
+        raw = {"dataset": dataset, "dict_size": 16, "lambda": 0.3, "tau": 10.0,
+               "display_ms": 20.0, "epochs": 1, "learning_rate": 0.01}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        return path
+
+    @pytest.mark.parametrize("dataset, values, message", [
+        pytest.param({"kind": "events", "sensor_width": 4}, None,
+                     "sensor_width and sensor_height", id="sensor-width-alone"),
+        pytest.param({"kind": "events", "sensor_height": 4}, None,
+                     "sensor_width and sensor_height", id="sensor-height-alone"),
+        pytest.param({"kind": "events", "window_us": 0}, None, "window_us", id="window-us-0"),
+        pytest.param({"kind": "events", "frames_per_window": 0}, None, "frames_per_window",
+                     id="frames-per-window-0"),
+        pytest.param({"kind": "cifar", "crop": 40}, None, "crop", id="crop-40"),
+        pytest.param({"kind": "cifar", "valid_fraction": -0.5}, None, "valid_fraction",
+                     id="valid-fraction-negative"),
+        pytest.param({"kind": "cifar", "valid_fraction": 1.5}, None, "valid_fraction",
+                     id="valid-fraction-above-1"),
+        pytest.param({"kind": "cifar", "limit": -3}, None, "limit", id="limit-negative"),
+        pytest.param(None, ("lambda", "abc"), "'abc'", id="values-lambda-abc"),
+        pytest.param(None, ("dict_size", "3.5"), "'3.5'", id="values-dict-size-3.5"),
+    ])
+    def test_bad_value_exits_1_and_writes_nothing(
+        self, config_path, paths, tmp_path, capsys, dataset, values, message
+    ):
+        out = tmp_path / "o"
+        if dataset is not None:
+            path = self.write(tmp_path, {**dataset, "path": paths[dataset["kind"]]})
+            code = run("train", "--config", path, "--out", out)
+        else:
+            axis, listed = values
+            code = run("sweep", "--config", config_path, "--out", out,
+                       "--axis", axis, "--values", listed)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("config error:" if dataset else "error:")
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert not (out / "config.json").exists()
+
+    @pytest.mark.parametrize("dataset", [
+        {"kind": "cifar", "crop": 16, "limit": None, "valid_fraction": 0.2},
+        {"kind": "events", "window_us": 1000, "frames_per_window": 5, "stride": 1,
+         "saturation": 2, "sensor_width": None, "sensor_height": None},
+    ], ids=["cifar", "events"])
+    def test_readme_examples_train(self, paths, tmp_path, capsys, dataset):
+        path = self.write(tmp_path, {**dataset, "path": paths[dataset["kind"]]})
+        assert run("train", "--config", path, "--out", tmp_path / "o") == 0
+        assert (tmp_path / "o" / "dict_epoch_1.lcad").exists()
 
 
 class TestRateEncodedInference:

@@ -9,6 +9,7 @@ from lcalearn.data import (
     EventRecord,
     FrameSequence,
     SyntheticSpec,
+    _draw_templates,
     accumulate_events,
     generate_sparse_vectors,
     generate_synthetic,
@@ -19,7 +20,6 @@ from lcalearn.data import (
     make_windows,
     save_dataset_npy,
     save_events,
-    synthetic_templates,
 )
 from lcalearn.errors import FormatError
 
@@ -275,6 +275,13 @@ class TestMakeWindows:
     def test_stride(self):
         frames = [np.zeros((2, 2)) + i for i in range(9)]
         assert len(make_windows(frames, 5, stride=2)) == 3
+
+
+def synthetic_templates(seed, spec=None):
+    """The class templates behind ``generate_synthetic``, flattened per class."""
+    spec = spec if spec is not None else SyntheticSpec()
+    templates = _draw_templates(np.random.default_rng(seed), spec)
+    return np.stack([t.reshape(-1) for t in templates])
 
 
 class TestSynthetic:

@@ -97,30 +97,6 @@ class TestGradedRows:
             close(batch.state.u[row], single.state.u)
             assert batch.state.step_index == single.state.step_index
 
-    def test_early_stop_holds_each_row_where_it_settled(self):
-        dictionary, x = instance(2)
-        params = LcaParams(lam=0.2, dt=1.0, tau=10.0, steps=160)
-        batch = run_inference(dictionary, x, params, early_stop=1e-4)
-        stopped = []
-        for row, vec in enumerate(x):
-            single = reference_run_inference(dictionary, vec, params, early_stop=1e-4)
-            close(batch.code[row], single.code)
-            close(batch.half_mean[row], single.half_mean)
-            close(batch.state.u[row], single.state.u)
-            stopped.append(single.state.step_index)
-        assert len(set(stopped)) > 1, "rows should settle at different steps"
-        assert params.steps // 2 < min(stopped) and max(stopped) < params.steps
-        assert batch.state.step_index == max(stopped)
-
-    def test_early_stop_before_half_period(self):
-        dictionary, x = instance(3, scale=0.01)
-        params = LcaParams(lam=0.5, dt=1.0, tau=10.0, steps=400)
-        batch = run_inference(dictionary, x, params, early_stop=1e-3)
-        for row, vec in enumerate(x):
-            single = reference_run_inference(dictionary, vec, params, early_stop=1e-3)
-            assert single.state.step_index < params.steps // 2
-            close(batch.half_mean[row], single.half_mean)
-
 
 class TestSpikingRows:
     @pytest.mark.parametrize("spec", FILTERS, ids=lambda f: f["kind"])
@@ -287,6 +263,12 @@ class TestBatchErrors:
             run_inference(dictionary, x, params, record_codes=True)
         with pytest.raises(ValueError, match="one sample"):
             run_spiking_inference(dictionary, x, params, 1.0, record_codes=True)
+
+    def test_early_stop_of_a_batch_is_rejected(self):
+        dictionary, x = instance(12)
+        params = LcaParams(lam=0.3, dt=1.0, tau=10.0, steps=5)
+        with pytest.raises(ValueError, match="one sample"):
+            run_inference(dictionary, x, params, early_stop=1e-4)
 
     def test_warm_state_must_have_one_row_per_sample(self):
         dictionary, x = instance(14)

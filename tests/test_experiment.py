@@ -22,7 +22,6 @@ from lcalearn.experiment import (
     collect_features,
     config_from_dict,
     config_to_dict,
-    conv_equivalence_check,
     evaluate_codes,
     load_config,
     resolve_dict_size,
@@ -346,24 +345,6 @@ class TestRunSweep:
         assert lines[0].startswith("value,repeats,failed")
 
 
-class TestConvEquivalence:
-    def test_matching_support_passes(self):
-        report = conv_equivalence_check(seed=0)
-        assert report["status"] == "ok"
-        assert report["passed"]
-        assert report["max_analysis_diff"] < 1e-10
-        assert report["max_synthesis_diff"] < 1e-10
-
-    def test_holds_across_seeds(self):
-        for seed in range(5):
-            assert conv_equivalence_check(seed=seed)["passed"]
-
-    def test_mismatched_support_not_applicable(self):
-        report = conv_equivalence_check(seed=0, input_shape=(4, 4), kernel_shape=(2, 2))
-        assert report["status"] == "not-applicable"
-        assert not report["passed"]
-
-
 class TestDatasetSpecs:
     def test_npy_round_trip_through_config(self, tmp_path):
         from lcalearn.data import save_dataset_npy
@@ -413,6 +394,10 @@ class TestConfigValidatedAtLoad:
     def test_classifier_zero_epochs_rejected(self):
         with pytest.raises(ConfigError, match="epochs"):
             config_from_dict(base_raw(classifier={"epochs": 0}))
+
+    def test_unknown_feature_scheme_rejected(self):
+        with pytest.raises(ConfigError, match="feature_scheme 'max'"):
+            config_from_dict(base_raw(classifier={"feature_scheme": "max"}))
 
     def test_classifier_nonpositive_learning_rate_rejected(self):
         with pytest.raises(ConfigError, match="learning rate"):

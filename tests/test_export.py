@@ -9,7 +9,6 @@ from lcalearn.export import (
     MID_GRAY,
     render_dictionary_grid,
     render_reconstruction_strip,
-    render_spike_raster,
     write_image,
     write_pgm,
     write_ppm,
@@ -186,19 +185,3 @@ class TestReconstructionStrip:
         magic, *_ = read_pnm(tmp_path / "strip.pgm")
         assert magic == "P5"
 
-
-class TestSpikeRaster:
-    def test_quiet_raster_is_white(self):
-        image = render_spike_raster(np.zeros((4, 3)))
-        np.testing.assert_array_equal(image, np.full((4, 3), 255))
-
-    def test_busiest_cell_is_black(self):
-        raster = np.array([[0, 2], [1, 0]])
-        image = render_spike_raster(raster)
-        assert image[0, 1] == 0
-        assert image[0, 0] == 255
-        assert image[1, 0] == 127  # half the peak rounds to mid scale
-
-    def test_wrong_rank_rejected(self):
-        with pytest.raises(ValueError):
-            render_spike_raster(np.zeros(5))

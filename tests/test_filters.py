@@ -40,13 +40,6 @@ class TestExponential:
             y = f.step(x)
         np.testing.assert_allclose(y, x, atol=1e-12)
 
-    def test_reset_clears_state(self):
-        f = ExponentialFilter(10.0, 1.0)
-        f.step(np.array([5.0]))
-        f.reset()
-        y = f.step(np.array([0.0]))
-        assert y[0] == 0.0
-
     def test_requires_time_constant_at_least_dt(self):
         with pytest.raises(ValueError):
             ExponentialFilter(0.5, 1.0)
@@ -81,12 +74,6 @@ class TestBoxcar:
     def test_window_shorter_than_dt_rejected(self):
         with pytest.raises(ValueError):
             BoxcarFilter(0.5, 1.0)
-
-    def test_reset_clears_history(self):
-        f = BoxcarFilter(3.0, 1.0)
-        f.step(np.array([9.0]))
-        f.reset()
-        assert f.step(np.array([1.0]))[0] == pytest.approx(1.0)
 
 
 class TestFactory:
