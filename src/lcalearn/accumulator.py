@@ -7,6 +7,13 @@ Spiking LCA runs on the same period engine as graded LCA with one extra
 output stage: soft-threshold, discretize with carry, then filter. The
 spike values, not the graded code, drive the membrane dynamics. Like the
 engine, the stage takes one sample or a (B, N) batch of them.
+
+``_discharge`` is the one discretization step; it works in place. The
+stage runs it on a copy of the start carry and on count and value
+buffers it allocates once per period, so a step creates no Python
+objects, and it reduces the peak and total spike counts once, at period
+end. ``accumulate_step`` is the public out-of-place form: it validates
+its input and never modifies the state it is given.
 """
 
 from __future__ import annotations
@@ -20,7 +27,14 @@ import numpy as np
 from lcalearn.dictionary import Dictionary
 from lcalearn.errors import NumericError
 from lcalearn.filters import CodeFilter, IdentityFilter
-from lcalearn.lca import LcaParams, MembraneState, _run_period, lca_step, soft_threshold
+from lcalearn.lca import (
+    LcaParams,
+    MembraneState,
+    _run_period,
+    _shrink,
+    lca_step,
+    soft_threshold,
+)
 
 RASTER_HEADER = ["step", "neuron", "count"]
 
@@ -86,28 +100,53 @@ class InputRateEncoder:
         return self.signs * frame.value
 
 
+def _check_desired(desired: np.ndarray) -> None:
+    if not np.isfinite(desired).all():
+        raise NumericError("non-finite desired output in accumulator")
+    if (desired < 0).any():
+        raise ValueError("accumulator requires nonnegative desired outputs")
+
+
+def _discharge(carry, desired, s, counts, tmp, flag) -> None:
+    """Discretize one timestep in place: spikes of height ``s`` out of ``carry + desired``.
+
+    Adds ``desired`` to ``carry``, writes ``floor(carry / s)`` into
+    ``counts`` (as floats) and leaves the remainder in ``carry``; ``tmp``
+    ends up holding ``counts * s``, the emitted value. ``flag`` is a bool
+    scratch buffer. The floor is corrected against float rounding so that
+    the carry stays in [0, s) exactly, which is what keeps every prefix of
+    emitted output within one spike height of the desired output.
+    """
+    carry += desired
+    np.divide(carry, s, out=tmp)
+    np.floor(tmp, out=counts)
+    np.add(counts, 1.0, out=tmp)
+    tmp *= s
+    np.less_equal(tmp, carry, out=flag)
+    counts += flag  # quotient rounded down across an integer
+    np.multiply(counts, s, out=tmp)
+    np.greater(tmp, carry, out=flag)
+    counts -= flag  # quotient rounded up across an integer
+    np.multiply(counts, s, out=tmp)
+    carry -= tmp
+
+
 def accumulate_step(
     state: AccumulatorState, desired: np.ndarray
 ) -> tuple[SpikeFrame, AccumulatorState]:
     """Discretize one timestep of desired output into spikes, carrying the remainder.
 
-    The floor is corrected against float rounding so that the carry stays in
-    [0, s) exactly, which is what keeps every prefix of emitted output within
-    one spike height of the desired output.
+    Returns the spike frame and a new state; ``state`` is left as it was.
+    Steps through ``_discharge``, as the spiking stage of the engine does.
     """
     desired = np.asarray(desired, dtype=np.float64)
-    if not np.isfinite(desired).all():
-        raise NumericError("non-finite desired output in accumulator")
-    if (desired < 0).any():
-        raise ValueError("accumulator requires nonnegative desired outputs")
+    _check_desired(desired)
     s = state.spike_height
-    v = state.carry + desired
-    counts = np.floor(v / s)
-    counts += (counts + 1.0) * s <= v  # quotient rounded down across an integer
-    counts -= counts * s > v           # quotient rounded up across an integer
-    counts = counts.astype(np.int64)
-    carry = v - counts * s
-    return SpikeFrame(counts, s), AccumulatorState(carry, s)
+    carry = np.empty(np.broadcast(state.carry, desired).shape)
+    carry[...] = state.carry
+    counts, value = np.empty(carry.shape), np.empty(carry.shape)
+    _discharge(carry, desired, s, counts, value, np.empty(carry.shape, dtype=bool))
+    return SpikeFrame(counts.astype(np.int64), s), AccumulatorState(carry, s)
 
 
 def slca_step(
@@ -129,26 +168,40 @@ def slca_step(
 
 
 class _SpikingStage:
-    """Spiking output stage: soft-threshold, discretize with carry, filter; tallies spikes."""
+    """Spiking output stage: soft-threshold, discretize with carry, filter; tallies spikes.
+
+    Works in buffers it allocates at ``begin``: the carry (a copy of the
+    start accumulator's), the desired output, the counts and the emitted
+    value. The per-neuron peak and total counts run elementwise and are
+    reduced once, when the period is read out.
+    """
 
     def __init__(self, lam, accumulator, code_filter, raster):
         self.lam = lam
-        self.accumulator = accumulator
+        self.start = accumulator
         self.code_filter = code_filter
         self.raster = raster
-        self.value = None
-        self.steps = self.max_counts = self.total_counts = 0
 
-    def emit(self, u: np.ndarray, code: np.ndarray) -> np.ndarray:
-        spikes, self.accumulator = accumulate_step(
-            self.accumulator, soft_threshold(u, self.lam)
-        )
-        self.max_counts = max(self.max_counts, int(spikes.counts.max()))
-        self.total_counts += int(spikes.counts.sum())
+    def begin(self, u: np.ndarray, check: bool) -> None:
+        """Start (or restart) a period; with ``check`` the desired output is validated."""
+        self.check = check
+        self.carry = np.array(self.start.carry, dtype=np.float64)
+        self.desired, self.counts, self.value = (np.empty(u.shape) for _ in range(3))
+        self.flag = np.empty(u.shape, dtype=bool)
+        self.peak, self.total = np.zeros(u.shape), np.zeros(u.shape)
+        self.steps = 0
+
+    def emit(self, u: np.ndarray, code) -> np.ndarray:
+        desired = _shrink(u, self.lam, self.desired)
+        if self.check:
+            _check_desired(desired)
+        _discharge(self.carry, desired, self.start.spike_height, self.counts, self.value,
+                   self.flag)
+        np.maximum(self.peak, self.counts, out=self.peak)
+        self.total += self.counts
         if self.raster is not None:
-            self.raster[self.steps] = spikes.counts
-        self.steps += 1
-        self.value = spikes.value
+            self.raster[self.steps] = self.counts
+            self.steps += 1
         return self.value
 
     def read(self, u: np.ndarray, value: np.ndarray) -> np.ndarray:
@@ -195,9 +248,9 @@ def run_spiking_inference(
     )
     return SpikingResult(
         code=period.code, final_value=stage.value, state=period.state,
-        accumulator=stage.accumulator, max_counts=stage.max_counts,
-        total_counts=stage.total_counts, half_mean=period.half_mean,
-        raster=raster, codes=period.codes,
+        accumulator=AccumulatorState(stage.carry, spike_height),
+        max_counts=int(stage.peak.max()), total_counts=int(stage.total.sum()),
+        half_mean=period.half_mean, raster=raster, codes=period.codes,
     )
 
 

@@ -132,6 +132,8 @@ def _cmd_sweep(args) -> int:
     config = _load_config(args)
     out = _require_out(args)
     values = _parse_values(args.axis, args.values)
+    if args.repeats < 1:
+        raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
     _echo_config(args, out)
     try:
         result = experiment_mod.run_sweep(
@@ -235,6 +237,10 @@ def _cmd_classify_eval(args) -> int:
 
 def _cmd_events_to_frames(args) -> int:
     out = _require_out(args)
+    if args.window_us < 1:
+        raise UsageError(f"--window-us must be >= 1, got {args.window_us}")
+    if args.saturation < 1:
+        raise UsageError(f"--saturation must be >= 1, got {args.saturation}")
     events, width, height = data_mod.load_events(args.input)
     if args.sensor_width is not None:
         width = args.sensor_width

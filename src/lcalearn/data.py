@@ -313,6 +313,10 @@ def load_dataset_npy(path) -> tuple[list[LabeledSample], list[LabeledSample]]:
             raise FormatError(
                 f"{name}: {inputs.shape[0]} inputs but {labels.shape[0]} labels"
             )
+        finite = np.isfinite(inputs)
+        if not finite.all():
+            bad = int(np.flatnonzero(~finite.reshape(len(inputs), -1).all(axis=1))[0])
+            raise FormatError(f"{inputs_path}: sample {bad} has a non-finite value")
         splits.append(
             [LabeledSample(FrameSequence(x), int(y)) for x, y in zip(inputs, labels)]
         )

@@ -15,6 +15,13 @@ itself; the spiking stage (see ``accumulator``) discretizes that code into
 spikes. At a fixed point with output = soft_threshold(u), u minimizes the
 energy ``0.5 * ||input - synthesize(code)||^2 + lam * ||code||_1`` locally.
 
+A period works in place: it copies the start potentials once and steps
+them through ``_euler`` in buffers it allocates once, and the stages
+write their code and spikes into buffers of their own, so a step creates
+no Python objects. Finiteness is checked once per period; a period that
+ends non-finite is replayed from its start with a check after every step,
+which names the step (and row) that went bad.
+
 The engine takes one sample, input (D,) and state (N,), or a batch of
 independent samples, input (B, D) and state (B, N), against the same
 dictionary. Frozen-dictionary passes (evaluation, classifier features,
@@ -80,7 +87,14 @@ def soft_threshold(u: np.ndarray, lam: float) -> np.ndarray:
     """Rectified soft threshold: u - lam where u > lam, else 0."""
     if lam < 0:
         raise ValueError(f"threshold must be >= 0, got {lam}")
-    return np.maximum(np.asarray(u, dtype=np.float64) - lam, 0.0)
+    u = np.asarray(u, dtype=np.float64)
+    return _shrink(u, lam, np.empty(u.shape))
+
+
+def _shrink(u: np.ndarray, lam: float, out: np.ndarray) -> np.ndarray:
+    """Writes ``max(u - lam, 0)`` into ``out`` and returns it."""
+    np.subtract(u, lam, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 def inhibition(dictionary: Dictionary) -> np.ndarray:
@@ -89,6 +103,30 @@ def inhibition(dictionary: Dictionary) -> np.ndarray:
     inhib = elements @ elements.T
     inhib[np.diag_indices_from(inhib)] -= 1.0
     return inhib
+
+
+def _euler(u, drive, inhib, value, rate, tmp, du) -> None:
+    """One forward-Euler step in place: ``u += rate * (drive - u - value @ inhib)``.
+
+    ``tmp`` and ``du`` are scratch buffers shaped like ``u``. The operations
+    run in the order the out-of-place expression evaluates them, so the
+    result is the same bits.
+    """
+    np.matmul(value, inhib, out=tmp)
+    np.subtract(drive, u, out=du)
+    du -= tmp
+    du *= rate
+    u += du
+
+
+def _check_finite(u: np.ndarray, step_index: int) -> None:
+    """Raise ``NumericError`` naming the step (and first bad row) if ``u`` is not finite."""
+    finite = np.isfinite(u)
+    if not finite.all():
+        where = f"step {step_index}"
+        if u.ndim == 2:
+            where += f", row {int(np.flatnonzero(~finite.all(axis=1))[0])}"
+        raise NumericError(f"non-finite membrane potential at {where}")
 
 
 def inhibit_step(
@@ -101,17 +139,15 @@ def inhibit_step(
     """One forward-Euler step ``u += rate * (drive - u - output_code @ inhib)``.
 
     ``drive`` is ``analyze(dictionary, input)``, ``inhib`` is
-    ``inhibition(dictionary)`` and ``rate`` is ``dt / tau``. This is the
-    one update formula; ``lca_step`` and the period engine both use it.
+    ``inhibition(dictionary)`` and ``rate`` is ``dt / tau``. Returns a new
+    state and leaves ``state`` as it was; raises ``NumericError`` if the
+    new potentials are not finite. It steps through ``_euler``, the one
+    update formula, which the period engine runs in place.
     """
-    u = state.u
-    u_next = u + rate * (drive - u - output_code @ inhib)
-    if not np.isfinite(u_next).all():
-        where = f"step {state.step_index}"
-        if u_next.ndim == 2:
-            where += f", row {int(np.flatnonzero(~np.isfinite(u_next).all(axis=1))[0])}"
-        raise NumericError(f"non-finite membrane potential at {where}")
-    return MembraneState(u_next, state.step_index + 1)
+    u = np.array(state.u, dtype=np.float64)
+    _euler(u, drive, inhib, output_code, rate, np.empty(u.shape), np.empty(u.shape))
+    _check_finite(u, state.step_index)
+    return MembraneState(u, state.step_index + 1)
 
 
 def lca_step(
@@ -153,11 +189,16 @@ class _GradedStage:
     def __init__(self, lam: float):
         self.lam = lam
 
+    def begin(self, u: np.ndarray, check: bool) -> np.ndarray:
+        """Start (or restart) a period at potentials ``u``; returns the first code."""
+        self.code = _shrink(u, self.lam, np.empty(u.shape))
+        return self.code
+
     def emit(self, u: np.ndarray, code: np.ndarray) -> np.ndarray:
         return code  # the last reading, already soft_threshold(u)
 
     def read(self, u: np.ndarray, value: np.ndarray) -> np.ndarray:
-        return soft_threshold(u, self.lam)
+        return _shrink(u, self.lam, self.code)
 
 
 def _run_period(
@@ -168,12 +209,13 @@ def _run_period(
 
     The drive ``analyze(input)`` and the inhibition matrix are built once
     per period; under an input encoder the drive is rebuilt from each
-    step's encoded input. Each step, ``stage.emit(u, code)`` gives the
-    value that drives ``inhibit_step``, and ``stage.read(u, value)`` gives
-    the code recorded for the step from the new potentials. The code
-    before the first step is ``soft_threshold(u)``. ``inhibit_step`` is
-    looked up on every step, so a wrapper installed on it (a profiler or
-    tracer) sees each one.
+    step's encoded input. Finiteness is checked once, at period end: the
+    dynamics are deterministic and a non-finite potential never turns
+    finite again, so when the check fails the period is replayed from its
+    saved start (potentials, accumulator carry, input-encoder state) with a
+    check after every step, which names the first bad step (and row).
+    Both passes run with overflow and invalid-value warnings silenced;
+    the replay's error is the report.
 
     A (B, D) input integrates B independent samples at once; each row
     matches its single-sample run up to float reordering in the matrix
@@ -190,24 +232,64 @@ def _run_period(
     if state.u.shape != shape:
         raise ValueError(f"state has shape {state.u.shape}, expected {shape}")
 
-    codes = np.zeros((params.steps, n)) if record_codes else None
-    trace: list = []
-    watch_du = record_trace or early_stop is not None
-    half_start = params.steps // 2
-    half_sum = np.zeros(shape)
-    half_count = 0
     inhib = inhibition(dictionary)
-    rate = params.dt / params.tau
     drive = analyze(dictionary, input_vector) if input_encoder is None else None
-    code = soft_threshold(state.u, params.lam)
+    # Each encoder step replaces the encoder's state object, never modifies it,
+    # so holding the reference saves the period's start.
+    encoder_start = None if input_encoder is None else input_encoder.state
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = _integrate(
+            dictionary, input_vector, params, stage, state, inhib, drive, input_encoder,
+            record_codes, record_trace, early_stop, check=False,
+        )
+        if not np.isfinite(result.state.u).all():
+            if input_encoder is not None:
+                input_encoder.state = encoder_start
+            _integrate(
+                dictionary, input_vector, params, stage, state, inhib, drive, input_encoder,
+                False, False, early_stop, check=True,
+            )
+            raise NumericError("non-finite membrane potential at period end")
+    return result
+
+
+def _integrate(
+    dictionary, input_vector, params, stage, state, inhib, drive, input_encoder,
+    record_codes, record_trace, early_stop, check,
+) -> InferenceResult:
+    """The step loop of ``_run_period``, on buffers it allocates once.
+
+    Each step, ``stage.emit(u, code)`` gives the value that drives
+    ``_euler``, and ``stage.read(u, value)`` gives the code recorded for
+    the step from the new potentials. ``_euler`` is looked up as a module
+    global on every step, so a wrapper installed on it (a profiler or
+    tracer) sees each one. ``state`` is not modified. With ``check`` set,
+    the potentials are checked after every step.
+    """
+    u = np.array(state.u, dtype=np.float64)
+    step_index = state.step_index
+    tmp, du = np.empty(u.shape), np.empty(u.shape)
+    watch_du = record_trace or early_stop is not None
+    prev = np.empty(u.shape) if watch_du else None
+    codes = np.zeros((params.steps, u.shape[-1])) if record_codes else None
+    trace: list = []
+    half_start = params.steps // 2
+    half_sum = np.zeros(u.shape)
+    half_count = 0
+    rate = params.dt / params.tau
+    code = stage.begin(u, check)
     for i in range(params.steps):
         if input_encoder is not None:
             drive = analyze(dictionary, input_encoder.step())
-        value = stage.emit(state.u, code)
-        new_state = inhibit_step(state, drive, inhib, value, rate)
-        du_inf = float(np.abs(new_state.u - state.u).max()) if watch_du else 0.0
-        state = new_state
-        code = stage.read(state.u, value)
+        value = stage.emit(u, code)
+        if watch_du:
+            np.copyto(prev, u)
+        _euler(u, drive, inhib, value, rate, tmp, du)
+        if check:
+            _check_finite(u, step_index)
+        step_index += 1
+        du_inf = float(np.abs(u - prev).max()) if watch_du else 0.0
+        code = stage.read(u, value)
         if i >= half_start:
             half_sum += code
             half_count += 1
@@ -215,13 +297,16 @@ def _run_period(
             codes[i] = code
         if record_trace:
             step_energy = energy(dictionary, input_vector, code, params.lam)
-            trace.append([state.step_index, step_energy, int(np.count_nonzero(code)), du_inf])
+            trace.append([step_index, step_energy, int(np.count_nonzero(code)), du_inf])
         if early_stop is not None and du_inf < early_stop:
             if record_codes:
                 codes = codes[: i + 1]
             break
     half_mean = half_sum / half_count if half_count else code.copy()
-    return InferenceResult(code=code, state=state, half_mean=half_mean, codes=codes, trace=trace)
+    return InferenceResult(
+        code=code, state=MembraneState(u, step_index), half_mean=half_mean, codes=codes,
+        trace=trace,
+    )
 
 
 def run_inference(

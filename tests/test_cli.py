@@ -153,6 +153,17 @@ class TestSweep:
         )
         assert code == 1
 
+    def test_zero_repeats_is_usage_error_and_writes_nothing(self, config_path, tmp_path, capsys):
+        out = tmp_path / "sw"
+        code = run(
+            "sweep", "--config", config_path, "--out", out,
+            "--axis", "s", "--values", "1", "--repeats", 0,
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "--repeats must be >= 1" in captured.err
+        assert not (out / "config.json").exists()
+
 
 class TestInfer:
     def test_graded_writes_trace(self, config_path, tmp_path, capsys):
@@ -227,6 +238,18 @@ class TestEventsToFrames:
                    "--window-us", 1000) == 0
         frames = np.load(out / "frames.npy")
         assert frames.shape == (3, 4, 4)
+
+    @pytest.mark.parametrize("flag", ["--window-us", "--saturation"])
+    def test_nonpositive_flag_is_usage_error(self, tmp_path, capsys, flag):
+        rec = tmp_path / "r.evt"
+        save_events(rec, [EventRecord(100 * k, k % 3, 0, 1) for k in range(30)],
+                    width=4, height=4)
+        out = tmp_path / "frames"
+        code = run("events-to-frames", "--input", rec, "--out", out, flag, 0)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"{flag} must be >= 1, got 0" in captured.err
+        assert not out.exists()
 
 
 class TestExportCommands:

@@ -351,6 +351,18 @@ class TestDatasetNpy:
         for a, b in zip(loaded_train + loaded_valid, train + valid):
             np.testing.assert_array_equal(a.input.frames, b.input.frames)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_value_names_file_and_sample(self, tmp_path, bad):
+        train, valid = generate_synthetic(2, SyntheticSpec(train_per_class=2, valid_per_class=1))
+        save_dataset_npy(tmp_path / "d", train, valid)
+        path = tmp_path / "d" / "valid_inputs.npy"
+        inputs = np.load(path)
+        inputs[2, 0, 1, 3] = bad
+        inputs[3, 1, 0, 0] = bad
+        np.save(path, inputs)
+        with pytest.raises(FormatError, match=r"valid_inputs\.npy: sample 2 has a non-finite"):
+            load_dataset_npy(tmp_path / "d")
+
     def test_saves_identically_twice(self, tmp_path):
         train, valid = generate_synthetic(2, SyntheticSpec(train_per_class=2, valid_per_class=1))
         save_dataset_npy(tmp_path / "a", train, valid)

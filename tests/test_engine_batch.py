@@ -49,7 +49,7 @@ def close(got, want):
 
 
 class SpikeWatch:
-    """Wraps ``accumulate_step`` to log the neurons' counts per step.
+    """Wraps ``accumulator._discharge`` to log the neurons' counts per step.
 
     It also keeps the closest approach of ``(carry + desired) / s`` to a
     positive integer: a floor tie that float reordering could flip.
@@ -60,19 +60,20 @@ class SpikeWatch:
         self.n = n
         self.counts = []
         self.margin = np.inf
-        real = accumulator.accumulate_step
+        real = accumulator._discharge
 
-        def watched(state, desired):
-            frame, new_state = real(state, desired)
-            if np.shape(desired)[-1] == self.n:
-                q = (state.carry + desired) / state.spike_height
+        def watched(carry, desired, s, counts, tmp, flag):
+            neurons = np.shape(desired)[-1] == self.n
+            if neurons:
+                q = (carry + desired) / s
                 near = np.abs(q - np.round(q))[q >= 0.5]
                 if near.size:
                     self.margin = min(self.margin, float(near.min()))
-                self.counts.append(frame.counts.copy())
-            return frame, new_state
+            real(carry, desired, s, counts, tmp, flag)
+            if neurons:
+                self.counts.append(counts.astype(np.int64))
 
-        monkeypatch.setattr(accumulator, "accumulate_step", watched)
+        monkeypatch.setattr(accumulator, "_discharge", watched)
 
     def take(self):
         counts, self.counts = np.array(self.counts), []

@@ -10,11 +10,15 @@ asserts that it never came within ``TIE_MARGIN`` of a floor tie, so equal
 counts do not pass by luck.
 """
 
+import re
+
 import numpy as np
 import pytest
 
+from lcalearn import experiment
 from lcalearn.accumulator import AccumulatorState, InputRateEncoder, run_spiking_inference
-from lcalearn.dictionary import InputDims, init_random
+from lcalearn.dictionary import Dictionary, InputDims, init_random
+from lcalearn.errors import NumericError
 from lcalearn.filters import make_filter
 from lcalearn.lca import LcaParams, MembraneState, run_inference
 
@@ -206,3 +210,139 @@ class TestSpiking:
                 initial_accumulator=None if want is None else want.accumulator,
             )
             assert_spiking_equal(got, want)
+
+
+def overflow_instance():
+    """Two elements 120 degrees apart that both see positive drive excite each other.
+
+    Their fixed point lies beyond the float range for inputs of about
+    1e308, so the potentials overflow part-way through a period although
+    the input and the drive are finite: at step 31 for ``scale`` 1.19,
+    39 for 1.1 and 63 for 1.0; 0.5 stays finite.
+    """
+    elements = np.array([[1.0, 0.0], [-0.5, np.sqrt(0.75)], [0.0, -1.0]])
+    return Dictionary(elements, InputDims(height=1, width=2))
+
+
+def overflow_input(scales):
+    return np.multiply.outer(np.asarray(scales) * 1e308, [1.0, 1.5])
+
+
+OVERFLOW_PARAMS = LcaParams(lam=0.3, dt=1.0, tau=10.0, steps=100)
+OVERFLOW_HEIGHT = 1e290  # spike counts stay below 2**63, where int64 counts are exact
+
+
+def run_engine(dictionary, x, height, **kwargs):
+    if height:
+        return run_spiking_inference(
+            dictionary, x, OVERFLOW_PARAMS, height,
+            make_filter({"kind": "boxcar", "window_ms": 7.0}, 1.0), **kwargs,
+        )
+    return run_inference(dictionary, x, OVERFLOW_PARAMS, **kwargs)
+
+
+def reference_error(dictionary, x, height, **kwargs):
+    """The frozen loop's ``NumericError`` message, or None when the period stays finite.
+
+    The frozen loop warns on its way to the error, so warnings are silenced.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if height:
+                reference_run_spiking_inference(
+                    dictionary, x, OVERFLOW_PARAMS, height,
+                    make_filter({"kind": "boxcar", "window_ms": 7.0}, 1.0), **kwargs,
+                )
+            else:
+                reference_run_inference(dictionary, x, OVERFLOW_PARAMS, **kwargs)
+    except NumericError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("height", [0.0, OVERFLOW_HEIGHT], ids=["graded", "spiking"])
+class TestNonFinite:
+    @pytest.mark.parametrize("encoded", [False, True], ids=["constant", "rate"])
+    @pytest.mark.parametrize("scale", [1.0, 1.1, 1.19])
+    def test_mid_period_overflow_names_the_reference_step(self, height, scale, encoded):
+        dictionary = overflow_instance()
+        x = overflow_input([scale])[0]
+
+        def encoder():  # the replay must restart the encoder from the period's start
+            return {"input_encoder": InputRateEncoder(x, 0.7e308)} if encoded else {}
+
+        want = reference_error(dictionary, x, height, **encoder())
+        assert re.fullmatch(r"non-finite membrane potential at step [1-9]\d*", want)
+        with pytest.raises(NumericError) as info:
+            run_engine(dictionary, x, height, **encoder())
+        assert str(info.value) == want
+
+    def test_batch_names_the_first_step_and_row_of_the_reference(self, height):
+        dictionary = overflow_instance()
+        x = overflow_input([0.5, 1.0, 1.19, 1.1, 1.19])
+        steps = {}
+        for row, vec in enumerate(x):
+            message = reference_error(dictionary, vec, height)
+            if message is not None:
+                steps[row] = int(message.rsplit(" ", 1)[1])
+        first = min(steps.values())
+        row = min(r for r, k in steps.items() if k == first)
+        assert 0 not in steps and first > 0  # row 0 stays finite; no row fails at once
+        with pytest.raises(NumericError) as info:
+            run_engine(dictionary, x, height)
+        assert str(info.value) == f"non-finite membrane potential at step {first}, row {row}"
+
+    def test_nonfinite_warm_start_fails_as_the_reference_does(self, height):
+        dictionary = overflow_instance()
+        x = overflow_input([0.01])[0]
+        u0 = np.array([0.2, np.nan, 0.1])
+        want = reference_error(dictionary, x, height, initial_state=MembraneState(u0.copy(), 5))
+        assert want is not None
+        with pytest.raises(NumericError) as info:
+            run_engine(dictionary, x, height, initial_state=MembraneState(u0.copy(), 5))
+        assert str(info.value) == want
+
+
+class TestStateOwnership:
+    """A period copies its start state once and hands back arrays no later period writes."""
+
+    @pytest.mark.parametrize("height", [0.0, 0.4])
+    def test_start_state_is_left_unchanged(self, height):
+        dictionary, x, rng = instance(11)
+        params = LcaParams(lam=0.2, dt=1.0, tau=10.0, steps=20)
+        n = dictionary.element_count
+        state = MembraneState(rng.normal(size=n), 3)
+        u0 = state.u.copy()
+        if height:
+            acc = AccumulatorState(rng.uniform(0.0, height, size=n), height)
+            carry0 = acc.carry.copy()
+            run_spiking_inference(dictionary, x, params, height, initial_state=state,
+                                  initial_accumulator=acc)
+            assert np.array_equal(acc.carry, carry0)
+        else:
+            run_inference(dictionary, x, params, initial_state=state)
+        assert np.array_equal(state.u, u0) and state.step_index == 3
+
+    @pytest.mark.parametrize("spec", FILTERS)
+    @pytest.mark.parametrize("height", [0.0, 0.4])
+    def test_result_survives_the_next_warm_period(self, height, spec):
+        dictionary, x, _ = instance(12)
+        params = LcaParams(lam=0.2, dt=1.0, tau=10.0, steps=20)
+
+        def period(warm):
+            return experiment.infer_period(dictionary, x, params, height, spec, warm=warm)
+
+        first = period(None)
+        kept = {name: np.copy(getattr(first, name)) for name in ("code", "half_mean")}
+        kept["u"] = first.state.u.copy()
+        if height:
+            kept["final_value"] = first.final_value.copy()
+            kept["carry"] = first.accumulator.carry.copy()
+        second = period(first)
+        assert not np.array_equal(second.state.u, first.state.u)
+        assert np.array_equal(first.code, kept["code"])
+        assert np.array_equal(first.half_mean, kept["half_mean"])
+        assert np.array_equal(first.state.u, kept["u"])
+        if height:
+            assert np.array_equal(first.final_value, kept["final_value"])
+            assert np.array_equal(first.accumulator.carry, kept["carry"])
