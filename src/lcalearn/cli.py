@@ -241,19 +241,13 @@ def _cmd_events_to_frames(args) -> int:
         raise UsageError(f"--window-us must be >= 1, got {args.window_us}")
     if args.saturation < 1:
         raise UsageError(f"--saturation must be >= 1, got {args.saturation}")
-    events, width, height = data_mod.load_events(args.input)
-    if args.sensor_width is not None:
-        width = args.sensor_width
-    if args.sensor_height is not None:
-        height = args.sensor_height
-    frames = data_mod.accumulate_events(
-        events, args.window_us, (width, height), saturation=args.saturation
+    events, frames = data_mod.recording_frames(
+        args.input, args.window_us, args.saturation,
+        width=args.sensor_width, height=args.sensor_height,
     )
     out.mkdir(parents=True, exist_ok=True)
-    stacked = (
-        np.stack(frames) if frames else np.zeros((0, height, width))
-    )
-    np.save(out / "frames.npy", stacked)
+    np.save(out / "frames.npy", frames)
+    _, height, width = frames.shape
     print(
         f"{len(events)} events -> {len(frames)} frames of {height}x{width} "
         f"({args.window_us} us windows) -> {out / 'frames.npy'}"

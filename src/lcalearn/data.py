@@ -1,10 +1,12 @@
 """Dataset ingestion: CIFAR-style binaries, DVS event streams, synthetic fixtures.
 
 Event streams use a canonical little-endian container (magic ``EVT1``) or
-an equivalent CSV twin; converting vendor formats such as AEDAT into the
-canonical layout is left to an external script (see README). Frames built
-from events hold signed values in [-1, 1]; image frames hold [0, 1] per
-channel.
+an equivalent CSV twin with the same field ranges; converting vendor
+formats such as AEDAT into the canonical layout is left to an external
+script (see README). Events travel as one ``EVENT_DTYPE`` structured array,
+the EVT1 record layout itself, from the file to the (T, H, W) frames built
+from them. Event frames hold signed values in [-1, 1]; image frames hold
+[0, 1] per channel.
 """
 
 from __future__ import annotations
@@ -22,25 +24,12 @@ EVENT_MAGIC = b"EVT1"
 EVENT_VERSION = 1
 
 _EVENT_FILE_HEADER = struct.Struct("<4sIHH")  # magic, version, width, height
-_EVENT_RECORD = struct.Struct("<IHHb")        # t_us, x, y, polarity
+
+# One event as the EVT1 record lays it out: t_us, x, y, polarity.
+EVENT_DTYPE = np.dtype([("t", "<u4"), ("x", "<u2"), ("y", "<u2"), ("p", "i1")])
+_FIELD_RANGES = [(0, 1 << 32), (0, 1 << 16), (0, 1 << 16), (-128, 128)]  # [low, high) per field
 
 CIFAR_RECORD_BYTES = 1 + 3 * 32 * 32
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    """One signed camera event: timestamp (microseconds), pixel, polarity."""
-
-    t: int
-    x: int
-    y: int
-    polarity: int
-
-    def __post_init__(self):
-        if self.t < 0 or self.x < 0 or self.y < 0:
-            raise ValueError(f"negative field in event {self}")
-        if self.polarity not in (-1, 1):
-            raise ValueError(f"polarity must be +1 or -1, got {self.polarity}")
 
 
 @dataclass
@@ -143,18 +132,19 @@ def load_cifar(path, crop: int = 16, limit: int | None = None) -> list[LabeledSa
 # Event streams
 # ---------------------------------------------------------------------------
 
-def save_events(path, events: list[EventRecord], width: int, height: int) -> None:
-    """Write the canonical EVT1 binary container."""
-    parts = [_EVENT_FILE_HEADER.pack(EVENT_MAGIC, EVENT_VERSION, width, height)]
-    parts.extend(_EVENT_RECORD.pack(e.t, e.x, e.y, e.polarity) for e in events)
-    Path(path).write_bytes(b"".join(parts))
+def save_events(path, events, width: int, height: int) -> None:
+    """Write the canonical EVT1 container; ``events`` converts to ``EVENT_DTYPE``."""
+    header = _EVENT_FILE_HEADER.pack(EVENT_MAGIC, EVENT_VERSION, width, height)
+    Path(path).write_bytes(header + np.asarray(events, dtype=EVENT_DTYPE).tobytes())
 
 
-def load_events(path) -> tuple[list[EventRecord], int, int]:
+def load_events(path) -> tuple[np.ndarray, int, int]:
     """Read events from the EVT1 binary container or its CSV twin.
 
-    Returns (events, sensor_width, sensor_height); the CSV twin carries no
-    sensor size, so width/height are inferred as max coordinate + 1.
+    Returns (events, sensor_width, sensor_height), with ``events`` one
+    ``EVENT_DTYPE`` array (for EVT1, a read-only view of the file's bytes);
+    the CSV twin carries no sensor size, so width/height are inferred as
+    max coordinate + 1.
     """
     path = Path(path)
     if path.suffix.lower() == ".csv":
@@ -167,62 +157,89 @@ def load_events(path) -> tuple[list[EventRecord], int, int]:
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != EVENT_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    body = raw[_EVENT_FILE_HEADER.size:]
-    if len(body) % _EVENT_RECORD.size != 0:
-        raise FormatError(f"{path}: truncated event record at byte {len(body)}")
-    events = []
-    last_t = 0
-    for i in range(len(body) // _EVENT_RECORD.size):
-        t, x, y, pol = _EVENT_RECORD.unpack_from(body, i * _EVENT_RECORD.size)
-        if pol not in (-1, 1):
-            raise FormatError(f"{path}: record {i} has polarity {pol}")
-        if x >= width or y >= height:
-            raise FormatError(f"{path}: record {i} at ({x}, {y}) outside {width}x{height}")
-        if t < last_t:
-            raise FormatError(f"{path}: record {i} timestamp {t} goes backwards")
-        last_t = t
-        events.append(EventRecord(t, x, y, pol))
+    body = len(raw) - _EVENT_FILE_HEADER.size
+    if body % EVENT_DTYPE.itemsize != 0:
+        raise FormatError(f"{path}: truncated event record at byte {body}")
+    events = np.frombuffer(raw, dtype=EVENT_DTYPE, offset=_EVENT_FILE_HEADER.size)
+    _check_events(events, width, height, lambda i: f"{path}: record {i}")
     return events, width, height
 
 
-def _load_events_csv(path) -> tuple[list[EventRecord], int, int]:
+def _load_events_csv(path) -> tuple[np.ndarray, int, int]:
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != "t_us,x,y,p":
         raise FormatError(f"{path}: expected header 't_us,x,y,p'")
-    events = []
-    last_t = 0
-    max_x = max_y = -1
-    for i, line in enumerate(lines[1:], start=1):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise FormatError(f"{path}: line {i + 1} has {len(parts)} fields")
-        try:
-            t, x, y, pol = (int(p) for p in parts)
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {i + 1}: {exc}") from exc
-        if pol not in (-1, 1):
-            raise FormatError(f"{path}: line {i + 1} has polarity {pol}")
-        if t < last_t:
-            raise FormatError(f"{path}: line {i + 1} timestamp {t} goes backwards")
-        last_t = t
-        max_x, max_y = max(max_x, x), max(max_y, y)
-        events.append(EventRecord(t, x, y, pol))
-    return events, max_x + 1, max_y + 1
+    rows, numbers = [], []
+    try:
+        for number, line in enumerate(lines[1:], start=2):
+            if line.strip():
+                rows.append(_csv_row(path, number, line))
+                numbers.append(number)
+    except FormatError:
+        _csv_events(path, rows, numbers)  # an earlier line's error is reported first
+        raise
+    return _csv_events(path, rows, numbers)
+
+
+def _csv_row(path, number: int, line: str) -> tuple[int, int, int, int]:
+    """The four integer fields of CSV line ``number``, each within its EVT1 range."""
+    fields = line.split(",")
+    if len(fields) != 4:
+        raise FormatError(f"{path}: line {number} has {len(fields)} fields")
+    try:
+        row = tuple(map(int, fields))
+    except ValueError as exc:
+        raise FormatError(f"{path}: line {number}: {exc}") from exc
+    # Compared as Python ints: casting an out-of-range value would wrap.
+    for name, value, (low, high) in zip(EVENT_DTYPE.names, row, _FIELD_RANGES):
+        if not low <= value < high:
+            raise FormatError(f"{path}: line {number}: {name} {value} outside [{low}, {high})")
+    return row
+
+
+def _csv_events(path, rows, numbers) -> tuple[np.ndarray, int, int]:
+    events = np.array(rows, dtype=EVENT_DTYPE)
+    width = int(events["x"].max()) + 1 if rows else 0
+    height = int(events["y"].max()) + 1 if rows else 0
+    _check_events(events, width, height, lambda i: f"{path}: line {numbers[i]}")
+    return events, width, height
+
+
+def _check_events(events: np.ndarray, width: int, height: int, name) -> None:
+    """Raise ``FormatError`` for the earliest bad event, at the first check it fails.
+
+    The checks, in order: polarity is +1 or -1, the pixel lies on the
+    ``width`` x ``height`` sensor, and time does not go backwards.
+    ``name(i)`` names event ``i`` in the message.
+    """
+    t, x, y, p = (events[field] for field in EVENT_DTYPE.names)
+    bad_polarity = (p != 1) & (p != -1)
+    outside = (x >= width) | (y >= height)
+    bad = bad_polarity | outside
+    bad[1:] |= t[1:] < t[:-1]
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    if bad_polarity[i]:
+        raise FormatError(f"{name(i)} has polarity {p[i]}")
+    if outside[i]:
+        raise FormatError(f"{name(i)} at ({x[i]}, {y[i]}) outside {width}x{height}")
+    raise FormatError(f"{name(i)} timestamp {t[i]} goes backwards")
 
 
 def accumulate_events(
-    events: list[EventRecord],
+    events,
     window_us: int,
     sensor: tuple[int, int],
     saturation: int = 2,
     *,
     t_start: int | None = None,
     t_end: int | None = None,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Sum event polarities into consecutive time windows, clamped to [-1, 1].
 
+    ``events`` is an ``EVENT_DTYPE`` array (or converts to one) on a
+    ``sensor`` = (width, height) grid; returns (T, height, width) frames.
     Per pixel and window, the signed event count is clamped to
     [-saturation, +saturation] and divided by the saturation. Windows
     default to starting at the first event's window boundary and ending
@@ -232,51 +249,53 @@ def accumulate_events(
         raise ValueError(f"window must be >= 1 us, got {window_us}")
     if saturation < 1:
         raise ValueError(f"saturation must be >= 1, got {saturation}")
-    height, width = sensor[1], sensor[0]
-    if events:
-        ts = np.array([e.t for e in events], dtype=np.int64)
-        xs = np.array([e.x for e in events], dtype=np.int64)
-        ys = np.array([e.y for e in events], dtype=np.int64)
-        ps = np.array([e.polarity for e in events], dtype=np.int64)
-        if (np.diff(ts) < 0).any():
-            raise ValueError("events must be nondecreasing in time")
-        bad = (xs >= width) | (ys >= height)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise FormatError(
-                f"event {i} at ({xs[i]}, {ys[i]}) outside sensor {width}x{height}"
-            )
-        if t_start is None:
-            t_start = int(ts[0] // window_us) * window_us
-        if t_end is None:
-            t_end = int(ts[-1]) + 1
-    else:
-        if t_start is None or t_end is None:
-            return []
+    width, height = sensor
+    events = np.asarray(events, dtype=EVENT_DTYPE)
+    _check_events(events, width, height, lambda i: f"record {i}")
+    ts = events["t"].astype(np.int64)
+    if len(ts):
+        t_start = int(ts[0] // window_us) * window_us if t_start is None else t_start
+        t_end = int(ts[-1]) + 1 if t_end is None else t_end
+    elif t_start is None or t_end is None:
+        return np.zeros((0, height, width))
     n_frames = max(0, -(-(t_end - t_start) // window_us))
-    frames = [np.zeros((height, width)) for _ in range(n_frames)]
-    if not events or n_frames == 0:
-        return frames
     keep = (ts >= t_start) & (ts < t_end)
-    idx = (ts[keep] - t_start) // window_us
-    counts = np.zeros((n_frames, height, width), dtype=np.int64)
-    np.add.at(counts, (idx, ys[keep], xs[keep]), ps[keep])
+    cells = ((ts[keep] - t_start) // window_us * height + events["y"][keep]) * width
+    cells += events["x"][keep]
+    counts = np.bincount(cells, weights=events["p"][keep], minlength=n_frames * height * width)
     np.clip(counts, -saturation, saturation, out=counts)
-    return [counts[k] / saturation for k in range(n_frames)]
+    return (counts / saturation).reshape(n_frames, height, width)
 
 
-def make_windows(
-    frames: list[np.ndarray], window_len: int, stride: int = 1
-) -> list[FrameSequence]:
-    """Sliding windows over one recording's frames; short recordings yield none."""
+def recording_frames(
+    path, window_us: int, saturation: int = 2, *,
+    width: int | None = None, height: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Load one recording and accumulate it into (T, H, W) frames.
+
+    The frames cover the file's sensor, or ``width`` x ``height`` where
+    given. Returns (events, frames); an event off that sensor raises
+    ``FormatError`` naming the file and the record.
+    """
+    events, file_width, file_height = load_events(path)
+    sensor = (file_width if width is None else width, file_height if height is None else height)
+    try:
+        frames = accumulate_events(events, window_us, sensor, saturation=saturation)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    return events, frames
+
+
+def make_windows(frames: np.ndarray, window_len: int, stride: int = 1) -> list[FrameSequence]:
+    """Sliding-window views of one recording's (T, H, W) frames; short recordings yield none."""
     if window_len < 1:
         raise ValueError(f"window length must be >= 1, got {window_len}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    sequences = []
-    for start in range(0, len(frames) - window_len + 1, stride):
-        sequences.append(FrameSequence(np.stack(frames[start : start + window_len])))
-    return sequences
+    return [
+        FrameSequence(frames[start : start + window_len])
+        for start in range(0, len(frames) - window_len + 1, stride)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +358,7 @@ def load_event_dataset(
     ``frames_per_window`` sequences that never span recordings.
     """
     root = Path(root)
+    width, height = sensor if sensor is not None else (None, None)
     splits = []
     for split in ("train", "valid"):
         split_dir = root / split
@@ -358,11 +378,8 @@ def load_event_dataset(
                 raise FormatError(
                     f"{rec_path.name}: expected '<classindex>_<id>{rec_path.suffix}'"
                 ) from None
-            events, width, height = load_events(rec_path)
-            if sensor is not None:
-                width, height = sensor
-            frames = accumulate_events(
-                events, window_us, (width, height), saturation=saturation
+            _, frames = recording_frames(
+                rec_path, window_us, saturation, width=width, height=height
             )
             for seq in make_windows(frames, frames_per_window, stride):
                 samples.append(LabeledSample(seq, label))

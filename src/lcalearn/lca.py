@@ -129,27 +129,6 @@ def _check_finite(u: np.ndarray, step_index: int) -> None:
         raise NumericError(f"non-finite membrane potential at {where}")
 
 
-def inhibit_step(
-    state: MembraneState,
-    drive: np.ndarray,
-    inhib: np.ndarray,
-    output_code: np.ndarray,
-    rate: float,
-) -> MembraneState:
-    """One forward-Euler step ``u += rate * (drive - u - output_code @ inhib)``.
-
-    ``drive`` is ``analyze(dictionary, input)``, ``inhib`` is
-    ``inhibition(dictionary)`` and ``rate`` is ``dt / tau``. Returns a new
-    state and leaves ``state`` as it was; raises ``NumericError`` if the
-    new potentials are not finite. It steps through ``_euler``, the one
-    update formula, which the period engine runs in place.
-    """
-    u = np.array(state.u, dtype=np.float64)
-    _euler(u, drive, inhib, output_code, rate, np.empty(u.shape), np.empty(u.shape))
-    _check_finite(u, state.step_index)
-    return MembraneState(u, state.step_index + 1)
-
-
 def lca_step(
     state: MembraneState,
     dictionary: Dictionary,
@@ -164,12 +143,18 @@ def lca_step(
     both the reconstruction term and the self-excitation term. A batch
     carries one row per sample in every argument but ``dictionary`` and
     ``params``. Builds the drive and the inhibition matrix for this one
-    step; the period engine builds them once per period.
+    step; the period engine builds them once per period. Returns a new
+    state and leaves ``state`` as it was; raises ``NumericError`` if the
+    new potentials are not finite. It steps through ``_euler``, the one
+    update formula, which the period engine runs in place.
     """
-    return inhibit_step(
-        state, analyze(dictionary, input_vector), inhibition(dictionary), output_code,
-        params.dt / params.tau,
+    u = np.array(state.u, dtype=np.float64)
+    _euler(
+        u, analyze(dictionary, input_vector), inhibition(dictionary), output_code,
+        params.dt / params.tau, np.empty(u.shape), np.empty(u.shape),
     )
+    _check_finite(u, state.step_index)
+    return MembraneState(u, state.step_index + 1)
 
 
 def energy(

@@ -17,7 +17,6 @@ from lcalearn import cli
 from lcalearn import experiment
 from lcalearn.accumulator import AccumulatorState, accumulate_step, slca_step
 from lcalearn.data import (
-    EventRecord,
     FrameSequence,
     LabeledSample,
     generate_sparse_vectors,
@@ -493,9 +492,9 @@ def test_identical_rerun_is_bit_exact(tmp_path, capsys):
     events_path = tmp_path / "clip.evt"
     rng = np.random.default_rng(6)
     events = [
-        EventRecord(
-            t=int(t), x=int(rng.integers(0, 8)), y=int(rng.integers(0, 8)),
-            polarity=int(rng.choice([-1, 1])),
+        (
+            int(t), int(rng.integers(0, 8)), int(rng.integers(0, 8)),
+            int(rng.choice([-1, 1])),
         )
         for t in sorted(rng.integers(0, 3000, size=200))
     ]

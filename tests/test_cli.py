@@ -1,6 +1,7 @@
 """Command dispatch, exit codes, and run-directory artifacts."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from lcalearn import cli
 from lcalearn import experiment as experiment_mod
 from lcalearn.accumulator import InputRateEncoder
-from lcalearn.data import EventRecord, save_events
+from lcalearn.data import save_events
 from lcalearn.dictionary import load_checkpoint
 
 
@@ -231,7 +232,7 @@ class TestClassify:
 class TestEventsToFrames:
     def test_converts_file(self, tmp_path, capsys):
         rec = tmp_path / "r.evt"
-        events = [EventRecord(100 * k, k % 3, 0, 1) for k in range(30)]
+        events = [(100 * k, k % 3, 0, 1) for k in range(30)]
         save_events(rec, events, width=4, height=4)
         out = tmp_path / "frames"
         assert run("events-to-frames", "--input", rec, "--out", out,
@@ -239,10 +240,20 @@ class TestEventsToFrames:
         frames = np.load(out / "frames.npy")
         assert frames.shape == (3, 4, 4)
 
+    def test_event_off_the_given_sensor_names_file_and_record(self, tmp_path, capsys):
+        rec = tmp_path / "r.evt"
+        save_events(rec, [(100 * k, k % 3, 0, 1) for k in range(30)], width=4, height=4)
+        out = tmp_path / "frames"
+        code = run("events-to-frames", "--input", rec, "--out", out, "--sensor-width", 2)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {rec}: record 2 at (2, 0) outside 2x4\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--window-us", "--saturation"])
     def test_nonpositive_flag_is_usage_error(self, tmp_path, capsys, flag):
         rec = tmp_path / "r.evt"
-        save_events(rec, [EventRecord(100 * k, k % 3, 0, 1) for k in range(30)],
+        save_events(rec, [(100 * k, k % 3, 0, 1) for k in range(30)],
                     width=4, height=4)
         out = tmp_path / "frames"
         code = run("events-to-frames", "--input", rec, "--out", out, flag, 0)
@@ -356,7 +367,7 @@ class TestDatasetValues:
             for k in range(2):
                 times = np.sort(rng.integers(0, 8000, size=60))
                 save_events(events / split / f"{k}_{k}.evt", [
-                    EventRecord(int(t), int(rng.integers(4)), int(rng.integers(4)), 1)
+                    (int(t), int(rng.integers(4)), int(rng.integers(4)), 1)
                     for t in times
                 ], width=4, height=4)
         return {"cifar": str(images), "events": str(events)}
@@ -402,6 +413,16 @@ class TestDatasetValues:
         assert message in captured.err
         assert "Traceback" not in captured.err
         assert not (out / "config.json").exists()
+
+    def test_event_off_the_configured_sensor_names_file_and_record(self, paths, tmp_path, capsys):
+        path = self.write(tmp_path, {"kind": "events", "path": paths["events"],
+                                     "sensor_width": 4, "sensor_height": 2})
+        code = run("train", "--config", path, "--out", tmp_path / "o")
+        captured = capsys.readouterr()
+        assert code == 2
+        recording = Path(paths["events"]) / "train" / "0_0.evt"
+        assert captured.err.startswith(f"error: {recording}: record ")
+        assert captured.err.rstrip().endswith("outside 4x2")
 
     @pytest.mark.parametrize("dataset", [
         {"kind": "cifar", "crop": 16, "limit": None, "valid_fraction": 0.2},

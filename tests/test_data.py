@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from lcalearn.data import (
-    EventRecord,
     FrameSequence,
     SyntheticSpec,
     _draw_templates,
@@ -34,20 +33,6 @@ def write_cifar(path, records):
 def ramp_pixels():
     """3072 deterministic bytes with distinct plane patterns."""
     return [(7 * i + 3) % 256 for i in range(3072)]
-
-
-class TestEventRecord:
-    def test_valid(self):
-        e = EventRecord(t=0, x=1, y=2, polarity=-1)
-        assert e.polarity == -1
-
-    def test_rejects_bad_polarity(self):
-        with pytest.raises(ValueError):
-            EventRecord(t=0, x=0, y=0, polarity=0)
-
-    def test_rejects_negative_fields(self):
-        with pytest.raises(ValueError):
-            EventRecord(t=-1, x=0, y=0, polarity=1)
 
 
 class TestFrameSequence:
@@ -123,10 +108,10 @@ class TestLoadCifar:
 class TestEventFiles:
     def events(self):
         return [
-            EventRecord(10, 0, 0, 1),
-            EventRecord(20, 3, 1, -1),
-            EventRecord(20, 2, 2, 1),
-            EventRecord(900, 4, 4, -1),
+            (10, 0, 0, 1),
+            (20, 3, 1, -1),
+            (20, 2, 2, 1),
+            (900, 4, 4, -1),
         ]
 
     def test_binary_round_trip(self, tmp_path):
@@ -134,13 +119,13 @@ class TestEventFiles:
         save_events(path, self.events(), width=5, height=5)
         loaded, width, height = load_events(path)
         assert (width, height) == (5, 5)
-        assert loaded == self.events()
+        assert loaded.tolist() == self.events()
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("t_us,x,y,p\n10,0,0,1\n20,3,1,-1\n")
         loaded, width, height = load_events(path)
-        assert loaded == [EventRecord(10, 0, 0, 1), EventRecord(20, 3, 1, -1)]
+        assert loaded.tolist() == [(10, 0, 0, 1), (20, 3, 1, -1)]
         assert width >= 4 and height >= 2
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -165,8 +150,30 @@ class TestEventFiles:
         rec = struct.Struct("<IHHb")
         payload = rec.pack(50, 0, 0, 1) + rec.pack(10, 0, 0, 1)
         path.write_bytes(header + payload)
-        with pytest.raises(FormatError, match="nondecreasing|monotone|order"):
+        with pytest.raises(FormatError, match="record 1 timestamp 10 goes backwards"):
             load_events(path)
+
+    def test_zero_polarity_rejected(self, tmp_path):
+        path = tmp_path / "r.evt"
+        save_events(path, [(10, 0, 0, 1), (20, 1, 1, 0)], width=5, height=5)
+        with pytest.raises(FormatError, match="r.evt: record 1 has polarity 0$"):
+            load_events(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("20,-3,0,1", "x -3 outside [0, 65536)"),
+        ("20,70000,0,1", "x 70000 outside [0, 65536)"),
+        ("20,0,65538,1", "y 65538 outside [0, 65536)"),
+        ("-1,0,0,1", "t -1 outside [0, 4294967296)"),
+        ("4294967296,0,0,1", "t 4294967296 outside [0, 4294967296)"),
+        ("20,0,0,255", "p 255 outside [-128, 128)"),
+    ], ids=["negative-x", "x-70000", "y-wraps-to-2", "negative-t", "t-2-32", "p-wraps-to-minus-1"])
+    def test_csv_field_outside_evt1_range_rejected(self, tmp_path, row, message):
+        """Fields are compared before the cast to ``EVENT_DTYPE``, which would wrap them."""
+        path = tmp_path / "r.csv"
+        path.write_text(f"t_us,x,y,p\n10,0,0,1\n\n{row}\n")
+        with pytest.raises(FormatError) as caught:
+            load_events(path)
+        assert str(caught.value) == f"{path}: line 4: {message}"
 
     def test_out_of_bounds_coordinates_rejected(self, tmp_path):
         path = tmp_path / "r.evt"
@@ -196,13 +203,13 @@ class TestAccumulateEvents:
 
     def test_single_event_value(self):
         """One +1 event at x=3, y=5 with saturation 2 -> 0.5 at row 5, col 3."""
-        frames = accumulate_events([EventRecord(100, 3, 5, 1)], 1000, (8, 8), saturation=2)
+        frames = accumulate_events([(100, 3, 5, 1)], 1000, (8, 8), saturation=2)
         assert len(frames) == 1
         assert frames[0][5, 3] == 0.5
         assert np.count_nonzero(frames[0]) == 1
 
     def test_clamping(self):
-        events = [EventRecord(t, 1, 1, 1) for t in (10, 20, 30)]
+        events = [(t, 1, 1, 1) for t in (10, 20, 30)]
         frames = accumulate_events(events, 1000, (4, 4), saturation=2)
         assert frames[0][1, 1] == 1.0
 
@@ -212,7 +219,7 @@ class TestAccumulateEvents:
         width, height, q = 6, 5, 2
         times = np.sort(rng.integers(0, 5000, size=300))
         events = [
-            EventRecord(
+            (
                 int(t),
                 int(rng.integers(0, width)),
                 int(rng.integers(0, height)),
@@ -223,11 +230,11 @@ class TestAccumulateEvents:
         frames = accumulate_events(events, 1000, (width, height), saturation=q)
         n_frames = len(frames)
         naive = np.zeros((n_frames, height, width))
-        start = (events[0].t // 1000) * 1000
-        for e in events:
-            k = (e.t - start) // 1000
+        start = (events[0][0] // 1000) * 1000
+        for t, x, y, polarity in events:
+            k = (t - start) // 1000
             if 0 <= k < n_frames:
-                naive[k, e.y, e.x] += e.polarity
+                naive[k, y, x] += polarity
         naive = np.clip(naive, -q, q) / q
         np.testing.assert_array_equal(np.stack(frames), naive)
 
@@ -236,11 +243,11 @@ class TestAccumulateEvents:
         rng = np.random.default_rng(8)
         events = sorted(
             (
-                EventRecord(int(rng.integers(0, 3000)), int(rng.integers(0, 4)),
-                            int(rng.integers(0, 4)), 1)
+                (int(rng.integers(0, 3000)), int(rng.integers(0, 4)),
+                 int(rng.integers(0, 4)), 1)
                 for _ in range(120)
             ),
-            key=lambda e: e.t,
+            key=lambda e: e[0],
         )
         q = 1000
         frames = accumulate_events(events, 1000, (4, 4), saturation=q)
@@ -249,10 +256,10 @@ class TestAccumulateEvents:
 
     def test_out_of_bounds_event_rejected(self):
         with pytest.raises(FormatError):
-            accumulate_events([EventRecord(0, 9, 0, 1)], 1000, (4, 4))
+            accumulate_events([(0, 9, 0, 1)], 1000, (4, 4))
 
     def test_explicit_time_range(self):
-        events = [EventRecord(2500, 0, 0, 1)]
+        events = [(2500, 0, 0, 1)]
         frames = accumulate_events(events, 1000, (2, 2), t_start=0, t_end=4000)
         assert len(frames) == 4
         assert frames[2][0, 0] == 0.5
@@ -382,7 +389,7 @@ class TestEventDatasetDirectory:
             for label in (0, 1):
                 for rec in range(n_rec):
                     events = [
-                        EventRecord(1000 * k + 10 * label, label, rec % 3, 1)
+                        (1000 * k + 10 * label, label, rec % 3, 1)
                         for k in range(frames_per_recording)
                     ]
                     save_events(
@@ -401,13 +408,13 @@ class TestEventDatasetDirectory:
     def test_bad_filename_rejected(self, tmp_path):
         (tmp_path / "train").mkdir()
         (tmp_path / "valid").mkdir()
-        save_events(tmp_path / "train" / "clubs_0.evt", [EventRecord(0, 0, 0, 1)], 4, 4)
-        save_events(tmp_path / "valid" / "0_0.evt", [EventRecord(0, 0, 0, 1)], 4, 4)
+        save_events(tmp_path / "train" / "clubs_0.evt", [(0, 0, 0, 1)], 4, 4)
+        save_events(tmp_path / "valid" / "0_0.evt", [(0, 0, 0, 1)], 4, 4)
         with pytest.raises(FormatError, match="clubs"):
             load_event_dataset(tmp_path)
 
     def test_missing_split_rejected(self, tmp_path):
         (tmp_path / "train").mkdir()
-        save_events(tmp_path / "train" / "0_0.evt", [EventRecord(0, 0, 0, 1)], 4, 4)
+        save_events(tmp_path / "train" / "0_0.evt", [(0, 0, 0, 1)], 4, 4)
         with pytest.raises(FormatError, match="valid"):
             load_event_dataset(tmp_path)

@@ -12,7 +12,7 @@ import pytest
 
 import lcalearn
 from lcalearn import experiment
-from lcalearn.data import EventRecord, SyntheticSpec, generate_synthetic, save_events
+from lcalearn.data import SyntheticSpec, generate_synthetic, save_events
 from lcalearn.dictionary import init_random, load_checkpoint
 from lcalearn.errors import ConfigError
 from lcalearn.experiment import (
@@ -468,8 +468,8 @@ class TestSweepLoadsDataOnce:
             (root / split).mkdir(parents=True)
             for k in range(count):
                 times = np.sort(rng.integers(0, 6000, size=80))
-                events = [EventRecord(int(t), int(rng.integers(4)), int(rng.integers(4)),
-                                      int(rng.choice([-1, 1]))) for t in times]
+                events = [(int(t), int(rng.integers(4)), int(rng.integers(4)),
+                           int(rng.choice([-1, 1]))) for t in times]
                 save_events(root / split / f"{k % 2}_{k}.evt", events, width=4, height=4)
         config = config_from_dict(base_raw(
             dataset={"kind": "events", "path": str(root), "frames_per_window": 2},
