@@ -24,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from lcalearn.atomic import atomic_open
 from lcalearn.dictionary import Dictionary
 from lcalearn.errors import NumericError
 from lcalearn.filters import CodeFilter, IdentityFilter
@@ -32,6 +33,7 @@ from lcalearn.lca import (
     MembraneState,
     _run_period,
     _shrink,
+    inhibition,
     lca_step,
     soft_threshold,
 )
@@ -86,18 +88,27 @@ class InputRateEncoder:
     Magnitudes go through the same discretize-with-carry mechanism as
     neuron outputs; signs are reapplied so signed event frames keep their
     polarity. With a small spike height this approaches the constant-drive
-    default.
+    default. The magnitudes are checked once, here; each step runs
+    ``_discharge`` on the carry in place and writes the signed spike value
+    into one buffer, which the next step overwrites.
     """
 
     def __init__(self, values: np.ndarray, spike_height: float):
         values = np.asarray(values, dtype=np.float64)
+        if spike_height <= 0:
+            raise ValueError(f"spike height must be > 0, got {spike_height}")
         self.signs = np.sign(values)
         self.magnitudes = np.abs(values)
-        self.state = AccumulatorState.zeros(values.shape, spike_height)
+        _check_desired(self.magnitudes)
+        self.spike_height = spike_height
+        self.carry = np.zeros(values.shape)
+        self._counts, self._value, self._out = (np.empty(values.shape) for _ in range(3))
+        self._flag = np.empty(values.shape, dtype=bool)
 
     def step(self) -> np.ndarray:
-        frame, self.state = accumulate_step(self.state, self.magnitudes)
-        return self.signs * frame.value
+        _discharge(self.carry, self.magnitudes, self.spike_height, self._counts, self._value,
+                   self._flag)
+        return np.multiply(self.signs, self._value, out=self._out)
 
 
 def _check_desired(desired: np.ndarray) -> None:
@@ -171,21 +182,23 @@ class _SpikingStage:
     """Spiking output stage: soft-threshold, discretize with carry, filter; tallies spikes.
 
     Works in buffers it allocates at ``begin``: the carry (a copy of the
-    start accumulator's), the desired output, the counts and the emitted
+    start ``carry``), the desired output, the counts and the emitted
     value. The per-neuron peak and total counts run elementwise and are
-    reduced once, when the period is read out.
+    reduced once, when the period is read out. ``lam`` and
+    ``spike_height`` are scalars, or (R, 1, 1) arrays for a stack of runs.
     """
 
-    def __init__(self, lam, accumulator, code_filter, raster):
+    def __init__(self, lam, spike_height, carry, code_filter, raster=None):
         self.lam = lam
-        self.start = accumulator
+        self.spike_height = spike_height
+        self.start = carry
         self.code_filter = code_filter
         self.raster = raster
 
     def begin(self, u: np.ndarray, check: bool) -> None:
         """Start (or restart) a period; with ``check`` the desired output is validated."""
         self.check = check
-        self.carry = np.array(self.start.carry, dtype=np.float64)
+        self.carry = np.array(self.start, dtype=np.float64)
         self.desired, self.counts, self.value = (np.empty(u.shape) for _ in range(3))
         self.flag = np.empty(u.shape, dtype=bool)
         self.peak, self.total = np.zeros(u.shape), np.zeros(u.shape)
@@ -195,8 +208,7 @@ class _SpikingStage:
         desired = _shrink(u, self.lam, self.desired)
         if self.check:
             _check_desired(desired)
-        _discharge(self.carry, desired, self.start.spike_height, self.counts, self.value,
-                   self.flag)
+        _discharge(self.carry, desired, self.spike_height, self.counts, self.value, self.flag)
         np.maximum(self.peak, self.counts, out=self.peak)
         self.total += self.counts
         if self.raster is not None:
@@ -241,9 +253,9 @@ def run_spiking_inference(
         raise ValueError(f"initial accumulator has shape {astate.carry.shape}, expected {shape}")
     code_filter = code_filter if code_filter is not None else IdentityFilter()
     raster = np.zeros((params.steps, n), dtype=np.int64) if record_raster else None
-    stage = _SpikingStage(params.lam, astate, code_filter, raster)
+    stage = _SpikingStage(params.lam, spike_height, astate.carry, code_filter, raster)
     period = _run_period(
-        dictionary, input_vector, params, stage,
+        dictionary, inhibition(dictionary), input_vector, params, stage,
         initial_state=initial_state, record_codes=record_codes, input_encoder=input_encoder,
     )
     return SpikingResult(
@@ -257,7 +269,7 @@ def run_spiking_inference(
 def write_raster_csv(path, raster: np.ndarray) -> None:
     """Dump nonzero spike counts as ``step,neuron,count`` rows."""
     steps, neurons = np.nonzero(raster)
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RASTER_HEADER)
         for step, neuron in zip(steps, neurons):

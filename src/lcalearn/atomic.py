@@ -1,0 +1,32 @@
+"""Atomic artifact writes: a file holds either its old contents or the complete new ones."""
+
+from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+from pathlib import Path
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a temporary file beside ``path`` for writing; it replaces ``path`` on success.
+
+    The temporary file sits in the same directory, so ``os.replace`` is an
+    atomic rename. If the body raises (an interrupt included), the
+    temporary file is removed and ``path`` keeps what it held before.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_bytes(path, payload: bytes) -> None:
+    """``Path(path).write_bytes(payload)``, atomically."""
+    with atomic_open(path, "wb") as fh:
+        fh.write(payload)

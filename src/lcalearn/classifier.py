@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from lcalearn import atomic
 from lcalearn.errors import FormatError
 
 MODEL_MAGIC = b"LCLS"
@@ -117,7 +118,7 @@ def save_model(model: LinearClassifier, path) -> None:
     """Write the LCLS binary: header, float32 weights row-major, float32 bias."""
     header = _MODEL_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, model.n_classes, model.n_features)
     payload = model.weights.astype("<f4").tobytes() + model.bias.astype("<f4").tobytes()
-    Path(path).write_bytes(header + payload)
+    atomic.write_bytes(path, header + payload)
 
 
 def load_model(path) -> LinearClassifier:

@@ -28,6 +28,7 @@ _EVENT_FILE_HEADER = struct.Struct("<4sIHH")  # magic, version, width, height
 # One event as the EVT1 record lays it out: t_us, x, y, polarity.
 EVENT_DTYPE = np.dtype([("t", "<u4"), ("x", "<u2"), ("y", "<u2"), ("p", "i1")])
 _FIELD_RANGES = [(0, 1 << 32), (0, 1 << 16), (0, 1 << 16), (-128, 128)]  # [low, high) per field
+_FIELD_LOW, _FIELD_HIGH = np.array(_FIELD_RANGES).T
 
 CIFAR_RECORD_BYTES = 1 + 3 * 32 * 32
 
@@ -165,8 +166,52 @@ def load_events(path) -> tuple[np.ndarray, int, int]:
     return events, width, height
 
 
+_CSV_HEADER = "t_us,x,y,p\n"
+_CSV_DIGITS = np.array([10, 5, 5, 3])  # most digits a field of each EVT1 type needs
+
+
+def _csv_fields(text: str):
+    """The (E, 4) int64 fields of a strictly well-formed CSV twin, or None.
+
+    Well-formed: the header, then lines of four plain decimal fields (only
+    ``p`` may carry a ``-``), each short enough for its EVT1 type, every line
+    ending in a newline. The checks and the parse are whole-array operations.
+    """
+    if not text.startswith(_CSV_HEADER) or not text.isascii():
+        return None
+    body = text[len(_CSV_HEADER):]
+    if body and not body.endswith("\n"):
+        body += "\n"
+    raw = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    if len(ends) % 4 or (raw[ends].reshape(-1, 4) != np.frombuffer(b",,,\n", np.uint8)).any():
+        return None
+    starts = np.concatenate(([0], ends + 1))[: len(ends)]
+    signed = raw[starts] == ord("-")
+    digits = (ends - starts - signed).reshape(-1, 4)
+    plain = (raw >= ord("0")) & (raw <= ord("9"))
+    plain[ends] = True
+    plain[starts[signed]] = True
+    if (not plain.all() or signed.reshape(-1, 4)[:, :3].any()
+            or (digits < 1).any() or (digits > _CSV_DIGITS).any()):
+        return None
+    return np.fromstring(body.replace("\n", ","), dtype=np.int64, sep=",").reshape(-1, 4)
+
+
 def _load_events_csv(path) -> tuple[np.ndarray, int, int]:
-    lines = Path(path).read_text().splitlines()
+    """Parse a CSV twin: a whole-file fast path for strictly well-formed files.
+
+    Any other file, or a field outside its EVT1 range, goes through the
+    line-by-line parser, which names the first bad line.
+    """
+    text = Path(path).read_text()
+    fields = _csv_fields(text)
+    if fields is not None and ((fields >= _FIELD_LOW) & (fields < _FIELD_HIGH)).all():
+        events = np.empty(len(fields), dtype=EVENT_DTYPE)
+        for k, name in enumerate(EVENT_DTYPE.names):
+            events[name] = fields[:, k]
+        return _csv_events(path, events, lambda i: i + 2)
+    lines = text.splitlines()
     if not lines or lines[0].strip() != "t_us,x,y,p":
         raise FormatError(f"{path}: expected header 't_us,x,y,p'")
     rows, numbers = [], []
@@ -176,9 +221,10 @@ def _load_events_csv(path) -> tuple[np.ndarray, int, int]:
                 rows.append(_csv_row(path, number, line))
                 numbers.append(number)
     except FormatError:
-        _csv_events(path, rows, numbers)  # an earlier line's error is reported first
+        # an earlier line's error is reported first
+        _csv_events(path, np.array(rows, dtype=EVENT_DTYPE), numbers.__getitem__)
         raise
-    return _csv_events(path, rows, numbers)
+    return _csv_events(path, np.array(rows, dtype=EVENT_DTYPE), numbers.__getitem__)
 
 
 def _csv_row(path, number: int, line: str) -> tuple[int, int, int, int]:
@@ -197,11 +243,11 @@ def _csv_row(path, number: int, line: str) -> tuple[int, int, int, int]:
     return row
 
 
-def _csv_events(path, rows, numbers) -> tuple[np.ndarray, int, int]:
-    events = np.array(rows, dtype=EVENT_DTYPE)
-    width = int(events["x"].max()) + 1 if rows else 0
-    height = int(events["y"].max()) + 1 if rows else 0
-    _check_events(events, width, height, lambda i: f"{path}: line {numbers[i]}")
+def _csv_events(path, events, line_of) -> tuple[np.ndarray, int, int]:
+    """Check parsed CSV events; ``line_of(i)`` is event i's line number."""
+    width = int(events["x"].max()) + 1 if len(events) else 0
+    height = int(events["y"].max()) + 1 if len(events) else 0
+    _check_events(events, width, height, lambda i: f"{path}: line {line_of(i)}")
     return events, width, height
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from lcalearn import atomic
 from lcalearn.errors import FormatError, NumericError
 
 CHECKPOINT_MAGIC = b"LCAD"
@@ -46,8 +47,9 @@ class Dictionary:
     """N feature elements of dimension D, each with unit L2 norm.
 
     ``elements`` has shape (N, D), row-major over elements. Treated as
-    immutable during inference; updates go through :func:`hebbian_update`,
-    which returns a new instance.
+    immutable: :func:`hebbian_update` returns a new instance. Training
+    copies its dictionaries into a private stacked state that it updates
+    in place with the same rule (``experiment``), and hands back copies.
     """
 
     elements: np.ndarray
@@ -134,20 +136,29 @@ def hebbian_update(
         )
     if learning_rate < 0:
         raise ValueError(f"learning rate must be >= 0, got {learning_rate}")
+    elements = dictionary.elements.copy()
+    _hebbian_step(elements, code, residual, learning_rate)
+    return Dictionary(elements, dictionary.dims)
+
+
+def _hebbian_step(elements, code, residual, learning_rate) -> np.ndarray:
+    """Apply ``hebbian_update``'s rule to the (N, D) ``elements`` in place.
+
+    Returns the indices of the rows it moved: those with a nonzero
+    coefficient, none at a zero learning rate. Raises ``NumericError`` as
+    ``hebbian_update`` does, before writing anything.
+    """
     if not (np.isfinite(code).all() and np.isfinite(residual).all() and np.isfinite(learning_rate)):
         raise NumericError("non-finite code or residual in dictionary update")
-
-    elements = dictionary.elements.copy()
-    if learning_rate == 0:
-        return Dictionary(elements, dictionary.dims)
-    active = code != 0.0
-    if active.any():
-        moved = elements[active] + (learning_rate * code[active])[:, None] * residual[None, :]
-        norms = np.linalg.norm(moved, axis=1, keepdims=True)
-        if not np.isfinite(norms).all() or (norms == 0.0).any():
-            raise NumericError("dictionary update produced a degenerate element")
-        elements[active] = moved / norms
-    return Dictionary(elements, dictionary.dims)
+    active = np.flatnonzero(code)
+    if learning_rate == 0 or not active.size:
+        return active[:0]
+    moved = elements[active] + (learning_rate * code[active])[:, None] * residual[None, :]
+    norms = np.linalg.norm(moved, axis=1, keepdims=True)
+    if not np.isfinite(norms).all() or (norms == 0.0).any():
+        raise NumericError("dictionary update produced a degenerate element")
+    elements[active] = moved / norms
+    return active
 
 
 def save_checkpoint(dictionary: Dictionary, path) -> None:
@@ -163,7 +174,7 @@ def save_checkpoint(dictionary: Dictionary, path) -> None:
         dims.frames,
     )
     payload = dictionary.elements.astype("<f4").tobytes()
-    Path(path).write_bytes(header + payload)
+    atomic.write_bytes(path, header + payload)
 
 
 def load_checkpoint(path) -> Dictionary:

@@ -4,33 +4,51 @@ One training run shows each sample for a fixed display period (preceded
 by a zero-input gap), infers a sparse code with graded or spiking
 dynamics, and applies one Hebbian dictionary update per period from the
 period-end (filtered) code. Runs are reproducible bit-for-bit from the
-config and seed. Passes over a frozen dictionary (validation, evaluation,
-classifier features) stack their samples and integrate them as batches.
+config and seed. Passes over a frozen dictionary (evaluation, classifier
+features) stack their samples and integrate them as batches.
+
+There is one training loop, ``_LockStep``. It trains R runs that share
+N, D and mode (graded or spiking) in lock-step on one ``_TrainingState``:
+(R, N, D) elements and (R, N, N) inhibition matrices, updated in place.
+``run_training`` is the case R = 1; ``run_sweep`` stacks the runs of a
+sweep (values x repeats) that share N, which is R·N·(D+N)·8 bytes per
+stack. Each stacked run is byte-identical to the same run trained alone.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
 
 from lcalearn import data as data_mod
-from lcalearn.accumulator import InputRateEncoder, run_spiking_inference
+from lcalearn.atomic import atomic_open
+from lcalearn.accumulator import InputRateEncoder, _SpikingStage, run_spiking_inference
 from lcalearn.dictionary import (
     Dictionary,
-    hebbian_update,
+    InputDims,
+    _hebbian_step,
     init_random,
     save_checkpoint,
     synthesize,
 )
-from lcalearn.errors import ConfigError
+from lcalearn.errors import ConfigError, NumericError
 from lcalearn.filters import make_filter
-from lcalearn.lca import LcaParams, MembraneState, run_inference
+from lcalearn.lca import (
+    LcaParams,
+    MembraneState,
+    _GradedStage,
+    _run_period,
+    inhibition,
+    run_inference,
+)
 from lcalearn import classifier as classifier_mod
 
 METRICS_HEADER = [
@@ -55,9 +73,14 @@ _DATASET_KEYS = {
     "npy": {"kind", "path"},
 }
 
-# Samples per batched frozen-dictionary period. It caps memory: a boxcar
-# filter holds window x chunk x N floats.
+# Samples per batched frozen-dictionary period (validation included). It
+# caps memory: a boxcar filter holds window x chunk x N floats.
 INFER_CHUNK = 64
+
+# Bytes of stacked elements and inhibition matrices, R * N * (D + N) * 8,
+# that one lock-step stack of sweep runs may hold; a larger group trains as
+# several stacks. 64 MiB is 97 runs at (64, 1280) and 32 at (256, 768).
+STACK_BYTES = 64 * 2**20
 
 
 @dataclass
@@ -226,7 +249,7 @@ class RunMetrics:
         ]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with atomic_open(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(METRICS_HEADER)
             writer.writerows(self.rows())
@@ -376,19 +399,6 @@ def sample_stacks(samples):
         yield np.stack([s.input.flattened for s in samples[start:start + INFER_CHUNK]])
 
 
-def _run_gap(dictionary, config, params, warm):
-    """Integrate the zero-input gap when state carries across periods.
-
-    With reset-to-zero boundaries the zero state is a fixed point of the
-    zero-input dynamics and emits nothing, so the gap is skipped entirely.
-    """
-    if warm is None or config.gap_steps == 0:
-        return warm
-    zero = np.zeros(dictionary.input_size)
-    gap_params = replace(params, steps=config.gap_steps)
-    return infer_period(dictionary, zero, gap_params, config.spike_height, warm=warm)
-
-
 def run_training(
     config: ExperimentConfig,
     train_samples: Optional[list] = None,
@@ -401,133 +411,368 @@ def run_training(
 
     Artifacts under ``out_dir``: ``metrics.csv`` (rewritten after every
     epoch, so an interrupted run leaves its completed epochs behind) and
-    ``dict_epoch_<k>.lcad`` checkpoints.
+    ``dict_epoch_<k>.lcad`` checkpoints. The run trains as a lock-step
+    stack of one (see ``_LockStep``), the trainer ``run_sweep`` uses.
     """
     if train_samples is None or valid_samples is None:
         loaded_train, loaded_valid = load_dataset(config.dataset, config.seed)
         train_samples = loaded_train if train_samples is None else train_samples
         valid_samples = loaded_valid if valid_samples is None else valid_samples
-    if not train_samples:
+    run = _prepare_run(config, train_samples, valid_samples, initial_dictionary, out_dir, progress)
+    trainer = _LockStep([run])
+    trainer.train()
+    if run.error is not None:
+        raise run.error
+    return trainer.result(run)
+
+
+@dataclass
+class _Run:
+    """One training run of a lock-step stack: its data, its own bookkeeping, its outcome."""
+
+    config: ExperimentConfig
+    train: list
+    valid: list
+    dims: InputDims
+    n: int
+    initial: Optional[Dictionary] = None  # the start if not init_random's; the stack trains a copy
+    out_dir: Optional[Path] = None
+    progress: Optional[Callable[[str], None]] = None
+    done: bool = False  # trained through its last epoch
+    error: Optional[Exception] = None
+
+    def __post_init__(self):
+        self.rng = np.random.default_rng(self.config.seed)
+        self.metrics = RunMetrics()
+        self.pending: list[tuple[np.ndarray, np.ndarray]] = []  # (code, residual) per period
+        self.train_features = self.valid_features = None
+
+    def tally(self, peak: np.ndarray, total: np.ndarray) -> None:
+        """Add one period's per-neuron peak and total spike counts to the epoch's."""
+        self.max_counts = max(self.max_counts, int(peak.max()))
+        self.total_counts += int(total.sum())
+
+
+def _prepare_run(
+    config, train, valid, initial_dictionary=None, out_dir=None, progress=None,
+) -> _Run:
+    """Check a run's samples and build its start dictionary; raises what the run would."""
+    if not train:
         raise ConfigError("training set is empty")
-    dims = train_samples[0].input.dims
-    for sample in list(train_samples) + list(valid_samples):
+    dims = train[0].input.dims
+    for sample in list(train) + list(valid):
         if sample.input.dims != dims:
             raise ConfigError("samples disagree on input dimensions")
-
     n = resolve_dict_size(config.dict_size, dims.size)
-    dictionary = (
-        initial_dictionary
-        if initial_dictionary is not None
-        else init_random(config.seed, n, dims)
-    )
-    if dictionary.dims != dims:
-        raise ConfigError("initial dictionary does not match the dataset dims")
-    params = config.lca_params()
-    spiking = config.spike_height > 0
-    want_features = config.classifier is not None
-    rng = np.random.default_rng(config.seed)
-    out_dir = Path(out_dir) if out_dir is not None else None
+    if initial_dictionary is not None:
+        if initial_dictionary.dims != dims:
+            raise ConfigError("initial dictionary does not match the dataset dims")
+        n = initial_dictionary.element_count
     if out_dir is not None:
+        out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
+    return _Run(config, train, valid, dims, n, initial_dictionary, out_dir, progress)
 
-    metrics = RunMetrics()
-    train_features = valid_features = None
-    warm = None
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(train_samples))
-        rmse_sum = 0.0
-        max_counts = 0
-        total_counts = 0
-        epoch_train_features = np.zeros((len(train_samples), n)) if want_features else None
-        pending: list[tuple[np.ndarray, np.ndarray]] = []
-        for position, sample_idx in enumerate(order):
-            sample = train_samples[sample_idx]
-            vec = sample.input.flattened
-            warm = _run_gap(dictionary, config, params, warm)
-            result = config_period(dictionary, vec, config, warm=warm)
-            code = result.code
-            if config.warm_start:
-                warm = result
-            residual = vec - synthesize(dictionary, code)
-            rmse_sum += float(np.sqrt(np.mean(residual * residual)))
-            if spiking:
-                max_counts = max(max_counts, result.max_counts)
-                total_counts += result.total_counts
-            if want_features:
-                epoch_train_features[sample_idx] = _feature(result, config.feature_scheme)
-            pending.append((code, residual))
-            if len(pending) >= config.batch_size or position == len(order) - 1:
-                for upd_code, upd_residual in pending:
-                    if np.any(upd_code):
-                        dictionary = hebbian_update(
-                            dictionary, upd_code, upd_residual, config.learning_rate
-                        )
-                pending = []
 
-        val_rmse_sum = 0.0
-        val_sparsity_sum = 0.0
-        epoch_valid_features = np.zeros((len(valid_samples), n)) if want_features else None
-        v_idx = 0
-        for stack in sample_stacks(valid_samples):
-            result = config_period(dictionary, stack, config)
-            for vec, code, recon in zip(stack, result.code, synthesize(dictionary, result.code)):
-                val_rmse_sum += rmse(vec, recon)
-                val_sparsity_sum += sparsity(code)
-            if spiking:
-                max_counts = max(max_counts, result.max_counts)
-                total_counts += result.total_counts
-            if want_features:
-                epoch_valid_features[v_idx:v_idx + len(stack)] = _feature(
-                    result, config.feature_scheme
+class _TrainingState:
+    """The dictionaries of R runs that share (N, D), stacked and updated in place.
+
+    ``elements`` is (R, N, D) and ``inhib`` (R, N, N), each run's
+    inhibition matrix. A Hebbian step (``dictionary._hebbian_step``, the
+    rule of ``hebbian_update``) moves a run's active rows of ``elements``
+    in place, and ``refresh`` recomputes those rows and columns of its
+    inhibition matrix from the current elements, so the matrix never
+    drifts from ``inhibition`` of the elements (it differs from a full
+    rebuild by rounding only). ``lam`` and ``spike_height`` hold one value
+    per run.
+    """
+
+    def __init__(self, runs):
+        n, d = runs[0].n, runs[0].dims.size
+        self.elements = np.empty((len(runs), n, d))
+        self.inhib = np.empty((len(runs), n, n))
+        for r, run in enumerate(runs):
+            start = run.initial
+            if start is None:
+                start = init_random(run.config.seed, n, run.dims)
+            self.elements[r] = start.elements
+            self.inhib[r] = inhibition(start)
+        self.lam = np.array([run.config.lam for run in runs])
+        self.spike_height = np.array([run.config.spike_height for run in runs])
+
+    def select(self, index) -> "_TrainingState":
+        """The runs ``index`` picks: views for a slice, a copy for a mask, one run for an int."""
+        picked = copy.copy(self)
+        for name in ("elements", "inhib", "lam", "spike_height"):
+            setattr(picked, name, getattr(self, name)[index])
+        return picked
+
+    def refresh(self, r: int, rows: np.ndarray) -> None:
+        """Recompute rows and columns ``rows`` of run ``r``'s inhibition matrix."""
+        elements, inhib = self.elements[r], self.inhib[r]
+        block = elements[rows] @ elements.T
+        inhib[rows] = block
+        inhib[:, rows] = block.T
+        inhib[rows, rows] -= 1.0
+
+    def dictionary(self, r: int, dims) -> Dictionary:
+        """Run ``r``'s dictionary, as a copy the state will not write."""
+        return Dictionary(self.elements[r].copy(), dims)
+
+
+class _LockStep:
+    """Trains runs that share N, D, mode and schedule in lock-step on one ``_TrainingState``.
+
+    Each training period integrates every live run at once through
+    ``lca._run_period``, with the potentials as (R, 1, N) against the
+    (R, N, N) inhibition matrices, so each run computes what it computes
+    alone, bit for bit. Validation passes run run by run. Each run keeps
+    its own seed, permutation, samples, warm state, ``lam`` and spike
+    height, input encoder and metrics. A run that raises leaves the stack
+    with the error it gives alone; the others go on unchanged.
+    """
+
+    def __init__(self, runs: list[_Run]):
+        self.runs = list(runs)
+        self.config = runs[0].config
+        self.state = _TrainingState(runs)
+        self.warm = None  # (MembraneState, carry or None) of the live runs, when state carries over
+
+    def drop(self, errors: dict) -> None:
+        """Take the runs that raised (index -> exception) out of the stack."""
+        if not errors:
+            return
+        keep = np.ones(len(self.runs), dtype=bool)
+        for i, exc in errors.items():
+            self.runs[i].error = exc
+            keep[i] = False
+        self.runs = [run for run, kept in zip(self.runs, keep) if kept]
+        self.state = self.state.select(keep)
+        if self.warm is not None:
+            state, carry = self.warm
+            self.warm = (MembraneState(state.u[keep], state.step_index),
+                         None if carry is None else carry[keep])
+
+    def period(self, x, params, filter_spec, encode, warm, runs=slice(None)):
+        """Integrate ``runs`` of the stack: all on x (R, 1, D), or one (an int) on its own x."""
+        state = self.state.select(runs)
+        lam, height = (v[:, None, None] if v.ndim else v for v in (state.lam, state.spike_height))
+        start, carry = (None, None) if warm is None else warm
+        if self.config.spike_height > 0:
+            if carry is None:
+                carry = np.zeros(x.shape[:-1] + (state.elements.shape[-2],))
+            stage = _SpikingStage(lam, height, carry, make_filter(filter_spec, params.dt))
+        else:
+            stage = _GradedStage(lam)
+        encoder = InputRateEncoder(x, self.config.input_spike_height) if encode else None
+        result = _run_period(state, state.inhib, x, params, stage, initial_state=start,
+                             input_encoder=encoder)
+        return result, stage
+
+    def stacked_period(self, sample, params, *, filter_spec=None, encode=False, warm=False):
+        """One training (or gap) period of every live run, run i on its (D,) ``sample(run)``.
+
+        The samples stack as x (R, 1, D); with ``warm`` the period starts
+        from ``self.warm``. Returns the period's per-run arrays for the runs
+        that remain, or None if none does. A run whose period raises or
+        ends non-finite leaves the stack with the error of its period run
+        alone, on its (D,) sample, with a check after every step.
+        """
+        while self.runs:
+            solo = np.array([sample(run) for run in self.runs])
+            x = solo[:, None, :]
+            start = self.warm if warm else None
+            crash = None
+            try:
+                result, stage = self.period(x, params, filter_spec, encode, start)
+                bad = np.flatnonzero(~np.isfinite(result.state.u).reshape(len(x), -1).all(axis=1))
+            except Exception as exc:  # noqa: BLE001 - each run's own error is found alone
+                bad, crash = range(len(x)), exc
+            errors = {}
+            for i in bad:
+                alone = None
+                if start is not None:
+                    state, carry = start
+                    alone = (MembraneState(state.u[i, 0], state.step_index),
+                             None if carry is None else carry[i, 0])
+                try:
+                    self.period(solo[i], params, filter_spec, encode, alone, i)
+                    if crash is None:  # the run went bad in the stack but not alone
+                        raise NumericError("non-finite membrane potential at period end")
+                except Exception as exc:  # noqa: BLE001 - recorded as the run's failure
+                    errors[i] = exc
+            if crash is not None and not errors:
+                raise crash
+            self.drop(errors)
+            if crash is not None:
+                continue
+            if len(errors) == len(x):
+                return None
+            keep = slice(None)
+            if errors:
+                keep = np.ones(len(x), dtype=bool)
+                keep[bad] = False
+            spiking = isinstance(stage, _SpikingStage)
+            return SimpleNamespace(
+                x=x[keep], code=result.code[keep], half_mean=result.half_mean[keep],
+                state=MembraneState(result.state.u[keep], result.state.step_index),
+                carry=stage.carry[keep] if spiking else None,
+                peak=stage.peak[keep] if spiking else None,
+                total=stage.total[keep] if spiking else None,
+            )
+        return None
+
+    def each_run(self, step) -> None:
+        """``step(i, run)`` for every live run; a run whose step raises leaves the stack."""
+        errors = {}
+        for i, run in enumerate(self.runs):
+            try:
+                step(i, run)
+            except Exception as exc:  # noqa: BLE001 - recorded as the run's failure
+                errors[i] = exc
+        self.drop(errors)
+
+    def train(self) -> None:
+        """Run every epoch; marks each run ``done``, or sets its ``error``."""
+        config = self.config
+        params = config.lca_params()  # lam and spike height come per run from the state
+        rate = config.input_encoding == "rate"
+        n, d = self.state.elements.shape[1:]
+        n_train = len(self.runs[0].train)
+        want_features = config.classifier is not None
+        for epoch in range(config.epochs):
+            for run in self.runs:
+                run.order = run.rng.permutation(n_train)
+                run.rmse_sum, run.max_counts, run.total_counts = 0.0, 0, 0
+                run.epoch_train_features = np.zeros((n_train, n)) if want_features else None
+            for position in range(n_train):
+                if self.warm is not None and config.gap_steps:
+                    gap = self.stacked_period(lambda run: np.zeros(d),
+                                              replace(params, steps=config.gap_steps), warm=True)
+                    if gap is None:
+                        return
+                    self.warm = (gap.state, gap.carry)
+                out = self.stacked_period(
+                    lambda run: run.train[run.order[position]].input.flattened, params,
+                    filter_spec=config.filter, encode=rate, warm=True,
                 )
-            v_idx += len(stack)
+                if out is None:
+                    return
+                if config.warm_start:
+                    self.warm = (out.state, out.carry)
+                residual = out.x - np.matmul(out.code, self.state.elements)
+                feature = _feature(out, config.feature_scheme)
+                for i, run in enumerate(self.runs):
+                    res = residual[i, 0]
+                    run.rmse_sum += float(np.sqrt(np.mean(res * res)))
+                    if out.peak is not None:
+                        run.tally(out.peak[i], out.total[i])
+                    if want_features:
+                        run.epoch_train_features[run.order[position]] = feature[i, 0]
+                    run.pending.append((out.code[i, 0], res))
+                if len(self.runs[0].pending) >= config.batch_size or position == n_train - 1:
+                    self.each_run(lambda i, run: self.learn(i, run, config.learning_rate))
+                    if not self.runs:
+                        return
+            self.validate(params, rate, want_features)
+            self.each_run(lambda i, run: self.end_epoch(i, run, epoch, params.steps))
+            if not self.runs:
+                return
 
+        def finish(i, run):
+            if run.out_dir is not None and config.epochs == 0:
+                run.metrics.write_csv(run.out_dir / "metrics.csv")
+                save_checkpoint(self.state.dictionary(i, run.dims),
+                                run.out_dir / "dict_epoch_0.lcad")
+            run.done = True
+
+        self.each_run(finish)
+
+    def result(self, run: _Run) -> TrainingResult:
+        """A trained run's result; its dictionary is a copy the state will not write."""
+        return TrainingResult(run.metrics, self.state.dictionary(self.runs.index(run), run.dims),
+                              run.train_features, run.valid_features)
+
+    def learn(self, i: int, run: _Run, learning_rate: float) -> None:
+        """Apply run i's pending updates in order, then refresh the rows they moved once."""
+        pending, run.pending = run.pending, []
+        moved = [_hebbian_step(self.state.elements[i], code, residual, learning_rate)
+                 for code, residual in pending if np.any(code)]
+        if moved:
+            self.state.refresh(i, np.unique(np.concatenate(moved)))
+
+    def validate(self, params, rate: bool, want_features: bool) -> None:
+        """One cold pass over each run's validation samples, run by run.
+
+        Each run validates alone, in (B, D) chunks of ``INFER_CHUNK`` samples
+        as a frozen-dictionary pass does, so a stack's validation needs no
+        more memory than one run's; a run whose pass fails leaves the stack.
+        """
+        config = self.config
+
+        def check(i, run):
+            run.val_rmse_sum, run.val_sparsity_sum = 0.0, 0.0
+            n = self.state.elements.shape[1]
+            run.epoch_valid_features = np.zeros((len(run.valid), n)) if want_features else None
+            v_idx = 0
+            for stack in sample_stacks(run.valid):
+                result, stage = self.period(stack, params, config.filter, rate, None, i)
+                recon = result.code @ self.state.elements[i]
+                for vec, code, rec in zip(stack, result.code, recon):
+                    run.val_rmse_sum += rmse(vec, rec)
+                    run.val_sparsity_sum += sparsity(code)
+                if config.spike_height > 0:
+                    run.tally(stage.peak, stage.total)
+                if want_features:
+                    run.epoch_valid_features[v_idx:v_idx + len(stack)] = _feature(
+                        result, config.feature_scheme
+                    )
+                v_idx += len(stack)
+
+        self.each_run(check)
+
+    def end_epoch(self, i: int, run: _Run, epoch: int, steps: int) -> None:
+        """Run i's epoch record: classifier, metrics, artifacts and progress line."""
+        config = run.config
         accuracy = math.nan
-        if want_features:
-            train_features, valid_features = epoch_train_features, epoch_valid_features
+        if config.classifier is not None:
+            run.train_features = run.epoch_train_features
+            run.valid_features = run.epoch_valid_features
             model = classifier_mod.train(
-                train_features,
-                np.array([s.label for s in train_samples]),
+                run.train_features,
+                np.array([s.label for s in run.train]),
                 config.classifier_config(),
             )
-            if valid_samples:
+            if run.valid:
                 accuracy = classifier_mod.evaluate(
-                    model, valid_features, np.array([s.label for s in valid_samples])
+                    model, run.valid_features, np.array([s.label for s in run.valid])
                 )
-
-        n_valid = max(len(valid_samples), 1)
-        steps_run = (len(train_samples) + len(valid_samples)) * params.steps
-        metrics.rmse_train.append(rmse_sum / len(train_samples))
-        metrics.rmse_val.append(val_rmse_sum / n_valid if valid_samples else math.nan)
-        metrics.sparsity_pct.append(val_sparsity_sum / n_valid if valid_samples else math.nan)
+        n = self.state.elements.shape[1]
+        n_valid = max(len(run.valid), 1)
+        steps_run = (len(run.train) + len(run.valid)) * steps
+        metrics = run.metrics
+        metrics.rmse_train.append(run.rmse_sum / len(run.train))
+        metrics.rmse_val.append(run.val_rmse_sum / n_valid if run.valid else math.nan)
+        metrics.sparsity_pct.append(run.val_sparsity_sum / n_valid if run.valid else math.nan)
         metrics.accuracy.append(accuracy)
-        metrics.max_spikes_per_step.append(max_counts)
-        metrics.mean_rate.append(total_counts / (steps_run * n) if spiking else math.nan)
-
-        if out_dir is not None:
-            metrics.write_csv(out_dir / "metrics.csv")
+        metrics.max_spikes_per_step.append(run.max_counts)
+        metrics.mean_rate.append(
+            run.total_counts / (steps_run * n) if config.spike_height > 0 else math.nan
+        )
+        if run.out_dir is not None:
+            metrics.write_csv(run.out_dir / "metrics.csv")
             last = epoch == config.epochs - 1
             interval = config.checkpoint_every
             if last or (interval > 0 and (epoch + 1) % interval == 0):
-                save_checkpoint(dictionary, out_dir / f"dict_epoch_{epoch + 1}.lcad")
-        if progress is not None:
-            progress(
+                save_checkpoint(self.state.dictionary(i, run.dims),
+                                run.out_dir / f"dict_epoch_{epoch + 1}.lcad")
+        if run.progress is not None:
+            run.progress(
                 f"epoch {epoch + 1}/{config.epochs}: "
                 f"rmse_train={metrics.rmse_train[-1]:.4f} "
                 f"rmse_val={metrics.rmse_val[-1]:.4f} "
                 f"sparsity={metrics.sparsity_pct[-1]:.2f}%"
             )
-
-    if out_dir is not None:
-        if config.epochs == 0:
-            metrics.write_csv(out_dir / "metrics.csv")
-            save_checkpoint(dictionary, out_dir / "dict_epoch_0.lcad")
-    return TrainingResult(
-        metrics=metrics,
-        dictionary=dictionary,
-        train_features=train_features,
-        valid_features=valid_features,
-    )
 
 
 def evaluate_codes(
@@ -595,7 +840,7 @@ class SweepResult:
     failures: list[dict] = field(default_factory=list)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with atomic_open(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(SWEEP_HEADER)
             for row in self.rows:
@@ -647,7 +892,10 @@ def run_sweep(
     sweep, and its exception is kept in ``failures``; statistics cover the
     runs that completed. The dataset is loaded once per seed it depends
     on: every run shares it unless it is a synthetic spec without its own
-    ``seed``, which each repeat generates from its run seed.
+    ``seed``, which each repeat generates from its run seed. Runs that
+    share dims, N, mode and sample counts train in lock-step stacks of at
+    most ``STACK_BYTES``; each gives the results, and any error, it gives
+    alone. Rows, failures and progress lines keep the value-major order.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -655,35 +903,68 @@ def run_sweep(
         raise ConfigError("sweep needs at least one value")
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    rows = []
-    failures = []
     run_seeded = base.dataset["kind"] == "synthetic" and base.dataset.get("seed") is None
     datasets: dict = {}  # run seed the data depends on (None if none) -> (train, valid)
+    cells = []  # (value, repeat, _Run or the exception that stopped it), value-major
     for value in values:
-        metrics_lists: dict[str, list[float]] = {
-            "rmse_val": [], "sparsity": [], "accuracy": [], "max_spikes": []
-        }
-        failed = 0
         for r in range(repeats):
             try:
                 cfg = apply_axis(replace(base, seed=base.seed + r), axis, value)
                 key = cfg.seed if run_seeded else None
                 if key not in datasets:
                     datasets[key] = load_dataset(cfg.dataset, cfg.seed)
-                result = run_training(cfg, *datasets[key])
+                cells.append((value, r, _prepare_run(cfg, *datasets[key])))
             except Exception as exc:  # noqa: BLE001 - failed cells are recorded, not fatal
+                cells.append((value, r, exc))
+
+    groups: dict = {}  # runs that can share a stack: same dims, N, mode and sample counts
+    for _, _, run in cells:
+        if isinstance(run, _Run):
+            key = (run.dims, run.n, run.config.spike_height > 0,
+                   len(run.train), len(run.valid))
+            groups.setdefault(key, []).append(run)
+
+    def finished(run) -> bool:
+        return not isinstance(run, _Run) or run.done or run.error is not None
+
+    reported = 0  # progress lines keep the cells' order: each once the cells before it finish
+    for (dims, n, *_), runs in groups.items():
+        size = max(1, STACK_BYTES // (8 * n * (dims.size + n)))
+        for first in range(0, len(runs), size):
+            stack = runs[first:first + size]
+            try:
+                _LockStep(stack).train()
+            except Exception as exc:  # noqa: BLE001 - a broken stack fails its unfinished runs
+                for run in stack:
+                    if not finished(run):
+                        run.error = exc
+            while reported < len(cells) and finished(cells[reported][2]):
+                value, r, run = cells[reported]
+                if progress is not None and isinstance(run, _Run) and run.error is None:
+                    progress(f"{axis}={value} repeat {r + 1}/{repeats} done")
+                reported += 1
+
+    rows = []
+    failures = []
+    for start in range(0, len(cells), repeats):
+        value = cells[start][0]
+        metrics_lists: dict[str, list[float]] = {
+            "rmse_val": [], "sparsity": [], "accuracy": [], "max_spikes": []
+        }
+        failed = 0
+        for _, r, run in cells[start:start + repeats]:
+            error = run if not isinstance(run, _Run) else run.error
+            if error is not None:
                 failed += 1
-                error = f"{type(exc).__name__}: {exc}"
-                failures.append({"value": value, "seed": base.seed + r, "error": error})
+                failures.append({"value": value, "seed": base.seed + r,
+                                 "error": f"{type(error).__name__}: {error}"})
                 continue
-            m = result.metrics
+            m = run.metrics
             if m.rmse_val:
                 metrics_lists["rmse_val"].append(m.rmse_val[-1])
                 metrics_lists["sparsity"].append(m.sparsity_pct[-1])
                 metrics_lists["accuracy"].append(m.accuracy[-1])
                 metrics_lists["max_spikes"].append(float(m.max_spikes_per_step[-1]))
-            if progress is not None:
-                progress(f"{axis}={value} repeat {r + 1}/{repeats} done")
         rmse_mean, rmse_ci = _mean_ci(metrics_lists["rmse_val"])
         sp_mean, sp_ci = _mean_ci(metrics_lists["sparsity"])
         acc_mean, acc_ci = _mean_ci(metrics_lists["accuracy"])
@@ -698,4 +979,3 @@ def run_sweep(
             "max_spikes_mean": spikes_mean,
         })
     return SweepResult(axis=axis, rows=rows, failures=failures)
-

@@ -25,8 +25,11 @@ which names the step (and row) that went bad.
 The engine takes one sample, input (D,) and state (N,), or a batch of
 independent samples, input (B, D) and state (B, N), against the same
 dictionary. Frozen-dictionary passes (evaluation, classifier features,
-validation, reconstruction export) run batched; training periods run one
-sample at a time, because each sample's update changes the dictionary.
+reconstruction export, validation) run batched. Training shows each run
+one sample at a time, because each sample's update changes the
+dictionary; it integrates a stack of R runs at once instead, with
+(R, N, D) elements, (R, N, N) inhibition matrices and (R, 1, N)
+potentials, each run bit-identical to its own solo period.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from typing import Optional
 
 import numpy as np
 
+from lcalearn.atomic import atomic_open
 from lcalearn.dictionary import Dictionary, analyze, synthesize
 from lcalearn.errors import NumericError
 
@@ -186,50 +190,64 @@ class _GradedStage:
         return _shrink(u, self.lam, self.code)
 
 
+def _drive(elements: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Feed-forward drive ``analyze(x)``: ``x @ Phi^T``, per run for a stack of dictionaries."""
+    return np.matmul(x, elements.swapaxes(-1, -2))
+
+
 def _run_period(
-    dictionary, input_vector, params, stage, *, initial_state=None,
+    dictionary, inhib, input_vector, params, stage, *, initial_state=None,
     record_codes=False, record_trace=False, early_stop=None, input_encoder=None,
 ) -> InferenceResult:
     """Integrate one period of the dynamics through an output stage.
 
-    The drive ``analyze(input)`` and the inhibition matrix are built once
-    per period; under an input encoder the drive is rebuilt from each
-    step's encoded input. Finiteness is checked once, at period end: the
-    dynamics are deterministic and a non-finite potential never turns
-    finite again, so when the check fails the period is replayed from its
-    saved start (potentials, accumulator carry, input-encoder state) with a
-    check after every step, which names the first bad step (and row).
-    Both passes run with overflow and invalid-value warnings silenced;
-    the replay's error is the report.
+    ``inhib`` is the dictionary's inhibition matrix, built by the caller
+    (per period for a frozen dictionary; training keeps its own up to date).
+    The drive ``analyze(input)`` is built once per period; under an input
+    encoder it is rebuilt from each step's encoded input. Finiteness is
+    checked once, at period end: the dynamics are deterministic and a
+    non-finite potential never turns finite again, so when the check fails
+    the period is replayed from its saved start (potentials, accumulator
+    carry, input-encoder carry) with a check after every step, which names
+    the first bad step (and row). Both passes run with overflow and
+    invalid-value warnings silenced; the replay's error is the report.
 
     A (B, D) input integrates B independent samples at once; each row
     matches its single-sample run up to float reordering in the matrix
     products. Per-step codes, traces and early stop are single-sample only.
+
+    ``dictionary`` may also be a stack of R runs: anything whose
+    ``elements`` are (R, N, D), with ``inhib`` (R, N, N) and input (R, B, D).
+    Each run is integrated as its own (B, D) batch would be, bit for bit.
+    A stack is not checked for finiteness: its caller checks each run and
+    replays a bad one alone, which gives that run's own error.
     """
+    elements = dictionary.elements
     input_vector = np.asarray(input_vector, dtype=np.float64)
-    d, n = dictionary.input_size, dictionary.element_count
-    if input_vector.ndim not in (1, 2) or input_vector.shape[-1] != d:
-        raise ValueError(f"input has shape {input_vector.shape}, expected ({d},) or (B, {d})")
-    if input_vector.ndim == 2 and (record_codes or record_trace or early_stop is not None):
+    runs, (n, d) = elements.shape[:-2], elements.shape[-2:]
+    shape = input_vector.shape
+    ndims = (3,) if runs else (1, 2)
+    if shape[-1:] != (d,) or shape[:len(runs)] != runs or len(shape) not in ndims:
+        expected = f"({runs[0]}, B, {d})" if runs else f"({d},) or (B, {d})"
+        raise ValueError(f"input has shape {shape}, expected {expected}")
+    if input_vector.ndim > 1 and (record_codes or record_trace or early_stop is not None):
         raise ValueError("per-step codes, traces and early stop are for one sample, not a batch")
     shape = input_vector.shape[:-1] + (n,)
     state = initial_state if initial_state is not None else MembraneState.zeros(shape)
     if state.u.shape != shape:
         raise ValueError(f"state has shape {state.u.shape}, expected {shape}")
 
-    inhib = inhibition(dictionary)
-    drive = analyze(dictionary, input_vector) if input_encoder is None else None
-    # Each encoder step replaces the encoder's state object, never modifies it,
-    # so holding the reference saves the period's start.
-    encoder_start = None if input_encoder is None else input_encoder.state
+    drive = _drive(elements, input_vector) if input_encoder is None else None
+    # The encoder steps its carry in place, so the replay restarts from a copy.
+    encoder_start = None if input_encoder is None else input_encoder.carry.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         result = _integrate(
             dictionary, input_vector, params, stage, state, inhib, drive, input_encoder,
             record_codes, record_trace, early_stop, check=False,
         )
-        if not np.isfinite(result.state.u).all():
+        if not runs and not np.isfinite(result.state.u).all():
             if input_encoder is not None:
-                input_encoder.state = encoder_start
+                input_encoder.carry[...] = encoder_start
             _integrate(
                 dictionary, input_vector, params, stage, state, inhib, drive, input_encoder,
                 False, False, early_stop, check=True,
@@ -265,7 +283,7 @@ def _integrate(
     code = stage.begin(u, check)
     for i in range(params.steps):
         if input_encoder is not None:
-            drive = analyze(dictionary, input_encoder.step())
+            drive = _drive(dictionary.elements, input_encoder.step())
         value = stage.emit(u, code)
         if watch_du:
             np.copyto(prev, u)
@@ -314,7 +332,7 @@ def run_inference(
     version (see ``accumulator.InputRateEncoder``).
     """
     return _run_period(
-        dictionary, input_vector, params, _GradedStage(params.lam),
+        dictionary, inhibition(dictionary), input_vector, params, _GradedStage(params.lam),
         initial_state=initial_state, record_codes=record_codes, record_trace=record_trace,
         early_stop=early_stop, input_encoder=input_encoder,
     )
@@ -322,7 +340,7 @@ def run_inference(
 
 def write_trace_csv(path, trace: list) -> None:
     """Dump per-step inference records as ``step,energy,active,du_inf``."""
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
         for row in trace:

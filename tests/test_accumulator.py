@@ -218,3 +218,19 @@ class TestInputRateEncoder:
     def test_zero_height_rejected(self):
         with pytest.raises(ValueError):
             InputRateEncoder(np.array([0.5]), spike_height=0.0)
+
+    def test_steps_match_the_out_of_place_chain(self):
+        """The in-place encoder steps as the old ``accumulate_step`` chain did, bit for bit."""
+        values = np.random.default_rng(4).uniform(-1.0, 1.0, size=(3, 40))
+        values[0, :5] = 0.0
+        encoder = InputRateEncoder(values, spike_height=0.07)
+        state = AccumulatorState.zeros(values.shape, 0.07)
+        magnitudes, signs = np.abs(values), np.sign(values)
+        for _ in range(200):
+            frame, state = accumulate_step(state, magnitudes)
+            assert encoder.step().tobytes() == (signs * frame.value).tobytes()
+        assert encoder.carry.tobytes() == state.carry.tobytes()
+
+    def test_nonfinite_input_rejected_once_at_construction(self):
+        with pytest.raises(NumericError, match="non-finite desired output"):
+            InputRateEncoder(np.array([0.5, np.nan]), spike_height=0.1)

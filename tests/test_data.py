@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from lcalearn import data as data_mod
 from lcalearn.data import (
     FrameSequence,
     SyntheticSpec,
@@ -127,6 +128,51 @@ class TestEventFiles:
         loaded, width, height = load_events(path)
         assert loaded.tolist() == [(10, 0, 0, 1), (20, 3, 1, -1)]
         assert width >= 4 and height >= 2
+
+    @pytest.mark.parametrize("body", [
+        "10,0,0,1\n20,3,1,-1\n20,2,2,1\n",
+        "10,0,0,1\n20,3,1,-1",  # no final newline
+        "",
+        "0000000010,00000,0,-001\n",
+        "10,0,0,1\n\n20,3,1,-1\n",  # blank line
+        "10, 0,0,1\n",
+        "+10,0,0,1\n",
+        "10,0,-0,1\n",
+        "10,0,0,-\n",
+        "10,0,0,1-\n",
+        "10,,0,1\n",
+        "10,0,0\n",
+        "10,0,0,1,5\n",
+        "10,0,0,1\r\n20,1,1,1\r\n",
+        "10,0,0,1\n5,0,0,1\n",
+        "10,0,0,0\n",
+        "10,99999,0,1\n",
+        "99999999999,0,0,1\n",
+        "10,0,0,\u0661\n",
+    ], ids=["plain", "no-final-newline", "empty", "leading-zeros", "blank-line", "space",
+            "plus", "signed-x", "bare-minus", "inner-minus", "empty-field", "three-fields",
+            "five-fields", "crlf", "backwards", "zero-polarity", "x-range", "t-digits",
+            "arabic-digit"])
+    def test_csv_fast_path_matches_the_line_parser(self, tmp_path, monkeypatch, body):
+        """Well-formed files parse as whole arrays; any other file gets the line parser's result."""
+        path = tmp_path / "r.csv"
+        path.write_text("t_us,x,y,p\n" + body, newline="")
+
+        def load():
+            try:
+                events, width, height = load_events(path)
+            except FormatError as exc:
+                return str(exc)
+            return events.tobytes(), events.dtype, width, height
+
+        fast = load()
+        monkeypatch.setattr(data_mod, "_csv_fields", lambda text: None)
+        assert fast == load()
+
+    def test_csv_fast_path_takes_well_formed_files(self):
+        fields = data_mod._csv_fields("t_us,x,y,p\n10,0,0,1\n20,3,1,-1\n")
+        assert fields.tolist() == [[10, 0, 0, 1], [20, 3, 1, -1]]
+        assert data_mod._csv_fields("t_us,x,y,p\n10,0,0,1\n\n") is None
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "r.evt"
