@@ -6,6 +6,8 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
 
 @contextmanager
 def atomic_open(path, mode: str = "w", **kwargs):
@@ -30,3 +32,15 @@ def write_bytes(path, payload: bytes) -> None:
     """``Path(path).write_bytes(payload)``, atomically."""
     with atomic_open(path, "wb") as fh:
         fh.write(payload)
+
+
+def write_text(path, text: str) -> None:
+    """``Path(path).write_text(text)``, atomically."""
+    with atomic_open(path) as fh:
+        fh.write(text)
+
+
+def save_npy(path, array) -> None:
+    """``np.save(path, array)`` for a path ending in ``.npy``, atomically (the same bytes)."""
+    with atomic_open(path, "wb") as fh:
+        np.save(fh, array)

@@ -4,6 +4,11 @@ The "perceptron" on top of the latent representations is multinomial
 logistic regression trained by plain SGD: a single linear layer with
 softmax cross-entropy, which keeps the readout linear while staying
 differentiable and seed-reproducible.
+
+Each SGD step of ``train`` works in place on buffers allocated once per fit,
+with the bias held as the last column of the weight matrix, and gives the
+same bits as the one-expression-per-step fit it replaced. Inputs are checked
+once, at entry: labels must lie in [0, classes) and features must be finite.
 """
 
 from __future__ import annotations
@@ -53,16 +58,24 @@ class LinearClassifier:
         return self.weights.shape[1]
 
 
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
-
-
 def train(
     features: np.ndarray, labels: np.ndarray, config: ClassifierConfig | None = None
 ) -> LinearClassifier:
-    """Fit softmax regression by per-sample SGD; deterministic given the seed."""
+    """Fit softmax regression by per-sample SGD; deterministic given the seed.
+
+    Each step runs in place on buffers allocated once per fit. The weights
+    and the bias sit side by side in one (classes, features + 1) array, and
+    the sample is copied into a row whose last entry is 1.0, so one rank-1
+    update moves both (``p * 1.0`` is ``p``, so the bias gets the same
+    bits). The probability of each sample's label is kept, and the loss is
+    summed once per epoch, left to right in step order. Weights, bias and
+    loss history are bit-identical to the frozen allocating fit in
+    ``tests/reference_classifier.py``. Extra memory is O(classes x features)
+    plus one float per sample; the returned arrays are copies of their own.
+
+    Raises ``ValueError`` for a label outside [0, classes) or a non-finite
+    feature, naming the first bad row.
+    """
     config = config if config is not None else ClassifierConfig()
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -75,24 +88,51 @@ def train(
     classes = int(labels.max()) + 1 if labels.size else 0
     if classes < 2 or len(np.unique(labels)) < 2:
         raise ValueError("training needs samples from at least two classes")
+    if labels.min() < 0:
+        row = int(np.argmax(labels < 0))
+        raise ValueError(f"label {labels[row]} at row {row} is outside [0, {classes})")
+    # A row is finite iff its max and min are (NaN propagates through both);
+    # unlike an isfinite mask, this allocates O(samples), not O(samples x dims).
+    finite = np.isfinite(features.max(axis=1, initial=0.0)) & np.isfinite(
+        features.min(axis=1, initial=0.0)
+    )
+    if not finite.all():
+        raise ValueError(f"feature row {int(np.argmin(finite))} is not finite")
 
     rng = np.random.default_rng(config.seed)
     n, dims = features.shape
-    weights = rng.normal(0.0, 0.01, size=(classes, dims))
-    bias = np.zeros(classes)
+    lr = config.learning_rate
+    wb = np.empty((classes, dims + 1))
+    wb[:, :dims] = rng.normal(0.0, 0.01, size=(classes, dims))
+    wb[:, dims] = 0.0
+    weights, bias = wb[:, :dims], wb[:, dims]
+    xa = np.ones((1, dims + 1))
+    x = xa[0, :dims]
+    p = np.empty(classes)
+    p_col = p[:, None]
+    step = np.empty_like(wb)
+    label_p = np.empty(n)
+    label_of = labels.tolist()
     history = []
     for _ in range(config.epochs):
-        order = rng.permutation(n)
+        for k, i in enumerate(rng.permutation(n).tolist()):
+            x[...] = features[i]
+            np.matmul(weights, x, out=p)
+            p += bias
+            p -= max(p.tolist())  # exact, like p.max(), at a fraction of its cost
+            np.exp(p, out=p)
+            p /= np.add.reduce(p)  # NumPy's summation order; Python's sum() differs
+            y = label_of[i]
+            label_p[k] = p[y]
+            p[y] -= 1.0
+            np.multiply(p_col, xa, out=step)
+            step *= lr
+            wb -= step
         total = 0.0
-        for i in order:
-            x = features[i]
-            probs = _softmax(weights @ x + bias)
-            total -= np.log(max(probs[labels[i]], 1e-300))
-            probs[labels[i]] -= 1.0
-            weights -= config.learning_rate * np.outer(probs, x)
-            bias -= config.learning_rate * probs
+        for loss in np.log(np.maximum(label_p, 1e-300)).tolist():
+            total -= loss
         history.append(total / n)
-    return LinearClassifier(weights, bias, history)
+    return LinearClassifier(weights.copy(), bias.copy(), history)
 
 
 def predict(model: LinearClassifier, features: np.ndarray) -> np.ndarray:

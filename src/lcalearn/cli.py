@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from lcalearn import atomic
 from lcalearn import classifier as classifier_mod
 from lcalearn import data as data_mod
 from lcalearn import experiment as experiment_mod
@@ -68,7 +69,7 @@ def _load_config(args) -> experiment_mod.ExperimentConfig:
 def _echo_config(args, out: Path) -> None:
     """Copy the config file byte for byte into the run directory."""
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_bytes(Path(args.config).read_bytes())
+    atomic.write_bytes(out / "config.json", Path(args.config).read_bytes())
 
 
 def _image_name(stem: str, channels: int) -> str:
@@ -92,8 +93,8 @@ def _cmd_train(args) -> int:
             progress=_progress(args),
         )
     except KeyboardInterrupt:
-        (out / "partial.marker").write_text(
-            "run interrupted; metrics.csv holds completed epochs only\n"
+        atomic.write_text(
+            out / "partial.marker", "run interrupted; metrics.csv holds completed epochs only\n"
         )
         print("interrupted; wrote partial.marker", file=sys.stderr)
         return 2
@@ -140,7 +141,7 @@ def _cmd_sweep(args) -> int:
             config, args.axis, values, repeats=args.repeats, progress=_progress(args)
         )
     except KeyboardInterrupt:
-        (out / "partial.marker").write_text("sweep interrupted before completion\n")
+        atomic.write_text(out / "partial.marker", "sweep interrupted before completion\n")
         print("interrupted; wrote partial.marker", file=sys.stderr)
         return 2
     result.write_csv(out / "sweep.csv")
@@ -178,9 +179,9 @@ def _cmd_infer(args) -> int:
         write_raster_csv(out / "raster.csv", result.raster)
     else:
         write_trace_csv(out / "trace.csv", result.trace)
-    np.save(out / "code.npy", result.code)
+    atomic.save_npy(out / "code.npy", result.code)
     recon = experiment_mod.synthesize(dictionary, result.code)
-    np.save(out / "reconstruction.npy", recon)
+    atomic.save_npy(out / "reconstruction.npy", recon)
     print(
         f"sample {args.split}[{args.index}] label={sample.label}: "
         f"rmse={experiment_mod.rmse(vec, recon):.4f} "
@@ -229,8 +230,9 @@ def _cmd_classify_eval(args) -> int:
     if args.out is not None:
         out = _require_out(args)
         _echo_config(args, out)
-        (out / "eval.json").write_text(
-            json.dumps({"accuracy": accuracy, "samples": len(valid)}, indent=2) + "\n"
+        atomic.write_text(
+            out / "eval.json",
+            json.dumps({"accuracy": accuracy, "samples": len(valid)}, indent=2) + "\n",
         )
     return 0
 
@@ -246,7 +248,7 @@ def _cmd_events_to_frames(args) -> int:
         width=args.sensor_width, height=args.sensor_height,
     )
     out.mkdir(parents=True, exist_ok=True)
-    np.save(out / "frames.npy", frames)
+    atomic.save_npy(out / "frames.npy", frames)
     _, height, width = frames.shape
     print(
         f"{len(events)} events -> {len(frames)} frames of {height}x{width} "

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from lcalearn import atomic
 from lcalearn.dictionary import InputDims
 from lcalearn.errors import FormatError
 
@@ -136,7 +137,7 @@ def load_cifar(path, crop: int = 16, limit: int | None = None) -> list[LabeledSa
 def save_events(path, events, width: int, height: int) -> None:
     """Write the canonical EVT1 container; ``events`` converts to ``EVENT_DTYPE``."""
     header = _EVENT_FILE_HEADER.pack(EVENT_MAGIC, EVENT_VERSION, width, height)
-    Path(path).write_bytes(header + np.asarray(events, dtype=EVENT_DTYPE).tobytes())
+    atomic.write_bytes(path, header + np.asarray(events, dtype=EVENT_DTYPE).tobytes())
 
 
 def load_events(path) -> tuple[np.ndarray, int, int]:
@@ -360,8 +361,12 @@ def save_dataset_npy(path, train: list[LabeledSample], valid: list[LabeledSample
     for name, samples in (("train", train), ("valid", valid)):
         if not samples:
             raise ValueError(f"{name} split is empty")
-        np.save(root / f"{name}_inputs.npy", np.stack([s.input.frames for s in samples]))
-        np.save(root / f"{name}_labels.npy", np.array([s.label for s in samples], dtype=np.int64))
+        atomic.save_npy(
+            root / f"{name}_inputs.npy", np.stack([s.input.frames for s in samples])
+        )
+        atomic.save_npy(
+            root / f"{name}_labels.npy", np.array([s.label for s in samples], dtype=np.int64)
+        )
 
 
 def load_dataset_npy(path) -> tuple[list[LabeledSample], list[LabeledSample]]:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from lcalearn.atomic import atomic_open
 from lcalearn.dictionary import Dictionary
 
 MID_GRAY = 128
@@ -27,7 +28,7 @@ def write_pgm(path, image: np.ndarray) -> None:
     if image.ndim != 2:
         raise ValueError(f"PGM needs a 2-d array, got shape {image.shape}")
     height, width = image.shape
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         fh.write(image.tobytes())
 
@@ -38,7 +39,7 @@ def write_ppm(path, image: np.ndarray) -> None:
     if image.ndim != 3 or image.shape[2] != 3:
         raise ValueError(f"PPM needs a (H, W, 3) array, got shape {image.shape}")
     height, width = image.shape[:2]
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
         fh.write(image.tobytes())
 

@@ -8,8 +8,10 @@ import pytest
 from lcalearn import atomic
 from lcalearn.accumulator import write_raster_csv
 from lcalearn.classifier import ClassifierConfig, save_model, train
+from lcalearn.data import generate_synthetic, save_dataset_npy, save_events
 from lcalearn.dictionary import InputDims, init_random, save_checkpoint
 from lcalearn.experiment import RunMetrics, SweepResult
+from lcalearn.export import write_pgm, write_ppm
 from lcalearn.lca import write_trace_csv
 
 
@@ -36,7 +38,32 @@ WRITERS = {
     "sweep": lambda path: sweep_result().write_csv(path),
     "trace": lambda path: write_trace_csv(path, [[1, 0.5, 2, 0.1], [2, 0.4, 1, 0.05]]),
     "raster": lambda path: write_raster_csv(path, np.array([[0, 2], [1, 0]])),
+    "events": lambda path: save_events(path, [(0, 1, 2, 1), (5, 3, 0, -1)], 4, 4),
+    "pgm": lambda path: write_pgm(path, np.arange(12, dtype=np.uint8).reshape(3, 4)),
+    "ppm": lambda path: write_ppm(path, np.arange(36, dtype=np.uint8).reshape(3, 4, 3)),
+    "npy": lambda path: atomic.save_npy(path, np.arange(6.0).reshape(2, 3)),
+    "text": lambda path: atomic.write_text(path, '{\n  "accuracy": 0.5\n}\n'),
 }
+
+
+class HalfWrittenFile:
+    """A file whose first write stores half of its data and then raises."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError("no space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
 
 
 @pytest.mark.parametrize("name", sorted(WRITERS))
@@ -63,6 +90,40 @@ def test_completed_write_replaces_the_file(tmp_path, name):
     WRITERS[name](fresh)
     assert path.read_bytes() == fresh.read_bytes() != b"previous contents"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact", "fresh"]
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_write_failing_midway_keeps_the_previous_file(tmp_path, monkeypatch, name):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"previous contents")
+    monkeypatch.setattr(atomic, "open", lambda *a, **kw: HalfWrittenFile(open(*a, **kw)),
+                        raising=False)
+    with pytest.raises(OSError, match="no space left"):
+        WRITERS[name](path)
+    assert path.read_bytes() == b"previous contents"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact"]
+
+
+def test_save_npy_writes_the_bytes_of_np_save(tmp_path):
+    array = np.random.default_rng(0).normal(size=(3, 5)).astype(np.float32)
+    np.save(tmp_path / "plain.npy", array)
+    atomic.save_npy(tmp_path / "atomic.npy", array)
+    assert (tmp_path / "atomic.npy").read_bytes() == (tmp_path / "plain.npy").read_bytes()
+
+
+def test_interrupted_dataset_save_keeps_the_previous_arrays(tmp_path, monkeypatch):
+    train, valid = generate_synthetic(0)
+    save_dataset_npy(tmp_path, train, valid)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    other_train, other_valid = generate_synthetic(1)
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        save_dataset_npy(tmp_path, other_train, other_valid)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_writer_that_raises_mid_write_leaves_the_previous_file(tmp_path):

@@ -65,6 +65,19 @@ class TestTraining:
         with pytest.raises(ValueError):
             train(np.ones((5, 3)), np.zeros(4, dtype=int), ClassifierConfig())
 
+    def test_negative_label_rejected(self):
+        # -1 used to count as the last class through probs[-1]
+        with pytest.raises(ValueError, match=r"label -1 at row 2 is outside \[0, 2\)"):
+            train(np.ones((4, 3)), np.array([0, 1, -1, 1]), ClassifierConfig(epochs=1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_feature_rejected_naming_the_row(self, bad):
+        features, labels = separable_blobs()
+        features[7, 2] = bad
+        features[30, 0] = bad
+        with pytest.raises(ValueError, match="feature row 7 is not finite"):
+            train(features, labels, ClassifierConfig(epochs=1))
+
 
 class TestPredict:
     def test_ties_pick_lowest_index(self):
