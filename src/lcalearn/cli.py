@@ -72,6 +72,14 @@ def _echo_config(args, out: Path) -> None:
     atomic.write_bytes(out / "config.json", Path(args.config).read_bytes())
 
 
+def _check_positive(args, *names) -> None:
+    """Each named integer flag, where given, must be at least 1."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+
+
 def _image_name(stem: str, channels: int) -> str:
     return f"{stem}.ppm" if channels == 3 else f"{stem}.pgm"
 
@@ -166,12 +174,12 @@ def _cmd_sweep(args) -> int:
 def _cmd_infer(args) -> int:
     config = _load_config(args)
     out = _require_out(args)
-    _echo_config(args, out)
     dictionary = load_checkpoint(args.dict)
     train, valid = experiment_mod.load_dataset(config.dataset, config.seed)
     samples = train if args.split == "train" else valid
     if not 0 <= args.index < len(samples):
         raise UsageError(f"--index {args.index} out of range for {len(samples)} samples")
+    _echo_config(args, out)
     sample = samples[args.index]
     vec = sample.input.flattened
     result = experiment_mod.config_period(dictionary, vec, config, record=True)
@@ -239,10 +247,7 @@ def _cmd_classify_eval(args) -> int:
 
 def _cmd_events_to_frames(args) -> int:
     out = _require_out(args)
-    if args.window_us < 1:
-        raise UsageError(f"--window-us must be >= 1, got {args.window_us}")
-    if args.saturation < 1:
-        raise UsageError(f"--saturation must be >= 1, got {args.saturation}")
+    _check_positive(args, "window_us", "saturation", "sensor_width", "sensor_height")
     events, frames = data_mod.recording_frames(
         args.input, args.window_us, args.saturation,
         width=args.sensor_width, height=args.sensor_height,
@@ -265,7 +270,7 @@ def _cmd_synth(args) -> int:
         path = Path(args.config)
         if not path.is_file():
             raise UsageError(f"config file not found: {path}")
-        raw = json.loads(path.read_text())
+        raw = experiment_mod.read_json(path)
         if not isinstance(raw, dict):
             raise ConfigError("synthetic spec must be a JSON object")
         spec_kwargs = dict(raw)
@@ -284,7 +289,12 @@ def _cmd_synth(args) -> int:
 
 def _cmd_export_dict(args) -> int:
     out = _require_out(args)
+    _check_positive(args, "top_k", "cols")
     dictionary = load_checkpoint(args.dict)
+    if args.top_k is not None and args.top_k > dictionary.element_count:
+        raise UsageError(
+            f"--top-k must be at most the {dictionary.element_count} elements, got {args.top_k}"
+        )
     activity = np.load(args.activity) if args.activity else None
     grid = export_mod.render_dictionary_grid(
         dictionary, activity=activity, top_k=args.top_k, cols=args.cols
@@ -301,21 +311,22 @@ def _cmd_export_dict(args) -> int:
 def _cmd_export_recon(args) -> int:
     config = _load_config(args)
     out = _require_out(args)
+    _check_positive(args, "count")
     _echo_config(args, out)
     dictionary = load_checkpoint(args.dict)
     _, valid = experiment_mod.load_dataset(config.dataset, config.seed)
     if not valid:
         raise FormatError("validation split is empty")
-    count = min(args.count, len(valid))
-    originals, recons = [], []
-    for stack in experiment_mod.sample_stacks(valid[:count]):
-        code = experiment_mod.config_period(dictionary, stack, config).code
-        originals.extend(stack)
-        recons.extend(experiment_mod.synthesize(dictionary, code))
-    strip = export_mod.render_reconstruction_strip(originals, recons, dictionary.dims)
+    samples = valid[:args.count]
+    codes = experiment_mod._frozen_pass(
+        dictionary, samples,
+        lambda stack: experiment_mod.config_period(dictionary, stack, config)).features
+    strip = export_mod.render_reconstruction_strip(
+        [s.input.flattened for s in samples], list(experiment_mod.synthesize(dictionary, codes)),
+        dictionary.dims)
     name = _image_name("reconstructions", dictionary.dims.channels)
     strip.save(out / name)
-    print(f"wrote {out / name} ({count} samples)")
+    print(f"wrote {out / name} ({len(samples)} samples)")
     return 0
 
 

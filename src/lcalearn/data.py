@@ -356,11 +356,13 @@ def save_dataset_npy(path, train: list[LabeledSample], valid: list[LabeledSample
     of the data, so regenerating with the same seed reproduces the files
     exactly.
     """
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    for name, samples in (("train", train), ("valid", valid)):
+    splits = (("train", train), ("valid", valid))
+    for name, samples in splits:
         if not samples:
             raise ValueError(f"{name} split is empty")
+    root = Path(path)
+    root.mkdir(parents=True, exist_ok=True)
+    for name, samples in splits:
         atomic.save_npy(
             root / f"{name}_inputs.npy", np.stack([s.input.frames for s in samples])
         )

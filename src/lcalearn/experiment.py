@@ -4,8 +4,8 @@ One training run shows each sample for a fixed display period (preceded
 by a zero-input gap), infers a sparse code with graded or spiking
 dynamics, and applies one Hebbian dictionary update per period from the
 period-end (filtered) code. Runs are reproducible bit-for-bit from the
-config and seed. Passes over a frozen dictionary (evaluation, classifier
-features) stack their samples and integrate them as batches.
+config and seed. Every pass over a frozen dictionary (validation,
+evaluation, features, reconstruction export) is one ``_frozen_pass``.
 
 There is one training loop, ``_LockStep``. It trains R runs that share
 N, D and mode (graded or spiking) in lock-step on one ``_TrainingState``:
@@ -210,12 +210,16 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path) -> ExperimentConfig:
+def read_json(path):
+    """Parse a JSON file; malformed JSON is a ``ConfigError`` that names the file."""
     try:
-        raw = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return config_from_dict(raw)
+
+
+def load_config(path) -> ExperimentConfig:
+    return config_from_dict(read_json(path))
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -376,7 +380,7 @@ def _feature(result, scheme: str) -> np.ndarray:
     return result.code if scheme == "final" else result.half_mean
 
 
-def config_period(dictionary, vec, config, *, warm=None, record=False):
+def config_period(dictionary, vec, config, *, record=False):
     """One display period as the config sets it: spike height, filter, input encoding.
 
     The one place that turns ``input_encoding`` into an input encoder.
@@ -385,18 +389,33 @@ def config_period(dictionary, vec, config, *, warm=None, record=False):
     rate = config.input_encoding == "rate"
     return infer_period(
         dictionary, vec, config.lca_params(), config.spike_height, config.filter,
-        warm=warm, record=record,
+        record=record,
         input_encoder=InputRateEncoder(vec, config.input_spike_height) if rate else None,
     )
 
 
-def sample_stacks(samples):
-    """Yield the samples' vectors as (B, D) stacks of at most ``INFER_CHUNK`` rows, in order.
+def _frozen_pass(dictionary, samples, period, scheme="final") -> SimpleNamespace:
+    """A cold pass of a frozen dictionary: the one loop that stacks samples.
 
-    A frozen-dictionary pass makes one batched period per stack.
+    Runs ``period`` (``infer_period`` or ``config_period`` at the caller's
+    settings) on each (B, D) stack of at most ``INFER_CHUNK`` samples, in
+    order. Returns each sample's ``rmse`` and ``sparsity`` summed in sample
+    order, the ``peak`` and total (``spikes``) spike counts, 0 for graded
+    periods, and one ``features`` row per sample under ``scheme``.
     """
+    totals = SimpleNamespace(rmse=0.0, sparsity=0.0, peak=0, spikes=0)
+    rows = []
     for start in range(0, len(samples), INFER_CHUNK):
-        yield np.stack([s.input.flattened for s in samples[start:start + INFER_CHUNK]])
+        stack = np.stack([s.input.flattened for s in samples[start:start + INFER_CHUNK]])
+        result = period(stack)
+        for vec, code, recon in zip(stack, result.code, synthesize(dictionary, result.code)):
+            totals.rmse += rmse(vec, recon)
+            totals.sparsity += sparsity(code)
+        totals.peak = max(totals.peak, getattr(result, "max_counts", 0))
+        totals.spikes += getattr(result, "total_counts", 0)
+        rows.append(_feature(result, scheme))
+    totals.features = np.concatenate(rows) if rows else np.zeros((0, dictionary.element_count))
+    return totals
 
 
 def run_training(
@@ -447,10 +466,10 @@ class _Run:
         self.pending: list[tuple[np.ndarray, np.ndarray]] = []  # (code, residual) per period
         self.train_features = self.valid_features = None
 
-    def tally(self, peak: np.ndarray, total: np.ndarray) -> None:
-        """Add one period's per-neuron peak and total spike counts to the epoch's."""
-        self.max_counts = max(self.max_counts, int(peak.max()))
-        self.total_counts += int(total.sum())
+    def tally(self, peak, total) -> None:
+        """Add a period's peak and total spike counts (per neuron, or summed) to the epoch's."""
+        self.max_counts = max(self.max_counts, int(np.max(peak)))
+        self.total_counts += int(np.sum(total))
 
 
 def _prepare_run(
@@ -526,7 +545,8 @@ class _LockStep:
     Each training period integrates every live run at once through
     ``lca._run_period``, with the potentials as (R, 1, N) against the
     (R, N, N) inhibition matrices, so each run computes what it computes
-    alone, bit for bit. Validation passes run run by run. Each run keeps
+    alone, bit for bit. Each run validates alone, by a ``_frozen_pass``
+    over a view of its dictionary at its own config. Each run keeps
     its own seed, permutation, samples, warm state, ``lam`` and spike
     height, input encoder and metrics. A run that raises leaves the stack
     with the error it gives alone; the others go on unchanged.
@@ -674,7 +694,6 @@ class _LockStep:
                     self.each_run(lambda i, run: self.learn(i, run, config.learning_rate))
                     if not self.runs:
                         return
-            self.validate(params, rate, want_features)
             self.each_run(lambda i, run: self.end_epoch(i, run, epoch, params.steps))
             if not self.runs:
                 return
@@ -701,43 +720,18 @@ class _LockStep:
         if moved:
             self.state.refresh(i, np.unique(np.concatenate(moved)))
 
-    def validate(self, params, rate: bool, want_features: bool) -> None:
-        """One cold pass over each run's validation samples, run by run.
-
-        Each run validates alone, in (B, D) chunks of ``INFER_CHUNK`` samples
-        as a frozen-dictionary pass does, so a stack's validation needs no
-        more memory than one run's; a run whose pass fails leaves the stack.
-        """
-        config = self.config
-
-        def check(i, run):
-            run.val_rmse_sum, run.val_sparsity_sum = 0.0, 0.0
-            n = self.state.elements.shape[1]
-            run.epoch_valid_features = np.zeros((len(run.valid), n)) if want_features else None
-            v_idx = 0
-            for stack in sample_stacks(run.valid):
-                result, stage = self.period(stack, params, config.filter, rate, None, i)
-                recon = result.code @ self.state.elements[i]
-                for vec, code, rec in zip(stack, result.code, recon):
-                    run.val_rmse_sum += rmse(vec, rec)
-                    run.val_sparsity_sum += sparsity(code)
-                if config.spike_height > 0:
-                    run.tally(stage.peak, stage.total)
-                if want_features:
-                    run.epoch_valid_features[v_idx:v_idx + len(stack)] = _feature(
-                        result, config.feature_scheme
-                    )
-                v_idx += len(stack)
-
-        self.each_run(check)
-
     def end_epoch(self, i: int, run: _Run, epoch: int, steps: int) -> None:
-        """Run i's epoch record: classifier, metrics, artifacts and progress line."""
+        """Run i's epoch record: validation, classifier, metrics, artifacts and progress line."""
         config = run.config
+        dictionary = Dictionary(self.state.elements[i], run.dims)
+        valid = _frozen_pass(dictionary, run.valid,
+                             lambda stack: config_period(dictionary, stack, config),
+                             config.feature_scheme)
+        run.tally(valid.peak, valid.spikes)
         accuracy = math.nan
         if config.classifier is not None:
             run.train_features = run.epoch_train_features
-            run.valid_features = run.epoch_valid_features
+            run.valid_features = valid.features
             model = classifier_mod.train(
                 run.train_features,
                 np.array([s.label for s in run.train]),
@@ -752,8 +746,8 @@ class _LockStep:
         steps_run = (len(run.train) + len(run.valid)) * steps
         metrics = run.metrics
         metrics.rmse_train.append(run.rmse_sum / len(run.train))
-        metrics.rmse_val.append(run.val_rmse_sum / n_valid if run.valid else math.nan)
-        metrics.sparsity_pct.append(run.val_sparsity_sum / n_valid if run.valid else math.nan)
+        metrics.rmse_val.append(valid.rmse / n_valid if run.valid else math.nan)
+        metrics.sparsity_pct.append(valid.sparsity / n_valid if run.valid else math.nan)
         metrics.accuracy.append(accuracy)
         metrics.max_spikes_per_step.append(run.max_counts)
         metrics.mean_rate.append(
@@ -789,20 +783,13 @@ def evaluate_codes(
     """
     if not samples:
         raise ValueError("need at least one sample")
-    rmse_sum = 0.0
-    sparsity_sum = 0.0
-    max_counts = 0
-    for stack in sample_stacks(samples):
-        result = infer_period(dictionary, stack, params, spike_height, filter_spec)
-        if spike_height > 0:
-            max_counts = max(max_counts, result.max_counts)
-        for vec, code, recon in zip(stack, result.code, synthesize(dictionary, result.code)):
-            rmse_sum += rmse(vec, recon)
-            sparsity_sum += sparsity(code)
+    totals = _frozen_pass(
+        dictionary, samples,
+        lambda stack: infer_period(dictionary, stack, params, spike_height, filter_spec))
     return {
-        "rmse": rmse_sum / len(samples),
-        "sparsity_pct": sparsity_sum / len(samples),
-        "max_spikes_per_step": max_counts,
+        "rmse": totals.rmse / len(samples),
+        "sparsity_pct": totals.sparsity / len(samples),
+        "max_spikes_per_step": totals.peak,
     }
 
 
@@ -810,11 +797,8 @@ def collect_features(
     dictionary: Dictionary, samples: list, config: ExperimentConfig
 ) -> np.ndarray:
     """Classifier features from a frozen dictionary, one row per sample."""
-    rows = [
-        _feature(config_period(dictionary, stack, config), config.feature_scheme)
-        for stack in sample_stacks(samples)
-    ]
-    return np.concatenate(rows) if rows else np.zeros((0, dictionary.element_count))
+    return _frozen_pass(dictionary, samples, lambda stack: config_period(dictionary, stack, config),
+                        config.feature_scheme).features
 
 
 # ---------------------------------------------------------------------------

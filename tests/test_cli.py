@@ -10,7 +10,7 @@ from lcalearn import cli
 from lcalearn import experiment as experiment_mod
 from lcalearn.accumulator import InputRateEncoder
 from lcalearn.data import save_events
-from lcalearn.dictionary import load_checkpoint
+from lcalearn.dictionary import init_random, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture()
@@ -131,6 +131,26 @@ class TestSynth:
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"wibble": 3}))
         assert run("synth", "--seed", 0, "--out", tmp_path / "d", "--config", spec) == 1
+
+    def test_malformed_spec_is_config_error_naming_the_file(self, tmp_path, capsys):
+        spec = tmp_path / "bad.json"
+        spec.write_text('{"n_classes": 2,')
+        out = tmp_path / "d"
+        code = run("synth", "--out", out, "--config", spec)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"config error: {spec}: ")
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_empty_split_writes_nothing(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"height": 4, "width": 4, "frames": 2,
+                                    "valid_per_class": 0}))
+        out = tmp_path / "d"
+        assert run("synth", "--out", out, "--config", spec) == 2
+        assert capsys.readouterr().err == "error: valid split is empty\n"
+        assert not out.exists()
 
 
 class TestSweep:
@@ -260,6 +280,42 @@ class TestEventsToFrames:
         captured = capsys.readouterr()
         assert code == 1
         assert f"{flag} must be >= 1, got 0" in captured.err
+        assert not out.exists()
+
+
+class TestBadFlagsWriteNothing:
+    """A bad flag value exits 1 with one error line, before anything lands under --out."""
+
+    @pytest.mark.parametrize("argv", [
+        ["export-dict", "--cols", 0],
+        ["export-dict", "--cols", -1],
+        ["export-dict", "--top-k", 0],
+        ["export-dict", "--top-k", 17],
+        ["export-recon", "--config", "{config}", "--count", -1],
+        ["export-recon", "--config", "{config}", "--count", 0],
+        ["events-to-frames", "--input", "{events}", "--sensor-width", 0],
+        ["events-to-frames", "--input", "{events}", "--sensor-width", -3],
+        ["events-to-frames", "--input", "{events}", "--sensor-height", 0],
+        ["infer", "--config", "{config}", "--index", 99],
+    ], ids=["cols-0", "cols-neg", "top-k-0", "top-k-over-n", "count-neg", "count-0",
+            "sensor-width-0", "sensor-width-neg", "sensor-height-0", "index-99"])
+    def test_exits_1_and_writes_nothing(self, config_path, tmp_path, capsys, argv):
+        dict_path = tmp_path / "d.lcad"
+        sample = experiment_mod.load_dataset(experiment_mod.load_config(config_path).dataset)[0][0]
+        save_checkpoint(init_random(0, 16, sample.input.dims), dict_path)
+        events = tmp_path / "r.evt"
+        save_events(events, [(100 * k, k % 3, 0, 1) for k in range(30)], width=4, height=4)
+        paths = {"{config}": config_path, "{events}": events}
+        argv = [paths.get(a, a) for a in argv]
+        if argv[0] != "events-to-frames":
+            argv += ["--dict", dict_path]
+        out = tmp_path / "out"
+        code = run(*argv, "--out", out)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
         assert not out.exists()
 
 

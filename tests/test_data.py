@@ -427,6 +427,21 @@ class TestDatasetNpy:
         with pytest.raises(FormatError):
             load_dataset_npy(tmp_path)
 
+    @pytest.mark.parametrize("empty", ["train", "valid"])
+    def test_empty_split_writes_nothing(self, tmp_path, empty):
+        train, valid = generate_synthetic(2, SyntheticSpec(train_per_class=2, valid_per_class=1))
+        splits = {"train": train, "valid": valid, empty: []}
+        with pytest.raises(ValueError, match=f"{empty} split is empty"):
+            save_dataset_npy(tmp_path / "new", splits["train"], splits["valid"])
+        assert not (tmp_path / "new").exists()
+        old = tmp_path / "old"
+        save_dataset_npy(old, train, valid)
+        before = {path.name: path.read_bytes() for path in old.iterdir()}
+        other, _ = generate_synthetic(3, SyntheticSpec(train_per_class=2, valid_per_class=1))
+        with pytest.raises(ValueError, match=f"{empty} split is empty"):
+            save_dataset_npy(old, *({"train": other, "valid": other, empty: []}).values())
+        assert {path.name: path.read_bytes() for path in old.iterdir()} == before
+
 
 class TestEventDatasetDirectory:
     def build(self, root, frames_per_recording=7):

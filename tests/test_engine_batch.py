@@ -208,6 +208,26 @@ class TestFrozenPasses:
             close(result.valid_features[row], want.half_mean)
         assert abs(result.metrics.rmse_val[-1] - rmse_sum / len(valid)) < TOL
 
+    @pytest.mark.parametrize("extra", [
+        {},
+        {"spike_height": 1.0, "filter": {"kind": "boxcar", "window_ms": 7.0}},
+    ], ids=["graded", "spiking"])
+    def test_training_validation_is_the_frozen_pass(self, extra):
+        config = config_from_dict({
+            "dataset": {"kind": "synthetic", "seed": 5, "height": 4, "width": 4, "frames": 2,
+                        "train_per_class": 2, "valid_per_class": 3},
+            "dict_size": 12, "lambda": 0.2, "tau": 10.0, "display_ms": 40.0,
+            "epochs": 2, "learning_rate": 0.05, "classifier": {"epochs": 5}, **extra,
+        })
+        result = run_training(config)
+        _, valid = experiment.load_dataset(config.dataset)
+        report = evaluate_codes(result.dictionary, valid, config.lca_params(),
+                                config.spike_height, config.filter)
+        assert result.metrics.rmse_val[-1] == report["rmse"]
+        assert result.metrics.sparsity_pct[-1] == report["sparsity_pct"]
+        assert np.array_equal(result.valid_features,
+                              collect_features(result.dictionary, valid, config))
+
     @pytest.mark.parametrize("height", [0.0, 5.0])
     def test_chunk_boundary_changes_nothing(self, monkeypatch, height):
         config = config_from_dict({

@@ -147,6 +147,30 @@ class TestLockStepMatchesSolo:
             assert alone.metrics.rows() == got.metrics.rows()
 
 
+class TestValidation:
+    @pytest.mark.parametrize("axis, values, extra", [
+        ("lambda", [0.2, 0.4, 0.6], {}),
+        ("s", [0.5, 1.0, 2.0], {"spike_height": 1.0,
+                                "filter": {"kind": "boxcar", "window_ms": 6.0}}),
+    ], ids=["lambda", "s"])
+    def test_each_run_validates_at_its_own_setting(self, monkeypatch, axis, values, extra):
+        config = config_from_dict(raw_config(classifier={"epochs": 5}, **extra))
+        stacks = spy_stacks(monkeypatch)
+        run_sweep(config, axis, values)
+        ((trainer, runs),) = stacks
+        assert len(runs) == len(values)
+        for run in runs:
+            result = trainer.result(run)
+            report = experiment.evaluate_codes(
+                result.dictionary, run.valid, run.config.lca_params(),
+                run.config.spike_height, run.config.filter)
+            assert run.metrics.rmse_val[-1] == report["rmse"]
+            assert run.metrics.sparsity_pct[-1] == report["sparsity_pct"]
+            assert np.array_equal(
+                result.valid_features,
+                experiment.collect_features(result.dictionary, run.valid, run.config))
+
+
 class TestFailureMasking:
     def test_tiny_spike_height_fails_alone_and_leaves_the_other_run(self, monkeypatch, tmp_path):
         config = config_from_dict(raw_config(spike_height=1.0, epochs=1))

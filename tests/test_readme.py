@@ -1,10 +1,10 @@
-"""The README against the code: the command table and the Python API example."""
+"""The README against the code: the command table, the config keys and the Python API example."""
 
 import argparse
 import re
 from pathlib import Path
 
-from lcalearn import cli
+from lcalearn import cli, experiment
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -18,6 +18,26 @@ def test_command_table_lists_every_subcommand():
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     assert sorted(listed) == sorted(sub.choices)
+
+
+def jsonc_block(text):
+    return re.search(r"```jsonc\n(.*?)```", text, flags=re.S).group(1)
+
+
+def test_config_reference_lists_every_config_key():
+    block = jsonc_block(section("Config reference").split("\n### ", 1)[0])
+    listed = re.findall(r'^  "([a-z_]+)":', block, flags=re.M)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == experiment._CONFIG_KEYS
+
+
+def test_dataset_kinds_list_every_dataset_key():
+    block = jsonc_block(section("Config reference").split("\n### Dataset kinds\n", 1)[1])
+    kinds = {}
+    for kind, body in re.findall(r'\{"kind": "([a-z]+)"(.*?)\}', block, flags=re.S):
+        assert kind not in kinds
+        kinds[kind] = {"kind"} | set(re.findall(r'"([a-z_]+)":', body))
+    assert kinds == experiment._DATASET_KEYS
 
 
 def test_python_api_example_runs(capsys):
