@@ -14,6 +14,28 @@ buffers it allocates once per period, so a step creates no Python
 objects, and it reduces the peak and total spike counts once, at period
 end. ``accumulate_step`` is the public out-of-place form: it validates
 its input and never modifies the state it is given.
+
+Exact periods. In floats, ``floor(C / s)`` can land one off the true
+count of whole spikes in ``C``, so ``_discharge`` corrects it against
+``counts * s``. Call a period *exact* when the spike height is a normal
+float ``s = m * 2**e`` with ``m`` odd, and ``W * (peak + 1) * m < 2**53``,
+where ``peak`` is the most spikes any neuron emitted in one step and
+``W`` the number of frames the filter sums (1 without a boxcar). Then
+every ``k * s`` with ``k <= peak + 1`` is exact, and so is every sum of
+``W`` spike values. If ``C < k * s`` then ``C <= pred(k * s)``, which is
+at least 2**-53 below ``k * s`` relative to it; the rounded quotient
+would have to land within half an ulp of ``k``, at most 2**-53 of ``k``
+relative, to reach ``k``. So ``fl(C / s) < k``; and ``C >= k * s`` gives
+``fl(C / s) >= k``. The floor is then the true count, the first
+correction compares exact values and never fires, nor does the second:
+both can be skipped with the same bits. A wrong floor needs a true
+count ``k`` with ``(k + 1) * m >= 2**53``; the skipped path then counts
+``k`` or more, so the tallied peak breaks the bound. The stage therefore
+runs a period exact when its heights leave room for real counts
+(``W * m < 2**32``: 0.5, 1, 5, 20 or 3 * 2**-7, but not 0.1 or 0.37,
+whose ``m`` has 52 bits), checks the bound on the peak at period end,
+and replays the period from its start on the corrected path when it
+fails.
 """
 
 from __future__ import annotations
@@ -126,20 +148,39 @@ def _discharge(carry, desired, s, counts, tmp, flag) -> None:
     ends up holding ``counts * s``, the emitted value. ``flag`` is a bool
     scratch buffer. The floor is corrected against float rounding so that
     the carry stays in [0, s) exactly, which is what keeps every prefix of
-    emitted output within one spike height of the desired output.
+    emitted output within one spike height of the desired output. With
+    ``flag`` None the step is exact (see the module docstring): the
+    corrections cannot fire and are skipped.
     """
     carry += desired
     np.divide(carry, s, out=tmp)
     np.floor(tmp, out=counts)
-    np.add(counts, 1.0, out=tmp)
-    tmp *= s
-    np.less_equal(tmp, carry, out=flag)
-    counts += flag  # quotient rounded down across an integer
-    np.multiply(counts, s, out=tmp)
-    np.greater(tmp, carry, out=flag)
-    counts -= flag  # quotient rounded up across an integer
+    if flag is not None:
+        np.add(counts, 1.0, out=tmp)
+        tmp *= s
+        np.less_equal(tmp, carry, out=flag)
+        counts += flag  # quotient rounded down across an integer
+        np.multiply(counts, s, out=tmp)
+        np.greater(tmp, carry, out=flag)
+        counts -= flag  # quotient rounded up across an integer
     np.multiply(counts, s, out=tmp)
     carry -= tmp
+
+
+def _odd_mantissa(spike_height) -> int:
+    """The odd ``m`` with ``spike_height = m * 2**e``, or 0 if no period at it can be exact.
+
+    A height must be a normal float below 2**971, so that every sum the
+    bound admits (under 2**53 units of 2**e) stays finite. For an array
+    of heights (a stack of runs), the largest ``m``, or 0 if any fails.
+    """
+    worst = 0
+    for height in np.ravel(spike_height).tolist():
+        if not np.finfo(np.float64).tiny <= height < 2.0 ** 971:
+            return 0
+        num = height.as_integer_ratio()[0]  # over a power of two
+        worst = max(worst, num // (num & -num))
+    return worst
 
 
 def accumulate_step(
@@ -186,6 +227,10 @@ class _SpikingStage:
     value. The per-neuron peak and total counts run elementwise and are
     reduced once, when the period is read out. ``lam`` and
     ``spike_height`` are scalars, or (R, 1, 1) arrays for a stack of runs.
+    Whether a period runs exact (see the module docstring) is decided
+    once, from the heights: every run of a stack must qualify. An exact
+    period skips the tie corrections and lets the filter keep a running
+    sum; ``end`` checks the bound on the tallied peak.
     """
 
     def __init__(self, lam, spike_height, carry, code_filter, raster=None):
@@ -194,15 +239,20 @@ class _SpikingStage:
         self.start = carry
         self.code_filter = code_filter
         self.raster = raster
+        self.mantissa = _odd_mantissa(spike_height)
+        # A long mantissa (0.1 and 0.37 need 52 bits) leaves no room under the
+        # bound for real spike counts; such a period would nearly always replay.
+        self.exact = 0 < self.mantissa * code_filter.window_steps < 2**32
 
     def begin(self, u: np.ndarray, check: bool) -> None:
         """Start (or restart) a period; with ``check`` the desired output is validated."""
         self.check = check
         self.carry = np.array(self.start, dtype=np.float64)
         self.desired, self.counts, self.value = (np.empty(u.shape) for _ in range(3))
-        self.flag = np.empty(u.shape, dtype=bool)
+        self.flag = None if self.exact else np.empty(u.shape, dtype=bool)
         self.peak, self.total = np.zeros(u.shape), np.zeros(u.shape)
         self.steps = 0
+        self.code_filter.reset(self.exact)
 
     def emit(self, u: np.ndarray, code) -> np.ndarray:
         desired = _shrink(u, self.lam, self.desired)
@@ -218,6 +268,20 @@ class _SpikingStage:
 
     def read(self, u: np.ndarray, value: np.ndarray) -> np.ndarray:
         return self.code_filter.step(value)
+
+    def end(self) -> bool:
+        """Whether the period stands.
+
+        An exact period whose peak broke the bound does not: the stage turns
+        to the corrected path, and the period must be run again.
+        """
+        if self.exact:
+            peak = float(self.peak.max())
+            scale = self.mantissa * self.code_filter.window_steps
+            if not (np.isfinite(peak) and (int(peak) + 1) * scale < 2**53):
+                self.exact = False
+                return False
+        return True
 
 
 def run_spiking_inference(
@@ -236,9 +300,9 @@ def run_spiking_inference(
     """Run one display period of spiking LCA and return the filtered code.
 
     The filter smooths the per-step spike values; with no filter the
-    returned code is the raw spike value at the final step. A (B, D)
-    input runs B samples at once (see ``lca._run_period``); the raster is
-    single-sample only.
+    returned code is the raw spike value at the final step; the filter
+    starts the period afresh. A (B, D) input runs B samples at once (see
+    ``lca._run_period``); the raster is single-sample only.
     """
     n = dictionary.element_count
     if record_raster and np.ndim(input_vector) != 1:

@@ -279,6 +279,9 @@ def _cmd_synth(args) -> int:
         spec = data_mod.SyntheticSpec(**spec_kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    for name in ("train_per_class", "valid_per_class"):  # a training config may leave one at 0
+        if getattr(spec, name) < 1:
+            raise ConfigError(f"{name} must be >= 1 for synth, which writes both splits")
     train, valid = data_mod.generate_synthetic(seed, spec)
     data_mod.save_dataset_npy(out, train, valid)
     if args.config is not None:

@@ -14,9 +14,24 @@ from lcalearn.errors import ConfigError
 
 
 class CodeFilter:
-    """Stateful per-period smoother; feed one code vector per timestep."""
+    """Stateful per-period smoother; feed one code vector per timestep.
+
+    ``step`` may return a buffer of the filter's own, which the next step
+    overwrites. ``reset`` starts a new period. ``window_steps`` is the
+    number of frames one output sums, for a caller that bounds that sum.
+    """
+
+    window_steps = 1
 
     def step(self, value: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def reset(self, exact: bool = False) -> None:
+        """Forget every frame seen.
+
+        ``exact`` promises that, until the next reset, every frame and every
+        sum of ``window_steps`` frames is exact in float64.
+        """
         raise NotImplementedError
 
 
@@ -24,9 +39,16 @@ class IdentityFilter(CodeFilter):
     def step(self, value: np.ndarray) -> np.ndarray:
         return np.asarray(value, dtype=np.float64)
 
+    def reset(self, exact: bool = False) -> None:
+        pass
+
 
 class ExponentialFilter(CodeFilter):
-    """First-order low-pass: y += (dt / time_constant) * (value - y)."""
+    """First-order low-pass: y += (dt / time_constant) * (value - y).
+
+    Runs in place on two buffers allocated at the first step: the array
+    ``step`` returns is the filter's state, overwritten by the next step.
+    """
 
     def __init__(self, time_constant_ms: float, dt: float = 1.0):
         if dt <= 0:
@@ -41,9 +63,14 @@ class ExponentialFilter(CodeFilter):
     def step(self, value: np.ndarray) -> np.ndarray:
         value = np.asarray(value, dtype=np.float64)
         if self._y is None:
-            self._y = np.zeros_like(value)
-        self._y = self._y + self.alpha * (value - self._y)
+            self._y, self._tmp = np.zeros_like(value), np.empty_like(value)
+        tmp = np.subtract(value, self._y, out=self._tmp)
+        tmp *= self.alpha
+        self._y += tmp
         return self._y
+
+    def reset(self, exact: bool = False) -> None:
+        self._y = None
 
 
 class BoxcarFilter(CodeFilter):
@@ -52,8 +79,12 @@ class BoxcarFilter(CodeFilter):
     During warm-up the mean runs over the frames seen so far, which avoids
     the systematic underestimate zero-padding would give at period start.
     Frames live in a preallocated ring of ``window_steps`` rows, and each
-    step sums the filled rows afresh: a running sum kept by subtraction
-    would leave rounding residues where the window holds only zeros.
+    step sums the filled rows afresh: for arbitrary floats a running sum
+    kept by subtraction would leave rounding residues where the window
+    holds only zeros. After ``reset(exact=True)`` every frame and window
+    sum is exact, so a running sum (add the entering frame, subtract the
+    leaving one) has no residue and gives the ring sum's bits; the filter
+    keeps one until the next reset.
     """
 
     def __init__(self, window_ms: float, dt: float = 1.0):
@@ -62,16 +93,28 @@ class BoxcarFilter(CodeFilter):
         if window_ms < dt:
             raise ValueError(f"window {window_ms} ms shorter than dt {dt} ms")
         self.window_steps = int(np.ceil(window_ms / dt))
+        self.reset()
+
+    def reset(self, exact: bool = False) -> None:
         self._ring: np.ndarray | None = None
         self._seen = 0
+        self._exact = exact
 
     def step(self, value: np.ndarray) -> np.ndarray:
         value = np.asarray(value, dtype=np.float64)
         if self._ring is None:
             self._ring = np.empty((self.window_steps,) + value.shape)
-        self._ring[self._seen % self.window_steps] = value
+            if self._exact:
+                self._sum, self._mean = np.zeros(value.shape), np.empty(value.shape)
+        slot = self._ring[self._seen % self.window_steps]
+        if self._exact and self._seen >= self.window_steps:
+            self._sum -= slot
+        slot[...] = value
         self._seen += 1
         filled = min(self._seen, self.window_steps)
+        if self._exact:
+            self._sum += value
+            return np.divide(self._sum, filled, out=self._mean)
         return self._ring[:filled].sum(axis=0) / filled
 
 

@@ -189,6 +189,9 @@ class _GradedStage:
     def read(self, u: np.ndarray, value: np.ndarray) -> np.ndarray:
         return _shrink(u, self.lam, self.code)
 
+    def end(self) -> bool:
+        return True  # a graded period always stands
+
 
 def _drive(elements: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Feed-forward drive ``analyze(x)``: ``x @ Phi^T``, per run for a stack of dictionaries."""
@@ -209,8 +212,12 @@ def _run_period(
     non-finite potential never turns finite again, so when the check fails
     the period is replayed from its saved start (potentials, accumulator
     carry, input-encoder carry) with a check after every step, which names
-    the first bad step (and row). Both passes run with overflow and
-    invalid-value warnings silenced; the replay's error is the report.
+    the first bad step (and row). A finite period whose stage's ``end()``
+    is false is run again from its start: a spiking period run exact past
+    its bound is rerun on the corrected path (see ``accumulator``), which
+    the checked replay of a non-finite one also takes. Every pass runs
+    with overflow and invalid-value warnings silenced; the checked
+    replay's error is the report.
 
     A (B, D) input integrates B independent samples at once; each row
     matches its single-sample run up to float reordering in the matrix
@@ -238,20 +245,25 @@ def _run_period(
         raise ValueError(f"state has shape {state.u.shape}, expected {shape}")
 
     drive = _drive(elements, input_vector) if input_encoder is None else None
-    # The encoder steps its carry in place, so the replay restarts from a copy.
+    # The encoder steps its carry in place, so each pass restarts from a copy.
     encoder_start = None if input_encoder is None else input_encoder.carry.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = _integrate(
+
+    def integrate(record_codes, record_trace, check):
+        if input_encoder is not None:
+            input_encoder.carry[...] = encoder_start
+        return _integrate(
             dictionary, input_vector, params, stage, state, inhib, drive, input_encoder,
-            record_codes, record_trace, early_stop, check=False,
+            record_codes, record_trace, early_stop, check,
         )
-        if not runs and not np.isfinite(result.state.u).all():
-            if input_encoder is not None:
-                input_encoder.carry[...] = encoder_start
-            _integrate(
-                dictionary, input_vector, params, stage, state, inhib, drive, input_encoder,
-                False, False, early_stop, check=True,
-            )
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = integrate(record_codes, record_trace, check=False)
+        bad = not runs and not np.isfinite(result.state.u).all()
+        if not stage.end() and not bad:
+            result = integrate(record_codes, record_trace, check=False)
+            bad = not runs and not np.isfinite(result.state.u).all()
+        if bad:
+            integrate(False, False, check=True)
             raise NumericError("non-finite membrane potential at period end")
     return result
 

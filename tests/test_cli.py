@@ -144,13 +144,15 @@ class TestSynth:
         assert not out.exists()
 
     def test_empty_split_writes_nothing(self, tmp_path, capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"height": 4, "width": 4, "frames": 2,
-                                    "valid_per_class": 0}))
-        out = tmp_path / "d"
-        assert run("synth", "--out", out, "--config", spec) == 2
-        assert capsys.readouterr().err == "error: valid split is empty\n"
-        assert not out.exists()
+        # An empty split is an invalid synth spec: exit 1 before anything is written.
+        for name in ("valid_per_class", "train_per_class"):
+            spec = tmp_path / f"{name}.json"
+            spec.write_text(json.dumps({"height": 4, "width": 4, "frames": 2, name: 0}))
+            out = tmp_path / name
+            assert run("synth", "--out", out, "--config", spec) == 1
+            assert capsys.readouterr().err == (
+                f"config error: {name} must be >= 1 for synth, which writes both splits\n")
+            assert not out.exists()
 
 
 class TestSweep:
