@@ -6,7 +6,10 @@ output never drifts more than ``s`` from cumulative desired output.
 Spiking LCA runs on the same period engine as graded LCA with one extra
 output stage: soft-threshold, discretize with carry, then filter. The
 spike values, not the graded code, drive the membrane dynamics. Like the
-engine, the stage takes one sample or a (B, N) batch of them.
+engine, the stage takes one sample or a (B, N) batch of them. The one
+factory ``_output_stage`` picks graded or spiking from the spike height;
+only the public adapters (``run_inference``, ``run_spiking_inference``)
+build a stage themselves.
 
 ``_discharge`` is the one discretization step; it works in place. The
 stage runs it on a copy of the start carry and on count and value
@@ -53,6 +56,7 @@ from lcalearn.filters import CodeFilter, IdentityFilter
 from lcalearn.lca import (
     LcaParams,
     MembraneState,
+    _GradedStage,
     _run_period,
     _shrink,
     inhibition,
@@ -71,7 +75,7 @@ class AccumulatorState:
     spike_height: float
 
     def __post_init__(self):
-        if self.spike_height <= 0:
+        if not self.spike_height > 0:  # NaN too
             raise ValueError(f"spike height must be > 0, got {self.spike_height}")
 
     @classmethod
@@ -117,7 +121,7 @@ class InputRateEncoder:
 
     def __init__(self, values: np.ndarray, spike_height: float):
         values = np.asarray(values, dtype=np.float64)
-        if spike_height <= 0:
+        if not spike_height > 0:  # NaN too
             raise ValueError(f"spike height must be > 0, got {spike_height}")
         self.signs = np.sign(values)
         self.magnitudes = np.abs(values)
@@ -223,9 +227,9 @@ class _SpikingStage:
     """Spiking output stage: soft-threshold, discretize with carry, filter; tallies spikes.
 
     Works in buffers it allocates at ``begin``: the carry (a copy of the
-    start ``carry``), the desired output, the counts and the emitted
-    value. The per-neuron peak and total counts run elementwise and are
-    reduced once, when the period is read out. ``lam`` and
+    start ``carry``, zeros if None), the desired output, the counts and the
+    emitted value. The per-neuron peak and total counts run elementwise
+    and are reduced once, when the period is read out. ``lam`` and
     ``spike_height`` are scalars, or (R, 1, 1) arrays for a stack of runs.
     Whether a period runs exact (see the module docstring) is decided
     once, from the heights: every run of a stack must qualify. An exact
@@ -233,21 +237,22 @@ class _SpikingStage:
     sum; ``end`` checks the bound on the tallied peak.
     """
 
-    def __init__(self, lam, spike_height, carry, code_filter, raster=None):
+    def __init__(self, lam, spike_height, carry=None, code_filter=None, raster=None):
         self.lam = lam
         self.spike_height = spike_height
         self.start = carry
-        self.code_filter = code_filter
+        self.code_filter = IdentityFilter() if code_filter is None else code_filter
         self.raster = raster
         self.mantissa = _odd_mantissa(spike_height)
         # A long mantissa (0.1 and 0.37 need 52 bits) leaves no room under the
         # bound for real spike counts; such a period would nearly always replay.
-        self.exact = 0 < self.mantissa * code_filter.window_steps < 2**32
+        self.exact = 0 < self.mantissa * self.code_filter.window_steps < 2**32
 
     def begin(self, u: np.ndarray, check: bool) -> None:
         """Start (or restart) a period; with ``check`` the desired output is validated."""
         self.check = check
-        self.carry = np.array(self.start, dtype=np.float64)
+        start = self.start
+        self.carry = np.zeros(u.shape) if start is None else np.array(start, dtype=np.float64)
         self.desired, self.counts, self.value = (np.empty(u.shape) for _ in range(3))
         self.flag = None if self.exact else np.empty(u.shape, dtype=bool)
         self.peak, self.total = np.zeros(u.shape), np.zeros(u.shape)
@@ -284,6 +289,19 @@ class _SpikingStage:
         return True
 
 
+def _output_stage(lam, spike_height, carry=None, code_filter=None, raster=None):
+    """The one place that picks a period's mode: graded at spike height 0, else spiking.
+
+    For a stack of runs, ``lam`` and ``spike_height`` are (R, 1, 1), and all
+    heights are 0 or none is. A negative or NaN height is refused.
+    """
+    if not np.any(spike_height):
+        return _GradedStage(lam)
+    if not np.all(np.greater(spike_height, 0)):
+        raise ValueError(f"spike height must be > 0, got {spike_height}")
+    return _SpikingStage(lam, spike_height, carry, code_filter, raster)
+
+
 def run_spiking_inference(
     dictionary: Dictionary,
     input_vector: np.ndarray,
@@ -315,7 +333,6 @@ def run_spiking_inference(
         raise ValueError("initial accumulator has a different spike height")
     if astate.carry.shape != shape:
         raise ValueError(f"initial accumulator has shape {astate.carry.shape}, expected {shape}")
-    code_filter = code_filter if code_filter is not None else IdentityFilter()
     raster = np.zeros((params.steps, n), dtype=np.int64) if record_raster else None
     stage = _SpikingStage(params.lam, spike_height, astate.carry, code_filter, raster)
     period = _run_period(

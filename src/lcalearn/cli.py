@@ -25,7 +25,7 @@ from lcalearn import export as export_mod
 from lcalearn.accumulator import write_raster_csv
 from lcalearn.dictionary import load_checkpoint, save_checkpoint
 from lcalearn.errors import ConfigError, FormatError, NumericError
-from lcalearn.lca import write_trace_csv
+from lcalearn.lca import inhibition, write_trace_csv
 
 
 class UsageError(Exception):
@@ -182,11 +182,11 @@ def _cmd_infer(args) -> int:
     _echo_config(args, out)
     sample = samples[args.index]
     vec = sample.input.flattened
-    result = experiment_mod.config_period(dictionary, vec, config, record=True)
-    if config.spike_height > 0:
+    result = experiment_mod._period(dictionary, inhibition(dictionary), vec, config.period_spec(),
+                                    record=True)
+    write_trace_csv(out / "trace.csv", result.trace)
+    if result.raster is not None:
         write_raster_csv(out / "raster.csv", result.raster)
-    else:
-        write_trace_csv(out / "trace.csv", result.trace)
     atomic.save_npy(out / "code.npy", result.code)
     recon = experiment_mod.synthesize(dictionary, result.code)
     atomic.save_npy(out / "reconstruction.npy", recon)
@@ -321,9 +321,7 @@ def _cmd_export_recon(args) -> int:
     if not valid:
         raise FormatError("validation split is empty")
     samples = valid[:args.count]
-    codes = experiment_mod._frozen_pass(
-        dictionary, samples,
-        lambda stack: experiment_mod.config_period(dictionary, stack, config)).features
+    codes = experiment_mod._frozen_pass(dictionary, samples, config.period_spec()).features
     strip = export_mod.render_reconstruction_strip(
         [s.input.flattened for s in samples], list(experiment_mod.synthesize(dictionary, codes)),
         dictionary.dims)
@@ -353,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("train", _cmd_train, "learn a dictionary per the config")
     p.add_argument("--init-dict", help="start from this checkpoint instead of random init")
 
-    p = add("infer", _cmd_infer, "run inference on one sample, writing trace/raster")
+    p = add("infer", _cmd_infer, "run inference on one sample, writing its trace (and raster)")
     p.add_argument("--dict", required=True, help="dictionary checkpoint (.lcad)")
     p.add_argument("--split", choices=("train", "valid"), default="valid")
     p.add_argument("--index", type=int, default=0)

@@ -4,8 +4,10 @@ One training run shows each sample for a fixed display period (preceded
 by a zero-input gap), infers a sparse code with graded or spiking
 dynamics, and applies one Hebbian dictionary update per period from the
 period-end (filtered) code. Runs are reproducible bit-for-bit from the
-config and seed. Every pass over a frozen dictionary (validation,
-evaluation, features, reconstruction export) is one ``_frozen_pass``.
+config and seed. Every period, trained or frozen, is one ``_period`` at
+one ``PeriodSpec``; the stage factory it calls picks graded or spiking.
+Every pass over a frozen dictionary (validation, evaluation, features,
+reconstruction export) is one ``_frozen_pass``.
 
 There is one training loop, ``_LockStep``. It trains R runs that share
 N, D and mode (graded or spiking) in lock-step on one ``_TrainingState``:
@@ -21,6 +23,7 @@ import copy
 import csv
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -30,7 +33,7 @@ import numpy as np
 
 from lcalearn import data as data_mod
 from lcalearn.atomic import atomic_open
-from lcalearn.accumulator import InputRateEncoder, _SpikingStage, run_spiking_inference
+from lcalearn.accumulator import InputRateEncoder, _output_stage
 from lcalearn.dictionary import (
     Dictionary,
     InputDims,
@@ -41,14 +44,7 @@ from lcalearn.dictionary import (
 )
 from lcalearn.errors import ConfigError, NumericError
 from lcalearn.filters import make_filter
-from lcalearn.lca import (
-    LcaParams,
-    MembraneState,
-    _GradedStage,
-    _run_period,
-    inhibition,
-    run_inference,
-)
+from lcalearn.lca import LcaParams, MembraneState, _run_period, inhibition
 from lcalearn import classifier as classifier_mod
 
 METRICS_HEADER = [
@@ -83,6 +79,24 @@ INFER_CHUNK = 64
 STACK_BYTES = 64 * 2**20
 
 
+@dataclass(frozen=True)
+class PeriodSpec:
+    """The settings of a display period, as one value.
+
+    ``spike_height`` 0 runs graded; ``input_spike_height`` None drives with
+    the constant input, a height with its rate encoding.
+    """
+
+    params: LcaParams
+    spike_height: float = 0.0
+    filter: Optional[dict] = None
+    input_spike_height: Optional[float] = None
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     """Everything one run needs; mirrors the JSON schema accepted by the CLI."""
@@ -107,6 +121,14 @@ class ExperimentConfig:
     batch_size: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value, key = getattr(self, f.name), "lambda" if f.name == "lam" else f.name
+            if f.type == "float" and not (_is_number(value) and math.isfinite(value)):
+                raise ConfigError(f"{key} must be a finite number, got {value!r}")
+            if f.type == "int" and not (_is_number(value) and isinstance(value, numbers.Integral)):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+            if f.type == "bool" and not isinstance(value, bool):
+                raise ConfigError(f"{key} must be true or false, got {value!r}")
         for name in ("dataset", "filter", "classifier"):
             value = getattr(self, name)
             if not isinstance(value, dict) and (name == "dataset" or value is not None):
@@ -141,8 +163,11 @@ class ExperimentConfig:
             extra = set(self.dict_size) - {"ratio"}
             if extra:
                 raise ConfigError(f"unknown dict_size keys {sorted(extra)}")
-            if self.dict_size.get("ratio", 0) <= 0:
-                raise ConfigError("dict_size ratio must be > 0")
+            ratio = self.dict_size.get("ratio", 0)
+            if not (_is_number(ratio) and 0 < ratio < math.inf):
+                raise ConfigError(f"dict_size ratio must be a finite number > 0, got {ratio!r}")
+        elif not (_is_number(self.dict_size) and isinstance(self.dict_size, numbers.Integral)):
+            raise ConfigError(f"dict_size must be an integer or a ratio, got {self.dict_size!r}")
         elif self.dict_size < 1:
             raise ConfigError(f"dict_size must be >= 1, got {self.dict_size}")
         kind = self.dataset.get("kind")
@@ -182,6 +207,11 @@ class ExperimentConfig:
 
     def lca_params(self) -> LcaParams:
         return LcaParams(lam=self.lam, dt=self.dt, tau=self.tau, steps=self.display_steps)
+
+    def period_spec(self) -> PeriodSpec:
+        """A display period as the config sets it: spike height, filter and input drive."""
+        rate = self.input_spike_height if self.input_encoding == "rate" else None
+        return PeriodSpec(self.lca_params(), self.spike_height, self.filter, rate)
 
     def classifier_config(self) -> classifier_mod.ClassifierConfig:
         """Readout settings: the ``classifier`` block minus ``feature_scheme``, plus the seed."""
@@ -350,29 +380,39 @@ def load_dataset(
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
-def infer_period(
-    dictionary, vec, params, spike_height=0.0, filter_spec=None, *,
-    warm=None, input_encoder=None, record=False,
-):
-    """One period of graded (``spike_height`` 0) or spiking inference.
+def _period(holder, inhib, x, spec, *, lam=None, spike_height=None, warm=None, record=False):
+    """One period at ``spec``: the one path every period takes, graded or spiking.
 
-    The one place that chooses between ``run_inference`` and
-    ``run_spiking_inference``. ``vec`` is one sample (D,) or a stack of
-    them (B, D). ``warm`` is the previous period's result to continue
-    from. ``record`` asks for the trace (graded) or raster (spiking) of one
-    sample.
+    Builds the stage (by ``accumulator._output_stage``), its filter and the
+    input rate encoder, then runs ``lca._run_period``. ``holder`` is a
+    ``Dictionary`` with x (D,) or (B, D), or a ``_TrainingState`` with x
+    (R, 1, D) and per-run ``lam`` and ``spike_height`` (R, 1, 1). ``warm``
+    is the period to continue from. ``record`` fills the trace (and raster)
+    of one sample. The result holds ``x`` too; the stage's carry, counts,
+    value, peak, total and raster are None for a graded period.
     """
-    state = None if warm is None else warm.state
-    if spike_height > 0:
-        return run_spiking_inference(
-            dictionary, vec, params, spike_height, make_filter(filter_spec, params.dt),
-            initial_state=state, initial_accumulator=None if warm is None else warm.accumulator,
-            record_raster=record, input_encoder=input_encoder,
-        )
-    return run_inference(
-        dictionary, vec, params, initial_state=state, record_trace=record,
-        input_encoder=input_encoder,
+    params = spec.params
+    raster = np.zeros((params.steps, holder.elements.shape[-2]), dtype=np.int64) if record else None
+    stage = _output_stage(
+        params.lam if lam is None else lam,
+        spec.spike_height if spike_height is None else spike_height,
+        None if warm is None else warm.carry, make_filter(spec.filter, params.dt), raster,
     )
+    rate = spec.input_spike_height
+    encoder = None if rate is None else InputRateEncoder(x, rate)
+    result = _run_period(holder, inhib, x, params, stage, record_trace=record,
+                         initial_state=None if warm is None else warm.state, input_encoder=encoder)
+    return SimpleNamespace(
+        x=x, code=result.code, half_mean=result.half_mean, state=result.state, trace=result.trace,
+        carry=stage.carry, counts=stage.counts, value=stage.value, peak=stage.peak,
+        total=stage.total, raster=stage.raster)
+
+
+def _pick(period, index) -> SimpleNamespace:
+    """The rows ``index`` picks (runs of a stack, or one run's row) of a stacked ``_period``."""
+    rows = {k: v[index] if isinstance(v, np.ndarray) else v for k, v in vars(period).items()}
+    rows["state"] = MembraneState(period.state.u[index], period.state.step_index)
+    return SimpleNamespace(**rows)
 
 
 def _feature(result, scheme: str) -> np.ndarray:
@@ -380,39 +420,27 @@ def _feature(result, scheme: str) -> np.ndarray:
     return result.code if scheme == "final" else result.half_mean
 
 
-def config_period(dictionary, vec, config, *, record=False):
-    """One display period as the config sets it: spike height, filter, input encoding.
-
-    The one place that turns ``input_encoding`` into an input encoder.
-    ``vec`` is one sample or a (B, D) stack.
-    """
-    rate = config.input_encoding == "rate"
-    return infer_period(
-        dictionary, vec, config.lca_params(), config.spike_height, config.filter,
-        record=record,
-        input_encoder=InputRateEncoder(vec, config.input_spike_height) if rate else None,
-    )
-
-
-def _frozen_pass(dictionary, samples, period, scheme="final") -> SimpleNamespace:
+def _frozen_pass(dictionary, samples, spec, scheme="final") -> SimpleNamespace:
     """A cold pass of a frozen dictionary: the one loop that stacks samples.
 
-    Runs ``period`` (``infer_period`` or ``config_period`` at the caller's
-    settings) on each (B, D) stack of at most ``INFER_CHUNK`` samples, in
-    order. Returns each sample's ``rmse`` and ``sparsity`` summed in sample
+    Runs ``_period`` at ``spec`` on each (B, D) stack of at most
+    ``INFER_CHUNK`` samples, in order, against one inhibition matrix.
+    Returns each sample's ``rmse`` and ``sparsity`` summed in sample
     order, the ``peak`` and total (``spikes``) spike counts, 0 for graded
     periods, and one ``features`` row per sample under ``scheme``.
     """
+    inhib = inhibition(dictionary)
     totals = SimpleNamespace(rmse=0.0, sparsity=0.0, peak=0, spikes=0)
     rows = []
     for start in range(0, len(samples), INFER_CHUNK):
         stack = np.stack([s.input.flattened for s in samples[start:start + INFER_CHUNK]])
-        result = period(stack)
+        result = _period(dictionary, inhib, stack, spec)
         for vec, code, recon in zip(stack, result.code, synthesize(dictionary, result.code)):
             totals.rmse += rmse(vec, recon)
             totals.sparsity += sparsity(code)
-        totals.peak = max(totals.peak, getattr(result, "max_counts", 0))
-        totals.spikes += getattr(result, "total_counts", 0)
+        if result.peak is not None:
+            totals.peak = max(totals.peak, int(result.peak.max()))
+            totals.spikes += int(result.total.sum())
         rows.append(_feature(result, scheme))
     totals.features = np.concatenate(rows) if rows else np.zeros((0, dictionary.element_count))
     return totals
@@ -543,7 +571,7 @@ class _LockStep:
     """Trains runs that share N, D, mode and schedule in lock-step on one ``_TrainingState``.
 
     Each training period integrates every live run at once through
-    ``lca._run_period``, with the potentials as (R, 1, N) against the
+    ``_period``, with the potentials as (R, 1, N) against the
     (R, N, N) inhibition matrices, so each run computes what it computes
     alone, bit for bit. Each run validates alone, by a ``_frozen_pass``
     over a view of its dictionary at its own config. Each run keeps
@@ -556,7 +584,7 @@ class _LockStep:
         self.runs = list(runs)
         self.config = runs[0].config
         self.state = _TrainingState(runs)
-        self.warm = None  # (MembraneState, carry or None) of the live runs, when state carries over
+        self.warm = None  # the live runs' last period, when state carries over
 
     def drop(self, errors: dict) -> None:
         """Take the runs that raised (index -> exception) out of the stack."""
@@ -569,54 +597,37 @@ class _LockStep:
         self.runs = [run for run, kept in zip(self.runs, keep) if kept]
         self.state = self.state.select(keep)
         if self.warm is not None:
-            state, carry = self.warm
-            self.warm = (MembraneState(state.u[keep], state.step_index),
-                         None if carry is None else carry[keep])
+            self.warm = _pick(self.warm, keep)
 
-    def period(self, x, params, filter_spec, encode, warm, runs=slice(None)):
-        """Integrate ``runs`` of the stack: all on x (R, 1, D), or one (an int) on its own x."""
-        state = self.state.select(runs)
-        lam, height = (v[:, None, None] if v.ndim else v for v in (state.lam, state.spike_height))
-        start, carry = (None, None) if warm is None else warm
-        if self.config.spike_height > 0:
-            if carry is None:
-                carry = np.zeros(x.shape[:-1] + (state.elements.shape[-2],))
-            stage = _SpikingStage(lam, height, carry, make_filter(filter_spec, params.dt))
-        else:
-            stage = _GradedStage(lam)
-        encoder = InputRateEncoder(x, self.config.input_spike_height) if encode else None
-        result = _run_period(state, state.inhib, x, params, stage, initial_state=start,
-                             input_encoder=encoder)
-        return result, stage
+    def stacked_period(self, sample, spec, *, warm=False):
+        """One training (or gap) period at ``spec`` of every live run, run i on its ``sample(run)``.
 
-    def stacked_period(self, sample, params, *, filter_spec=None, encode=False, warm=False):
-        """One training (or gap) period of every live run, run i on its (D,) ``sample(run)``.
-
-        The samples stack as x (R, 1, D); with ``warm`` the period starts
-        from ``self.warm``. Returns the period's per-run arrays for the runs
-        that remain, or None if none does. A run whose period raises or
-        ends non-finite leaves the stack with the error of its period run
+        The (D,) samples stack as x (R, 1, D), each run's threshold and
+        spike height as (R, 1, 1); with ``warm`` the period starts from
+        ``self.warm``. Returns the ``_period`` result of the runs that
+        remain, or None if none does. A run whose period raises or ends
+        non-finite leaves the stack with the error of its period run
         alone, on its (D,) sample, with a check after every step.
         """
         while self.runs:
             solo = np.array([sample(run) for run in self.runs])
             x = solo[:, None, :]
             start = self.warm if warm else None
+            stack = self.state
             crash = None
             try:
-                result, stage = self.period(x, params, filter_spec, encode, start)
-                bad = np.flatnonzero(~np.isfinite(result.state.u).reshape(len(x), -1).all(axis=1))
+                out = _period(stack, stack.inhib, x, spec, lam=stack.lam[:, None, None],
+                              spike_height=stack.spike_height[:, None, None], warm=start)
+                bad = np.flatnonzero(~np.isfinite(out.state.u).reshape(len(x), -1).all(axis=1))
             except Exception as exc:  # noqa: BLE001 - each run's own error is found alone
                 bad, crash = range(len(x)), exc
             errors = {}
             for i in bad:
-                alone = None
-                if start is not None:
-                    state, carry = start
-                    alone = (MembraneState(state.u[i, 0], state.step_index),
-                             None if carry is None else carry[i, 0])
+                one = stack.select(i)
                 try:
-                    self.period(solo[i], params, filter_spec, encode, alone, i)
+                    _period(one, one.inhib, solo[i], spec, lam=one.lam,
+                            spike_height=one.spike_height,
+                            warm=None if start is None else _pick(start, (i, 0)))
                     if crash is None:  # the run went bad in the stack but not alone
                         raise NumericError("non-finite membrane potential at period end")
                 except Exception as exc:  # noqa: BLE001 - recorded as the run's failure
@@ -632,14 +643,7 @@ class _LockStep:
             if errors:
                 keep = np.ones(len(x), dtype=bool)
                 keep[bad] = False
-            spiking = isinstance(stage, _SpikingStage)
-            return SimpleNamespace(
-                x=x[keep], code=result.code[keep], half_mean=result.half_mean[keep],
-                state=MembraneState(result.state.u[keep], result.state.step_index),
-                carry=stage.carry[keep] if spiking else None,
-                peak=stage.peak[keep] if spiking else None,
-                total=stage.total[keep] if spiking else None,
-            )
+            return _pick(out, keep)
         return None
 
     def each_run(self, step) -> None:
@@ -655,8 +659,7 @@ class _LockStep:
     def train(self) -> None:
         """Run every epoch; marks each run ``done``, or sets its ``error``."""
         config = self.config
-        params = config.lca_params()  # lam and spike height come per run from the state
-        rate = config.input_encoding == "rate"
+        spec = config.period_spec()  # lam and spike height come per run from the state
         n, d = self.state.elements.shape[1:]
         n_train = len(self.runs[0].train)
         want_features = config.classifier is not None
@@ -667,19 +670,17 @@ class _LockStep:
                 run.epoch_train_features = np.zeros((n_train, n)) if want_features else None
             for position in range(n_train):
                 if self.warm is not None and config.gap_steps:
-                    gap = self.stacked_period(lambda run: np.zeros(d),
-                                              replace(params, steps=config.gap_steps), warm=True)
-                    if gap is None:
+                    # Zero input, so no filter and no rate encoding; heights come per run.
+                    gap = PeriodSpec(replace(spec.params, steps=config.gap_steps))
+                    self.warm = self.stacked_period(lambda run: np.zeros(d), gap, warm=True)
+                    if self.warm is None:
                         return
-                    self.warm = (gap.state, gap.carry)
                 out = self.stacked_period(
-                    lambda run: run.train[run.order[position]].input.flattened, params,
-                    filter_spec=config.filter, encode=rate, warm=True,
-                )
+                    lambda run: run.train[run.order[position]].input.flattened, spec, warm=True)
                 if out is None:
                     return
                 if config.warm_start:
-                    self.warm = (out.state, out.carry)
+                    self.warm = out
                 residual = out.x - np.matmul(out.code, self.state.elements)
                 feature = _feature(out, config.feature_scheme)
                 for i, run in enumerate(self.runs):
@@ -694,7 +695,7 @@ class _LockStep:
                     self.each_run(lambda i, run: self.learn(i, run, config.learning_rate))
                     if not self.runs:
                         return
-            self.each_run(lambda i, run: self.end_epoch(i, run, epoch, params.steps))
+            self.each_run(lambda i, run: self.end_epoch(i, run, epoch, spec.params.steps))
             if not self.runs:
                 return
 
@@ -724,9 +725,7 @@ class _LockStep:
         """Run i's epoch record: validation, classifier, metrics, artifacts and progress line."""
         config = run.config
         dictionary = Dictionary(self.state.elements[i], run.dims)
-        valid = _frozen_pass(dictionary, run.valid,
-                             lambda stack: config_period(dictionary, stack, config),
-                             config.feature_scheme)
+        valid = _frozen_pass(dictionary, run.valid, config.period_spec(), config.feature_scheme)
         run.tally(valid.peak, valid.spikes)
         accuracy = math.nan
         if config.classifier is not None:
@@ -783,9 +782,7 @@ def evaluate_codes(
     """
     if not samples:
         raise ValueError("need at least one sample")
-    totals = _frozen_pass(
-        dictionary, samples,
-        lambda stack: infer_period(dictionary, stack, params, spike_height, filter_spec))
+    totals = _frozen_pass(dictionary, samples, PeriodSpec(params, spike_height, filter_spec))
     return {
         "rmse": totals.rmse / len(samples),
         "sparsity_pct": totals.sparsity / len(samples),
@@ -797,8 +794,7 @@ def collect_features(
     dictionary: Dictionary, samples: list, config: ExperimentConfig
 ) -> np.ndarray:
     """Classifier features from a frozen dictionary, one row per sample."""
-    return _frozen_pass(dictionary, samples, lambda stack: config_period(dictionary, stack, config),
-                        config.feature_scheme).features
+    return _frozen_pass(dictionary, samples, config.period_spec(), config.feature_scheme).features
 
 
 # ---------------------------------------------------------------------------

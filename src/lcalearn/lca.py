@@ -12,8 +12,9 @@ for an encoded input) and each step costs one N x N product. One engine,
 ``_run_period``, integrates a period for graded and spiking LCA; only its
 output stage differs. The graded stage emits the soft-thresholded code
 itself; the spiking stage (see ``accumulator``) discretizes that code into
-spikes. At a fixed point with output = soft_threshold(u), u minimizes the
-energy ``0.5 * ||input - synthesize(code)||^2 + lam * ||code||_1`` locally.
+spikes; ``accumulator._output_stage`` picks between them. At a fixed point
+with output = soft_threshold(u), u minimizes the energy
+``0.5 * ||input - synthesize(code)||^2 + lam * ||code||_1`` locally.
 
 A period works in place: it copies the start potentials once and steps
 them through ``_euler`` in buffers it allocates once, and the stages
@@ -174,6 +175,8 @@ def energy(
 
 class _GradedStage:
     """Graded output stage: neurons emit their soft-thresholded potential."""
+
+    carry = counts = value = peak = total = raster = None  # no spikes
 
     def __init__(self, lam: float):
         self.lam = lam

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from lcalearn.accumulator import (
     AccumulatorState,
     InputRateEncoder,
+    _output_stage,
+    _SpikingStage,
     accumulate_step,
     run_spiking_inference,
     write_raster_csv,
@@ -17,7 +19,7 @@ from lcalearn.accumulator import (
 from lcalearn.dictionary import InputDims, init_random
 from lcalearn.errors import NumericError
 from lcalearn.filters import BoxcarFilter
-from lcalearn.lca import LcaParams, run_inference
+from lcalearn.lca import LcaParams, _GradedStage, run_inference
 
 
 def drive_sequence(state, desired_rows):
@@ -175,6 +177,15 @@ class TestSpikingInference:
                 initial_accumulator=AccumulatorState.zeros(4, 2.0),
             )
 
+    @pytest.mark.parametrize("height", [0.0, -1.0, np.nan])
+    def test_height_not_above_zero_rejected(self, height):
+        d = init_random(0, 4, InputDims(2, 2))
+        params = LcaParams(lam=0.1, dt=1.0, tau=10.0, steps=5)
+        with pytest.raises(ValueError, match="spike height must be > 0"):
+            run_spiking_inference(d, np.zeros(4), params, spike_height=height)
+        with pytest.raises(ValueError, match="spike height must be > 0"):
+            AccumulatorState.zeros(4, height)
+
     def test_warm_start_continues(self):
         d = init_random(5, 6, InputDims(2, 2))
         x = np.array([0.7, -0.2, 0.1, 0.5])
@@ -204,6 +215,29 @@ class TestSpikingInference:
         ]
 
 
+class TestOutputStage:
+    """The one factory picks the stage from the spike height, for one run or a stack."""
+
+    @pytest.mark.parametrize("height", [0.0, np.zeros((3, 1, 1))], ids=["run", "stack"])
+    def test_zero_height_is_graded(self, height):
+        stage = _output_stage(0.2, height, code_filter=BoxcarFilter(5.0))
+        assert type(stage) is _GradedStage
+        assert stage.carry is stage.peak is stage.total is stage.raster is None
+
+    @pytest.mark.parametrize("height", [0.37, np.array([[[1.0]], [[5.0]]])], ids=["run", "stack"])
+    def test_positive_height_is_spiking_from_zero_carry(self, height):
+        stage = _output_stage(0.2, height)
+        assert type(stage) is _SpikingStage
+        stage.begin(np.ones((2, 1, 3)), check=False)
+        assert np.array_equal(stage.carry, np.zeros((2, 1, 3)))
+
+    @pytest.mark.parametrize("height", [np.nan, -1.0, np.array([[[0.0]], [[1.0]]])],
+                             ids=["nan", "negative", "mixed-stack"])
+    def test_height_neither_zero_nor_positive_refused(self, height):
+        with pytest.raises(ValueError, match="spike height must be > 0"):
+            _output_stage(0.2, height)
+
+
 class TestInputRateEncoder:
     def test_preserves_signs_and_rates(self):
         """Encoded drive averages back to the original signed values."""
@@ -215,9 +249,10 @@ class TestInputRateEncoder:
             total += encoder.step()
         np.testing.assert_allclose(total / steps, values, atol=0.01 + 1e-12)
 
-    def test_zero_height_rejected(self):
-        with pytest.raises(ValueError):
-            InputRateEncoder(np.array([0.5]), spike_height=0.0)
+    @pytest.mark.parametrize("height", [0.0, -0.1, np.nan])
+    def test_height_not_above_zero_rejected(self, height):
+        with pytest.raises(ValueError, match="spike height must be > 0"):
+            InputRateEncoder(np.array([0.5]), spike_height=height)
 
     def test_steps_match_the_out_of_place_chain(self):
         """The in-place encoder steps as the old ``accumulate_step`` chain did, bit for bit."""

@@ -8,9 +8,9 @@ import pytest
 
 from lcalearn import cli
 from lcalearn import experiment as experiment_mod
-from lcalearn.accumulator import InputRateEncoder
 from lcalearn.data import save_events
 from lcalearn.dictionary import init_random, load_checkpoint, save_checkpoint
+from lcalearn.lca import inhibition
 
 
 @pytest.fixture()
@@ -202,7 +202,7 @@ class TestInfer:
         assert (out / "code.npy").exists()
         assert (out / "reconstruction.npy").exists()
 
-    def test_spiking_writes_raster(self, tmp_path, capsys):
+    def test_spiking_writes_trace_and_raster(self, tmp_path, capsys):
         config = {
             "dataset": {"kind": "synthetic", "seed": 1, "height": 8, "width": 8,
                         "frames": 2, "train_per_class": 3, "valid_per_class": 2},
@@ -218,6 +218,11 @@ class TestInfer:
         assert run("infer", "--config", path, "--out", out,
                    "--dict", train_out / "dict_epoch_1.lcad") == 0
         assert (out / "raster.csv").exists()
+        rows = (out / "trace.csv").read_text().splitlines()
+        assert rows[0] == "step,energy,active,du_inf"
+        assert len(rows) == 1 + 30  # one row per display step
+        code = np.load(out / "code.npy")
+        assert rows[-1].split(",")[2] == str(np.count_nonzero(code))
 
     def test_index_out_of_range_is_usage_error(self, config_path, tmp_path, capsys):
         train_out = tmp_path / "run"
@@ -400,6 +405,20 @@ class TestConfigRejectedAtLoad:
         assert field in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("key, value", [
+        ("spike_height", float("nan")), ("tau", float("inf")), ("gap_ms", float("inf")),
+        ("warm_start", "no"), ("batch_size", 2.5), ("dict_size", 8.5),
+        ("checkpoint_every", 0.5), ("epochs", 1.5), ("seed", 1.5),
+    ])
+    def test_wrong_type_exits_1_naming_the_key(self, tmp_path, capsys, key, value):
+        path = self.write(tmp_path, **{key: value})
+        code = run("train", "--config", path, "--out", tmp_path / "o")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"config error: {key} must be ")
+        assert len(captured.err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
     def test_bad_synthetic_value_fails_before_writing(self, tmp_path, capsys):
         path = self.write(tmp_path, dataset={"kind": "synthetic", "density": 2.0})
         code = run("train", "--config", path, "--out", tmp_path / "o")
@@ -519,12 +538,12 @@ class TestRateEncodedInference:
         _, valid = experiment_mod.load_dataset(config.dataset)
         vec = valid[1].input.flattened
         params = config.lca_params()
-        trained = experiment_mod.infer_period(
-            dictionary, vec, params, spike_height, config.filter,
-            input_encoder=InputRateEncoder(vec, 0.3),
-        )
-        constant = experiment_mod.infer_period(dictionary, vec, params, spike_height,
-                                               config.filter)
+        trained = experiment_mod._period(dictionary, inhibition(dictionary), vec,
+                                         config.period_spec())
+        assert config.period_spec().input_spike_height == 0.3
+        constant = experiment_mod._period(
+            dictionary, inhibition(dictionary), vec,
+            experiment_mod.PeriodSpec(params, spike_height, config.filter))
         code = np.load(out / "code.npy")
         assert np.array_equal(code, trained.code)
         assert not np.array_equal(code, constant.code)

@@ -17,14 +17,14 @@ from lcalearn.data import SyntheticSpec, generate_synthetic
 from lcalearn.dictionary import InputDims, init_random, synthesize
 from lcalearn.errors import NumericError
 from lcalearn.experiment import (
+    PeriodSpec,
     collect_features,
     config_from_dict,
     evaluate_codes,
-    infer_period,
     run_training,
 )
 from lcalearn.filters import make_filter
-from lcalearn.lca import LcaParams, run_inference
+from lcalearn.lca import LcaParams, inhibition, run_inference
 
 from reference_lca import reference_run_inference, reference_run_spiking_inference
 
@@ -42,6 +42,12 @@ def instance(seed, n=12, side=4, frames=2, batch=5, scale=1.0):
     dictionary = init_random(seed, n, InputDims(height=side, width=side, frames=frames))
     x = scale * np.random.default_rng(seed + 200).normal(size=(batch, dictionary.input_size))
     return dictionary, x
+
+
+def period(dictionary, x, params, height, **kwargs):
+    """``experiment._period`` on a frozen dictionary at threshold, height and no filter."""
+    spec = PeriodSpec(params, height)
+    return experiment._period(dictionary, inhibition(dictionary), x, spec, **kwargs)
 
 
 def close(got, want):
@@ -211,7 +217,10 @@ class TestFrozenPasses:
     @pytest.mark.parametrize("extra", [
         {},
         {"spike_height": 1.0, "filter": {"kind": "boxcar", "window_ms": 7.0}},
-    ], ids=["graded", "spiking"])
+        {"input_encoding": "rate", "input_spike_height": 0.3},
+        {"spike_height": 1.0, "filter": {"kind": "boxcar", "window_ms": 7.0},
+         "input_encoding": "rate", "input_spike_height": 0.3},
+    ], ids=["graded", "spiking", "graded-rate", "spiking-rate"])
     def test_training_validation_is_the_frozen_pass(self, extra):
         config = config_from_dict({
             "dataset": {"kind": "synthetic", "seed": 5, "height": 4, "width": 4, "frames": 2,
@@ -221,10 +230,16 @@ class TestFrozenPasses:
         })
         result = run_training(config)
         _, valid = experiment.load_dataset(config.dataset)
+        frozen = experiment._frozen_pass(result.dictionary, valid, config.period_spec())
+        assert result.metrics.rmse_val[-1] == frozen.rmse / len(valid)
+        assert result.metrics.sparsity_pct[-1] == frozen.sparsity / len(valid)
         report = evaluate_codes(result.dictionary, valid, config.lca_params(),
                                 config.spike_height, config.filter)
-        assert result.metrics.rmse_val[-1] == report["rmse"]
-        assert result.metrics.sparsity_pct[-1] == report["sparsity_pct"]
+        if config.input_encoding == "constant":
+            assert result.metrics.rmse_val[-1] == report["rmse"]
+            assert result.metrics.sparsity_pct[-1] == report["sparsity_pct"]
+        else:  # evaluate_codes drives with the constant input
+            assert result.metrics.rmse_val[-1] != report["rmse"]
         assert np.array_equal(result.valid_features,
                               collect_features(result.dictionary, valid, config))
 
@@ -242,9 +257,9 @@ class TestFrozenPasses:
         whole_eval = evaluate_codes(dictionary, data, params, height, config.filter)
         monkeypatch.setattr(experiment, "INFER_CHUNK", 5)
         calls = []
-        real = experiment.infer_period
-        monkeypatch.setattr(experiment, "infer_period",
-                            lambda d, x, *a, **k: calls.append(len(x)) or real(d, x, *a, **k))
+        real = experiment._period
+        monkeypatch.setattr(experiment, "_period",
+                            lambda d, m, x, *a, **k: calls.append(len(x)) or real(d, m, x, *a, **k))
         chunked = collect_features(dictionary, data, config)
         chunked_eval = evaluate_codes(dictionary, data, params, height, config.filter)
         assert calls == [5, 5, 2, 5, 5, 2]
@@ -260,7 +275,7 @@ class TestBatchErrors:
         x[3, 2] = np.inf
         params = LcaParams(lam=0.3, dt=1.0, tau=10.0, steps=10)
         with pytest.raises(NumericError, match=r"step 0, row 3"):
-            infer_period(dictionary, x, params, height)
+            period(dictionary, x, params, height)
 
     def test_first_bad_row_is_named(self):
         dictionary, x = instance(10)
@@ -275,7 +290,7 @@ class TestBatchErrors:
         dictionary, x = instance(11)
         params = LcaParams(lam=0.3, dt=1.0, tau=10.0, steps=5)
         with pytest.raises(ValueError, match="one sample"):
-            infer_period(dictionary, x, params, height, record=True)
+            period(dictionary, x, params, height, record=True)
 
     def test_recording_codes_of_a_batch_is_rejected(self):
         dictionary, x = instance(12)

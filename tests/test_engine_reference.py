@@ -20,7 +20,7 @@ from lcalearn.accumulator import AccumulatorState, InputRateEncoder, run_spiking
 from lcalearn.dictionary import Dictionary, InputDims, init_random
 from lcalearn.errors import NumericError
 from lcalearn.filters import make_filter
-from lcalearn.lca import LcaParams, MembraneState, run_inference
+from lcalearn.lca import LcaParams, MembraneState, inhibition, run_inference
 
 from reference_lca import reference_run_inference, reference_run_spiking_inference
 from test_engine_batch import TIE_MARGIN, TOL, SpikeWatch
@@ -330,19 +330,20 @@ class TestStateOwnership:
         params = LcaParams(lam=0.2, dt=1.0, tau=10.0, steps=20)
 
         def period(warm):
-            return experiment.infer_period(dictionary, x, params, height, spec, warm=warm)
+            return experiment._period(dictionary, inhibition(dictionary), x,
+                                      experiment.PeriodSpec(params, height, spec), warm=warm)
 
         first = period(None)
         kept = {name: np.copy(getattr(first, name)) for name in ("code", "half_mean")}
         kept["u"] = first.state.u.copy()
         if height:
-            kept["final_value"] = first.final_value.copy()
-            kept["carry"] = first.accumulator.carry.copy()
+            kept["value"] = first.value.copy()
+            kept["carry"] = first.carry.copy()
         second = period(first)
         assert not np.array_equal(second.state.u, first.state.u)
         assert np.array_equal(first.code, kept["code"])
         assert np.array_equal(first.half_mean, kept["half_mean"])
         assert np.array_equal(first.state.u, kept["u"])
         if height:
-            assert np.array_equal(first.final_value, kept["final_value"])
-            assert np.array_equal(first.accumulator.carry, kept["carry"])
+            assert np.array_equal(first.value, kept["value"])
+            assert np.array_equal(first.carry, kept["carry"])

@@ -432,6 +432,48 @@ class TestConfigValidatedAtLoad:
             config_from_dict(raw)
 
 
+class TestConfigTypes:
+    """Each field has one type, checked when the config is built, naming the key."""
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("spike_height", math.nan, "spike_height must be a finite number, got nan"),
+        ("tau", math.inf, "tau must be a finite number, got inf"),
+        ("gap_ms", math.inf, "gap_ms must be a finite number, got inf"),
+        ("lambda", -math.inf, "lambda must be a finite number, got -inf"),
+        ("learning_rate", "0.1", "learning_rate must be a finite number, got '0.1'"),
+        ("input_spike_height", True, "input_spike_height must be a finite number, got True"),
+        ("warm_start", "no", "warm_start must be true or false, got 'no'"),
+        ("warm_start", 0, "warm_start must be true or false, got 0"),
+        ("batch_size", 2.5, "batch_size must be an integer, got 2.5"),
+        ("checkpoint_every", 0.5, "checkpoint_every must be an integer, got 0.5"),
+        ("epochs", 1.5, "epochs must be an integer, got 1.5"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("epochs", 2.0, "epochs must be an integer, got 2.0"),
+        ("dict_size", 8.5, "dict_size must be an integer or a ratio, got 8.5"),
+        ("dict_size", {"ratio": math.nan}, "dict_size ratio must be a finite number > 0, got nan"),
+        ("dict_size", {"ratio": "half"}, "dict_size ratio must be a finite number > 0"),
+    ])
+    def test_wrong_type_rejected_naming_the_key(self, key, value, message):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(base_raw(**{key: value}))
+        assert str(info.value).startswith(message)
+
+    def test_numbers_of_either_kind_accepted(self):
+        config = config_from_dict(base_raw(tau=10, spike_height=np.float64(0.5), seed=np.int64(3),
+                                           warm_start=True, dict_size={"ratio": 1}))
+        assert config.tau == 10 and config.seed == 3 and config.warm_start is True
+
+
+def test_nan_spike_height_refused_by_evaluate_codes():
+    dictionary = init_random(0, 8, lcalearn.InputDims(height=4, width=4))
+    valid = generate_synthetic(1, SyntheticSpec(height=4, width=4, frames=1))[1]
+    params = LcaParams(lam=0.3, dt=1.0, tau=10.0, steps=5)
+    for height in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="spike height must be > 0"):
+            evaluate_codes(dictionary, valid, params, spike_height=height)
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats alone takes most of a second to import.
     src = str(Path(lcalearn.__file__).resolve().parents[1])

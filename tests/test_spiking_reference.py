@@ -10,6 +10,7 @@ exact; 0.1, 0.37 and 1e-3 keep the corrected path.
 
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -306,16 +307,18 @@ class TestLockStepPeriod:
         params = trainer.config.lca_params()
         carry = np.random.default_rng(5).random(x.shape[:-1] + (16,)) * np.array(heights)[
             :, None, None]
-        got, stage = trainer.period(x, params, spec, False, (None, carry.copy()))
         state = trainer.state
-        want_stage = ReferenceStage(state.lam[:, None, None], state.spike_height[:, None, None],
-                                    carry.copy(), reference_filter(spec, params.dt))
+        lam, height = state.lam[:, None, None], state.spike_height[:, None, None]
+        got = experiment._period(state, state.inhib, x, trainer.config.period_spec(),
+                                 lam=lam, spike_height=height,
+                                 warm=SimpleNamespace(state=None, carry=carry.copy()))
+        want_stage = ReferenceStage(lam, height, carry.copy(), reference_filter(spec, params.dt))
         want = _run_period(state, state.inhib, x, params, want_stage)
         same(got.code, want.code)
         same(got.state.u, want.state.u)
         for name in ("carry", "counts", "value", "peak", "total"):
-            same(getattr(stage, name), getattr(want_stage, name))
-        assert stage.total.sum() > 0
+            same(getattr(got, name), getattr(want_stage, name))
+        assert got.total.sum() > 0
         exact = is_exact(np.array(heights)[:, None, None], spec)
         assert spy.answers == [not (exact and scale > 1e6)]
 

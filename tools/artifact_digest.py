@@ -1,0 +1,123 @@
+"""Digest every file that a fixed matrix of ``lcalearn`` commands writes.
+
+    python3 tools/artifact_digest.py <checkout> <out>
+
+Runs each command with the ``lcalearn`` package under ``<checkout>/src``,
+with ``<out>`` (created, and required to be empty) as the working
+directory and relative paths only, so the ``config.json`` echoes hold no
+absolute path. Then prints ``sha256  relative/path`` for every file under
+``<out>``, sorted. Two checkouts that write the same bytes print the same
+lines, so a refactor that must keep its artifacts can be checked with
+
+    python3 tools/artifact_digest.py . /tmp/new > new.txt
+    python3 tools/artifact_digest.py ../parent /tmp/old > old.txt
+    diff old.txt new.txt
+
+The matrix: ``synth``; ``train``, ``infer``, ``export-recon`` and
+``classify-train`` at spike heights 0, 0.5, 1, 5 and 0.37, each with no
+filter, a boxcar and an exponential filter; the same four commands for a
+rate-encoded warm-start run with a gap, graded and spiking; and
+``sweep --axis s`` and ``sweep --axis lambda`` with 2 repeats. A command
+that exits non-zero stops the run with exit status 1.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+HEIGHTS = (0.0, 0.5, 1.0, 5.0, 0.37)
+FILTERS = {
+    "none": None,
+    "boxcar": {"kind": "boxcar", "window_ms": 7.0},
+    "exponential": {"kind": "exponential", "time_constant_ms": 5.0},
+}
+SYNTH = {"n_classes": 3, "height": 6, "width": 6, "frames": 2,
+         "train_per_class": 4, "valid_per_class": 2}
+BASE = {
+    "dataset": {"kind": "npy", "path": "data"},
+    "dict_size": 16, "lambda": 0.3, "tau": 10.0, "display_ms": 30.0,
+    "epochs": 2, "learning_rate": 0.05, "seed": 0, "classifier": {"epochs": 5},
+}
+
+
+def cases() -> list[tuple[str, dict]]:
+    """(name, config) for each setting the per-setting commands run at."""
+    out = [(f"s{height}_{name}", {**BASE, "spike_height": height, "filter": spec})
+           for height in HEIGHTS for name, spec in FILTERS.items()]
+    rate = {"input_encoding": "rate", "input_spike_height": 0.3, "warm_start": True,
+            "gap_ms": 10.0}
+    out.append(("rate_warm_gap_graded", {**BASE, **rate}))
+    out.append(("rate_warm_gap_s0.5_boxcar",
+                {**BASE, **rate, "spike_height": 0.5, "filter": FILTERS["boxcar"]}))
+    return out
+
+
+def commands() -> list[list[str]]:
+    """Every command of the matrix, in order, as ``lcalearn`` arguments."""
+    argv = [["synth", "--config", "cfg/synth.json", "--out", "data"]]
+    for name, _ in cases():
+        cfg, checkpoint = f"cfg/{name}.json", f"train/{name}/dict_epoch_2.lcad"
+        argv += [
+            ["train", "--config", cfg, "--out", f"train/{name}"],
+            ["infer", "--config", cfg, "--dict", checkpoint, "--out", f"infer/{name}",
+             "--index", "1"],
+            ["export-recon", "--config", cfg, "--dict", checkpoint, "--out", f"recon/{name}",
+             "--count", "4"],
+            ["classify-train", "--config", cfg, "--dict", checkpoint,
+             "--out", f"classify/{name}"],
+        ]
+    sweep = "cfg/s1.0_boxcar.json"
+    argv += [
+        ["sweep", "--config", sweep, "--out", "sweep/s", "--axis", "s",
+         "--values", "0.5,1,5", "--repeats", "2"],
+        ["sweep", "--config", sweep, "--out", "sweep/lambda", "--axis", "lambda",
+         "--values", "0.2,0.4", "--repeats", "2"],
+    ]
+    return argv
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    src = (Path(argv[0]) / "src").resolve()
+    out = Path(argv[1])
+    if not (src / "lcalearn" / "__init__.py").is_file():
+        print(f"error: no lcalearn package under {src}", file=sys.stderr)
+        return 2
+    out.mkdir(parents=True, exist_ok=True)
+    if any(out.iterdir()):
+        print(f"error: {out} is not empty", file=sys.stderr)
+        return 2
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    found = subprocess.run([sys.executable, "-c", "import lcalearn; print(lcalearn.__file__)"],
+                           env=env, cwd=out, capture_output=True, text=True, check=True)
+    if not Path(found.stdout.strip()).resolve().is_relative_to(src):
+        print(f"error: imported lcalearn from {found.stdout.strip()}, not {src}", file=sys.stderr)
+        return 2
+
+    (out / "cfg").mkdir()
+    (out / "cfg" / "synth.json").write_text(json.dumps(SYNTH, indent=2) + "\n")
+    for name, config in cases():
+        (out / "cfg" / f"{name}.json").write_text(json.dumps(config, indent=2) + "\n")
+    for args in commands():
+        done = subprocess.run([sys.executable, "-m", "lcalearn.cli", *args],
+                              env=env, cwd=out, capture_output=True, text=True)
+        if done.returncode != 0:
+            print(f"error: lcalearn {' '.join(args)} exited {done.returncode}:\n{done.stderr}",
+                  file=sys.stderr)
+            return 1
+
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
