@@ -18,6 +18,12 @@ objects, and it reduces the peak and total spike counts once, at period
 end. ``accumulate_step`` is the public out-of-place form: it validates
 its input and never modifies the state it is given.
 
+The stage discharges every step, since the spikes drive the dynamics,
+but filters only for the steps its caller reads (see ``lca``): it feeds
+the filter from the first frame those reads need, the last W steps of a
+boxcar when only the final code is read, and the filter averages only
+on the steps that are read.
+
 Exact periods. In floats, ``floor(C / s)`` can land one off the true
 count of whole spikes in ``C``, so ``_discharge`` corrects it against
 ``counts * s``. Call a period *exact* when the spike height is a normal
@@ -57,6 +63,7 @@ from lcalearn.lca import (
     LcaParams,
     MembraneState,
     _GradedStage,
+    _first_read,
     _run_period,
     _shrink,
     inhibition,
@@ -234,15 +241,21 @@ class _SpikingStage:
     Whether a period runs exact (see the module docstring) is decided
     once, from the heights: every run of a stack must qualify. An exact
     period skips the tie corrections and lets the filter keep a running
-    sum; ``end`` checks the bound on the tallied peak.
+    sum; ``end`` checks the bound on the tallied peak. ``first_read`` is
+    the period's first step whose code is read (``lca._first_read``):
+    ``read`` returns None before it, and the filter is fed from its
+    ``first_frame`` on.
     """
 
-    def __init__(self, lam, spike_height, carry=None, code_filter=None, raster=None):
+    def __init__(self, lam, spike_height, carry=None, code_filter=None, raster=None,
+                 first_read=0):
         self.lam = lam
         self.spike_height = spike_height
         self.start = carry
         self.code_filter = IdentityFilter() if code_filter is None else code_filter
         self.raster = raster
+        self.first_read = first_read
+        self.first_frame = self.code_filter.first_frame(first_read)
         self.mantissa = _odd_mantissa(spike_height)
         # A long mantissa (0.1 and 0.37 need 52 bits) leaves no room under the
         # bound for real spike counts; such a period would nearly always replay.
@@ -256,8 +269,8 @@ class _SpikingStage:
         self.desired, self.counts, self.value = (np.empty(u.shape) for _ in range(3))
         self.flag = None if self.exact else np.empty(u.shape, dtype=bool)
         self.peak, self.total = np.zeros(u.shape), np.zeros(u.shape)
-        self.steps = 0
-        self.code_filter.reset(self.exact)
+        self.steps = 0  # steps discharged
+        self.code_filter.reset(self.exact, self.first_frame)
 
     def emit(self, u: np.ndarray, code) -> np.ndarray:
         desired = _shrink(u, self.lam, self.desired)
@@ -268,11 +281,14 @@ class _SpikingStage:
         self.total += self.counts
         if self.raster is not None:
             self.raster[self.steps] = self.counts
-            self.steps += 1
+        self.steps += 1
         return self.value
 
-    def read(self, u: np.ndarray, value: np.ndarray) -> np.ndarray:
-        return self.code_filter.step(value)
+    def read(self, u: np.ndarray, value: np.ndarray) -> Optional[np.ndarray]:
+        k = self.steps - 1  # the step ``emit`` just discharged
+        if k < self.first_frame:
+            return None
+        return self.code_filter.step(value, k >= self.first_read)
 
     def end(self) -> bool:
         """Whether the period stands.
@@ -289,7 +305,7 @@ class _SpikingStage:
         return True
 
 
-def _output_stage(lam, spike_height, carry=None, code_filter=None, raster=None):
+def _output_stage(lam, spike_height, carry=None, code_filter=None, raster=None, first_read=0):
     """The one place that picks a period's mode: graded at spike height 0, else spiking.
 
     For a stack of runs, ``lam`` and ``spike_height`` are (R, 1, 1), and all
@@ -299,7 +315,7 @@ def _output_stage(lam, spike_height, carry=None, code_filter=None, raster=None):
         return _GradedStage(lam)
     if not np.all(np.greater(spike_height, 0)):
         raise ValueError(f"spike height must be > 0, got {spike_height}")
-    return _SpikingStage(lam, spike_height, carry, code_filter, raster)
+    return _SpikingStage(lam, spike_height, carry, code_filter, raster, first_read)
 
 
 def run_spiking_inference(
@@ -334,7 +350,8 @@ def run_spiking_inference(
     if astate.carry.shape != shape:
         raise ValueError(f"initial accumulator has shape {astate.carry.shape}, expected {shape}")
     raster = np.zeros((params.steps, n), dtype=np.int64) if record_raster else None
-    stage = _SpikingStage(params.lam, spike_height, astate.carry, code_filter, raster)
+    stage = _SpikingStage(params.lam, spike_height, astate.carry, code_filter, raster,
+                          _first_read(params.steps, True, record_codes))
     period = _run_period(
         dictionary, inhibition(dictionary), input_vector, params, stage,
         initial_state=initial_state, record_codes=record_codes, input_encoder=input_encoder,

@@ -11,10 +11,14 @@ reconstruction export) is one ``_frozen_pass``.
 
 There is one training loop, ``_LockStep``. It trains R runs that share
 N, D and mode (graded or spiking) in lock-step on one ``_TrainingState``:
-(R, N, D) elements and (R, N, N) inhibition matrices, updated in place.
-``run_training`` is the case R = 1; ``run_sweep`` stacks the runs of a
-sweep (values x repeats) that share N, which is R·N·(D+N)·8 bytes per
-stack. Each stacked run is byte-identical to the same run trained alone.
+(R, N, D) elements and (R, N, N) inhibition matrices, updated in place,
+and validates them in one stacked ``_frozen_pass``. ``run_training`` is
+the case R = 1; ``run_sweep`` stacks the runs of a sweep (values x
+repeats) that share N, which is R·N·(D+N)·8 bytes per stack. Each
+stacked run is byte-identical to the same run trained alone. Periods
+compute the last-half mean only for the callers that read it: training
+and validation with a classifier block on ``mean_last_half`` features,
+and ``collect_features`` under that scheme.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from lcalearn.dictionary import (
 )
 from lcalearn.errors import ConfigError, NumericError
 from lcalearn.filters import make_filter
-from lcalearn.lca import LcaParams, MembraneState, _run_period, inhibition
+from lcalearn.lca import LcaParams, MembraneState, _first_read, _run_period, inhibition
 from lcalearn import classifier as classifier_mod
 
 METRICS_HEADER = [
@@ -380,16 +384,20 @@ def load_dataset(
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
-def _period(holder, inhib, x, spec, *, lam=None, spike_height=None, warm=None, record=False):
+def _period(holder, inhib, x, spec, *, lam=None, spike_height=None, warm=None, record=False,
+            half=True):
     """One period at ``spec``: the one path every period takes, graded or spiking.
 
     Builds the stage (by ``accumulator._output_stage``), its filter and the
     input rate encoder, then runs ``lca._run_period``. ``holder`` is a
-    ``Dictionary`` with x (D,) or (B, D), or a ``_TrainingState`` with x
-    (R, 1, D) and per-run ``lam`` and ``spike_height`` (R, 1, 1). ``warm``
-    is the period to continue from. ``record`` fills the trace (and raster)
-    of one sample. The result holds ``x`` too; the stage's carry, counts,
-    value, peak, total and raster are None for a graded period.
+    ``Dictionary`` with x (D,) or (B, D), or a stack of R runs (a
+    ``_TrainingState``) with x (R, B, D) and per-run ``lam`` and
+    ``spike_height`` (R, 1, 1). ``warm`` is the period to continue from.
+    ``record`` fills the trace (and raster) of one sample. ``half`` says
+    whether the caller reads the last-half mean; without it ``half_mean``
+    is None, and without either only the final code is computed. The
+    result holds ``x`` too; the stage's carry, counts, value, peak, total
+    and raster are None for a graded period.
     """
     params = spec.params
     raster = np.zeros((params.steps, holder.elements.shape[-2]), dtype=np.int64) if record else None
@@ -397,10 +405,11 @@ def _period(holder, inhib, x, spec, *, lam=None, spike_height=None, warm=None, r
         params.lam if lam is None else lam,
         spec.spike_height if spike_height is None else spike_height,
         None if warm is None else warm.carry, make_filter(spec.filter, params.dt), raster,
+        _first_read(params.steps, half, record),
     )
     rate = spec.input_spike_height
     encoder = None if rate is None else InputRateEncoder(x, rate)
-    result = _run_period(holder, inhib, x, params, stage, record_trace=record,
+    result = _run_period(holder, inhib, x, params, stage, record_trace=record, half=half,
                          initial_state=None if warm is None else warm.state, input_encoder=encoder)
     return SimpleNamespace(
         x=x, code=result.code, half_mean=result.half_mean, state=result.state, trace=result.trace,
@@ -420,30 +429,60 @@ def _feature(result, scheme: str) -> np.ndarray:
     return result.code if scheme == "final" else result.half_mean
 
 
-def _frozen_pass(dictionary, samples, spec, scheme="final") -> SimpleNamespace:
-    """A cold pass of a frozen dictionary: the one loop that stacks samples.
+def _frozen_pass(holder, samples, spec, scheme="final"):
+    """A cold pass of a frozen dictionary, or of a stack: the one loop that stacks samples.
 
-    Runs ``_period`` at ``spec`` on each (B, D) stack of at most
-    ``INFER_CHUNK`` samples, in order, against one inhibition matrix.
-    Returns each sample's ``rmse`` and ``sparsity`` summed in sample
-    order, the ``peak`` and total (``spikes``) spike counts, 0 for graded
-    periods, and one ``features`` row per sample under ``scheme``.
+    ``holder`` is a ``Dictionary`` with a list of ``samples``, or a stack
+    of R runs (a ``_TrainingState``, each run at its own ``lam`` and
+    ``spike_height``) with one equally long sample list per run. Runs
+    ``_period`` at ``spec`` on each chunk of at most ``INFER_CHUNK``
+    samples, in order: x (B, D) against the dictionary's ``inhibition``,
+    or x (R, B, D) against each run's own, so each run of a stack
+    computes what its solo pass computes, bit for bit. Returns each
+    sample's ``rmse`` and ``sparsity`` summed in sample order, the
+    ``peak`` and total (``spikes``) spike counts, 0 for graded periods,
+    and one ``features`` row per sample under ``scheme``; the last-half
+    mean is computed only under "mean_last_half". For a stack, a list of
+    one such record per run, or None for a run whose potentials went
+    non-finite: its solo pass gives its error.
     """
-    inhib = inhibition(dictionary)
-    totals = SimpleNamespace(rmse=0.0, sparsity=0.0, peak=0, spikes=0)
-    rows = []
-    for start in range(0, len(samples), INFER_CHUNK):
-        stack = np.stack([s.input.flattened for s in samples[start:start + INFER_CHUNK]])
-        result = _period(dictionary, inhib, stack, spec)
-        for vec, code, recon in zip(stack, result.code, synthesize(dictionary, result.code)):
-            totals.rmse += rmse(vec, recon)
-            totals.sparsity += sparsity(code)
-        if result.peak is not None:
-            totals.peak = max(totals.peak, int(result.peak.max()))
-            totals.spikes += int(result.total.sum())
-        rows.append(_feature(result, scheme))
-    totals.features = np.concatenate(rows) if rows else np.zeros((0, dictionary.element_count))
-    return totals
+    stacked = not isinstance(holder, Dictionary)
+    if stacked:
+        dictionaries = [Dictionary(elements, holder.dims) for elements in holder.elements]
+        inhib = np.stack([inhibition(dictionary) for dictionary in dictionaries])
+        per_run = samples
+        lam, height = holder.lam[:, None, None], holder.spike_height[:, None, None]
+    else:
+        dictionaries, inhib, per_run = [holder], inhibition(holder), [samples]
+        lam = height = None
+    records = [SimpleNamespace(rmse=0.0, sparsity=0.0, peak=0, spikes=0) for _ in per_run]
+    rows = [[] for _ in per_run]
+    for start in range(0, len(per_run[0]), INFER_CHUNK):
+        x = np.stack([np.stack([s.input.flattened for s in run_samples[start:start + INFER_CHUNK]])
+                      for run_samples in per_run])
+        result = _period(holder, inhib, x if stacked else x[0], spec, lam=lam,
+                         spike_height=height, half=scheme == "mean_last_half")
+        if not stacked:
+            result = _pick(result, np.newaxis)  # a stack of one run
+        for r, totals in enumerate(records):
+            if totals is None:
+                continue
+            if stacked and not np.isfinite(result.state.u[r]).all():
+                records[r] = None
+                continue
+            code = result.code[r]
+            for vec, row, recon in zip(x[r], code, synthesize(dictionaries[r], code)):
+                totals.rmse += rmse(vec, recon)
+                totals.sparsity += sparsity(row)
+            if result.peak is not None:
+                totals.peak = max(totals.peak, int(result.peak[r].max()))
+                totals.spikes += int(result.total[r].sum())
+            rows[r].append(_feature(result, scheme)[r])
+    for totals, run_rows in zip(records, rows):
+        if totals is not None:
+            totals.features = (np.concatenate(run_rows) if run_rows
+                               else np.zeros((0, holder.elements.shape[-2])))
+    return records if stacked else records[0]
 
 
 def run_training(
@@ -473,7 +512,7 @@ def run_training(
     return trainer.result(run)
 
 
-@dataclass
+@dataclass(eq=False)  # a run is itself alone: two runs may hold equal settings and data
 class _Run:
     """One training run of a lock-step stack: its data, its own bookkeeping, its outcome."""
 
@@ -531,11 +570,12 @@ class _TrainingState:
     inhibition matrix from the current elements, so the matrix never
     drifts from ``inhibition`` of the elements (it differs from a full
     rebuild by rounding only). ``lam`` and ``spike_height`` hold one value
-    per run.
+    per run; ``dims`` are the input dims the runs share.
     """
 
     def __init__(self, runs):
-        n, d = runs[0].n, runs[0].dims.size
+        self.dims = runs[0].dims
+        n, d = runs[0].n, self.dims.size
         self.elements = np.empty((len(runs), n, d))
         self.inhib = np.empty((len(runs), n, n))
         for r, run in enumerate(runs):
@@ -573,11 +613,13 @@ class _LockStep:
     Each training period integrates every live run at once through
     ``_period``, with the potentials as (R, 1, N) against the
     (R, N, N) inhibition matrices, so each run computes what it computes
-    alone, bit for bit. Each run validates alone, by a ``_frozen_pass``
-    over a view of its dictionary at its own config. Each run keeps
-    its own seed, permutation, samples, warm state, ``lam`` and spike
-    height, input encoder and metrics. A run that raises leaves the stack
-    with the error it gives alone; the others go on unchanged.
+    alone, bit for bit. The runs validate together too, by one stacked
+    ``_frozen_pass`` over (R, B, D) chunks of their validation samples,
+    which gives each run the bits of its solo pass at its own config.
+    Each run keeps its own seed, permutation, samples, warm state,
+    ``lam`` and spike height, input encoder and metrics. A run that
+    raises leaves the stack with the error it gives alone; the others go
+    on unchanged.
     """
 
     def __init__(self, runs: list[_Run]):
@@ -599,12 +641,13 @@ class _LockStep:
         if self.warm is not None:
             self.warm = _pick(self.warm, keep)
 
-    def stacked_period(self, sample, spec, *, warm=False):
+    def stacked_period(self, sample, spec, *, warm=False, half=False):
         """One training (or gap) period at ``spec`` of every live run, run i on its ``sample(run)``.
 
         The (D,) samples stack as x (R, 1, D), each run's threshold and
         spike height as (R, 1, 1); with ``warm`` the period starts from
-        ``self.warm``. Returns the ``_period`` result of the runs that
+        ``self.warm``, and ``half`` computes the last-half mean (see
+        ``_period``). Returns the ``_period`` result of the runs that
         remain, or None if none does. A run whose period raises or ends
         non-finite leaves the stack with the error of its period run
         alone, on its (D,) sample, with a check after every step.
@@ -617,7 +660,8 @@ class _LockStep:
             crash = None
             try:
                 out = _period(stack, stack.inhib, x, spec, lam=stack.lam[:, None, None],
-                              spike_height=stack.spike_height[:, None, None], warm=start)
+                              spike_height=stack.spike_height[:, None, None], warm=start,
+                              half=half)
                 bad = np.flatnonzero(~np.isfinite(out.state.u).reshape(len(x), -1).all(axis=1))
             except Exception as exc:  # noqa: BLE001 - each run's own error is found alone
                 bad, crash = range(len(x)), exc
@@ -626,7 +670,7 @@ class _LockStep:
                 one = stack.select(i)
                 try:
                     _period(one, one.inhib, solo[i], spec, lam=one.lam,
-                            spike_height=one.spike_height,
+                            spike_height=one.spike_height, half=half,
                             warm=None if start is None else _pick(start, (i, 0)))
                     if crash is None:  # the run went bad in the stack but not alone
                         raise NumericError("non-finite membrane potential at period end")
@@ -663,6 +707,7 @@ class _LockStep:
         n, d = self.state.elements.shape[1:]
         n_train = len(self.runs[0].train)
         want_features = config.classifier is not None
+        half = want_features and config.feature_scheme == "mean_last_half"
         for epoch in range(config.epochs):
             for run in self.runs:
                 run.order = run.rng.permutation(n_train)
@@ -676,13 +721,14 @@ class _LockStep:
                     if self.warm is None:
                         return
                 out = self.stacked_period(
-                    lambda run: run.train[run.order[position]].input.flattened, spec, warm=True)
+                    lambda run: run.train[run.order[position]].input.flattened, spec, warm=True,
+                    half=half)
                 if out is None:
                     return
                 if config.warm_start:
                     self.warm = out
                 residual = out.x - np.matmul(out.code, self.state.elements)
-                feature = _feature(out, config.feature_scheme)
+                feature = _feature(out, config.feature_scheme) if want_features else None
                 for i, run in enumerate(self.runs):
                     res = residual[i, 0]
                     run.rmse_sum += float(np.sqrt(np.mean(res * res)))
@@ -695,7 +741,7 @@ class _LockStep:
                     self.each_run(lambda i, run: self.learn(i, run, config.learning_rate))
                     if not self.runs:
                         return
-            self.each_run(lambda i, run: self.end_epoch(i, run, epoch, spec.params.steps))
+            self.end_epoch(spec, epoch)
             if not self.runs:
                 return
 
@@ -718,14 +764,46 @@ class _LockStep:
         pending, run.pending = run.pending, []
         moved = [_hebbian_step(self.state.elements[i], code, residual, learning_rate)
                  for code, residual in pending if np.any(code)]
-        if moved:
+        if len(moved) == 1:
+            self.state.refresh(i, moved[0])  # already sorted and unique
+        elif moved:
             self.state.refresh(i, np.unique(np.concatenate(moved)))
 
-    def end_epoch(self, i: int, run: _Run, epoch: int, steps: int) -> None:
-        """Run i's epoch record: validation, classifier, metrics, artifacts and progress line."""
+    def end_epoch(self, spec: PeriodSpec, epoch: int) -> None:
+        """Validate the live runs together, then write each run's epoch record.
+
+        The runs validate by stacked ``_frozen_pass`` calls, in stacks whose
+        (R, ``INFER_CHUNK``, D) chunks stay within about ``STACK_BYTES``
+        together with the period's buffers: per run, the boxcar's W and
+        some 16 more of (``INFER_CHUNK``, N). A run that goes non-finite
+        there, or every run of a stack that raises, validates alone, which
+        gives its own record or error.
+        """
+        scheme = self.config.feature_scheme if self.config.classifier is not None else "final"
+        n, d = self.state.elements.shape[1:]
+        window = make_filter(spec.filter, spec.params.dt).window_steps
+        size = max(1, STACK_BYTES // (8 * INFER_CHUNK * (d + (window + 16) * n)))
+        records = []
+        for first in range(0, len(self.runs), size):
+            group = slice(first, first + size)
+            runs = self.runs[group]
+            try:
+                records += _frozen_pass(self.state.select(group), [r.valid for r in runs], spec,
+                                        scheme)
+            except Exception:  # noqa: BLE001 - each run's own outcome is found alone
+                records += [None] * len(runs)
+
+        def record(i, run):
+            if records[i] is None:
+                records[i] = _frozen_pass(Dictionary(self.state.elements[i], run.dims),
+                                          run.valid, run.config.period_spec(), scheme)
+            self.record_epoch(i, run, records[i], epoch, spec.params.steps)
+
+        self.each_run(record)
+
+    def record_epoch(self, i: int, run: _Run, valid, epoch: int, steps: int) -> None:
+        """Run i's epoch record from its validation: classifier, metrics, artifacts, progress."""
         config = run.config
-        dictionary = Dictionary(self.state.elements[i], run.dims)
-        valid = _frozen_pass(dictionary, run.valid, config.period_spec(), config.feature_scheme)
         run.tally(valid.peak, valid.spikes)
         accuracy = math.nan
         if config.classifier is not None:

@@ -23,6 +23,13 @@ no Python objects. Finiteness is checked once per period; a period that
 ends non-finite is replayed from its start with a check after every step,
 which names the step (and row) that went bad.
 
+A period computes only what its caller reads. The code is read at the
+last step, on the last half of the steps when the caller reads their
+mean (``half``), or on every step when codes, a trace or early stop are
+recorded; ``_first_read`` names the first step read. The last-half mean
+is summed only when it is read, and the spiking stage feeds its filter
+only the frames those reads need. What is read keeps its bits.
+
 The engine takes one sample, input (D,) and state (N,), or a batch of
 independent samples, input (B, D) and state (B, N), against the same
 dictionary. Frozen-dictionary passes (evaluation, classifier features,
@@ -83,7 +90,7 @@ class MembraneState:
 class InferenceResult:
     code: np.ndarray  # (N,), or (B, N) for a batch like every per-sample field
     state: MembraneState
-    half_mean: np.ndarray = None  # mean code over the last half of the period
+    half_mean: np.ndarray = None  # mean code over the last half, None if not read
     codes: Optional[np.ndarray] = None  # (steps, N) per-step codes when traced
     trace: list = field(default_factory=list)  # rows matching TRACE_HEADER
 
@@ -174,7 +181,10 @@ def energy(
 
 
 class _GradedStage:
-    """Graded output stage: neurons emit their soft-thresholded potential."""
+    """Graded output stage: neurons emit their soft-thresholded potential.
+
+    Its code drives the next step, so it reads every step.
+    """
 
     carry = counts = value = peak = total = raster = None  # no spikes
 
@@ -201,9 +211,19 @@ def _drive(elements: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(x, elements.swapaxes(-1, -2))
 
 
+def _first_read(steps: int, half: bool, recording: bool) -> int:
+    """The first step of a period whose code its caller reads.
+
+    Step 0 when codes, a trace or early stop are recorded, else the first
+    step of the last half when ``half`` (the mean is read), else the last.
+    A stage built with it may return None for the steps before.
+    """
+    return 0 if recording else steps // 2 if half else steps - 1
+
+
 def _run_period(
     dictionary, inhib, input_vector, params, stage, *, initial_state=None,
-    record_codes=False, record_trace=False, early_stop=None, input_encoder=None,
+    record_codes=False, record_trace=False, early_stop=None, input_encoder=None, half=True,
 ) -> InferenceResult:
     """Integrate one period of the dynamics through an output stage.
 
@@ -231,6 +251,10 @@ def _run_period(
     Each run is integrated as its own (B, D) batch would be, bit for bit.
     A stack is not checked for finiteness: its caller checks each run and
     replays a bad one alone, which gives that run's own error.
+
+    With ``half`` false the last-half mean is not summed and ``half_mean``
+    is None. ``stage`` may skip the reads before ``_first_read`` of the
+    period (see ``accumulator._SpikingStage``).
     """
     elements = dictionary.elements
     input_vector = np.asarray(input_vector, dtype=np.float64)
@@ -256,7 +280,7 @@ def _run_period(
             input_encoder.carry[...] = encoder_start
         return _integrate(
             dictionary, input_vector, params, stage, state, inhib, drive, input_encoder,
-            record_codes, record_trace, early_stop, check,
+            record_codes, record_trace, early_stop, half, check,
         )
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -273,7 +297,7 @@ def _run_period(
 
 def _integrate(
     dictionary, input_vector, params, stage, state, inhib, drive, input_encoder,
-    record_codes, record_trace, early_stop, check,
+    record_codes, record_trace, early_stop, half, check,
 ) -> InferenceResult:
     """The step loop of ``_run_period``, on buffers it allocates once.
 
@@ -282,7 +306,8 @@ def _integrate(
     the step from the new potentials. ``_euler`` is looked up as a module
     global on every step, so a wrapper installed on it (a profiler or
     tracer) sees each one. ``state`` is not modified. With ``check`` set,
-    the potentials are checked after every step.
+    the potentials are checked after every step. The last-half mean is
+    summed only with ``half``.
     """
     u = np.array(state.u, dtype=np.float64)
     step_index = state.step_index
@@ -291,8 +316,8 @@ def _integrate(
     prev = np.empty(u.shape) if watch_du else None
     codes = np.zeros((params.steps, u.shape[-1])) if record_codes else None
     trace: list = []
-    half_start = params.steps // 2
-    half_sum = np.zeros(u.shape)
+    half_start = params.steps // 2 if half else params.steps  # no step is summed
+    half_sum = np.zeros(u.shape) if half else None
     half_count = 0
     rate = params.dt / params.tau
     code = stage.begin(u, check)
@@ -320,7 +345,9 @@ def _integrate(
             if record_codes:
                 codes = codes[: i + 1]
             break
-    half_mean = half_sum / half_count if half_count else code.copy()
+    half_mean = None
+    if half:
+        half_mean = half_sum / half_count if half_count else code.copy()
     return InferenceResult(
         code=code, state=MembraneState(u, step_index), half_mean=half_mean, codes=codes,
         trace=trace,

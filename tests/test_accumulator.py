@@ -1,10 +1,11 @@
 """Spike discretization with carry, and the spiking inference loop."""
 
 import csv
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcalearn.accumulator import (
@@ -105,17 +106,27 @@ class TestAccumulateStep:
         st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=1, max_size=60),
         st.floats(min_value=1e-4, max_value=25.0),
     )
+    @example(desired_values=[2.0, 0.18], s=1e-4)  # float prefix sums put the gap at s
     @settings(max_examples=200, deadline=None)
     def test_carry_and_prefix_property(self, desired_values, s):
+        """The exact prefix gap stays within the carry's own rounding of [0, s).
+
+        The gap (desired minus emitted, summed as fractions) equals the carry
+        but for the two roundings of each step, ``carry + desired`` and
+        ``carry - counts * s``; both results are below ``value + s``, so each
+        step moves the gap from the carry by at most ``spacing(value + s)``.
+        """
         state = AccumulatorState.zeros(1, spike_height=s)
-        cum_desired = 0.0
-        cum_emitted = 0.0
+        gap = Fraction(0)
+        rounding = Fraction(0)
         for value in desired_values:
             frame, state = accumulate_step(state, np.array([value]))
-            cum_desired += value
-            cum_emitted += frame.value[0]
-            assert 0.0 <= state.carry[0] < s
-            assert abs(cum_emitted - cum_desired) < s
+            gap += Fraction(value) - Fraction(float(frame.value[0]))
+            rounding += Fraction(float(np.spacing(value + s)))
+            carry = float(state.carry[0])
+            assert 0.0 <= carry < s
+            assert abs(gap - Fraction(carry)) <= rounding
+            assert -rounding <= gap < s + rounding
 
 
 class TestSpikingInference:

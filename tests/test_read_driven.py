@@ -1,0 +1,291 @@
+"""Periods that compute only what their caller reads, and stacked validation, bit for bit.
+
+A period reads its code at the last step, on the last half when its
+caller reads the last-half mean, or on every step when it records them
+(``lca._first_read``); the spiking stage feeds its filter only the frames
+those reads need. Every period here must give the bits of a period that
+reads every step on the frozen reference stage (``reference_spiking``).
+Training validates the runs of a lock-step stack in one stacked
+``_frozen_pass``, which must give each run the bits of its solo pass.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from lcalearn import experiment
+from lcalearn.data import FrameSequence, LabeledSample
+from lcalearn.dictionary import Dictionary, init_random
+from lcalearn.errors import NumericError
+from lcalearn.filters import BoxcarFilter
+from lcalearn.experiment import PeriodSpec, config_from_dict, run_sweep, run_training
+from lcalearn.lca import LcaParams, _run_period, inhibition
+
+from reference_spiking import ReferenceStage, reference_filter
+from test_engine_batch import instance
+from test_lockstep import raw_config, spy_stacks
+from test_engine_reference import (
+    OVERFLOW_HEIGHT,
+    OVERFLOW_PARAMS,
+    overflow_input,
+    overflow_instance,
+)
+from test_spiking_reference import ReplaySpy, filter_id, same
+
+HEIGHTS = [0.5, 1.0, 5.0, 20.0, 0.37]
+FILTERS = [
+    None,
+    {"kind": "exponential", "time_constant_ms": 10.0},
+    {"kind": "boxcar", "window_ms": 40.0},
+    {"kind": "boxcar", "window_ms": 7.0},
+]
+LAM = 0.3
+
+
+def holder(shape, height, scale):
+    """A dictionary (or a stack of two) with input and the per-run lam and heights.
+
+    ``shape`` is "solo" (x (D,)), "batch" (x (B, D)) or "stack": two runs at
+    heights ``height`` and ``2 * height``, x (2, B, D).
+    """
+    dictionary, x = instance(4, scale=scale)
+    if shape != "stack":
+        return dictionary, inhibition(dictionary), x[0] if shape == "solo" else x, None, height
+    other = init_random(9, dictionary.element_count, dictionary.dims)
+    stack = SimpleNamespace(elements=np.stack([dictionary.elements, other.elements]))
+    inhib = np.stack([inhibition(dictionary), inhibition(other)])
+    heights = np.array([height, 2 * height])[:, None, None]
+    return stack, inhib, np.stack([x, x[::-1]]), np.full((2, 1, 1), LAM), heights
+
+
+def assert_reads_match_a_full_read(shape, height, spec, steps, scale):
+    """``_period`` with and without the half-mean against the reference stage reading every step."""
+    params = LcaParams(lam=LAM, dt=1.0, tau=10.0, steps=steps)
+    dictionary, inhib, x, lam, heights = holder(shape, height, scale)
+    want_stage = ReferenceStage(LAM if lam is None else lam, heights,
+                                np.zeros(x.shape[:-1] + (12,)), reference_filter(spec, 1.0))
+    want = _run_period(dictionary, inhib, x, params, want_stage)
+    for half in (False, True):
+        got = experiment._period(dictionary, inhib, x, PeriodSpec(params, height, spec),
+                                 lam=lam, spike_height=heights, half=half)
+        same(got.code, want.code)
+        same(got.state.u, want.state.u)
+        for name in ("carry", "counts", "value", "peak", "total"):
+            same(getattr(got, name), getattr(want_stage, name))
+        if half:
+            same(got.half_mean, want.half_mean)
+        else:
+            assert got.half_mean is None
+    return got
+
+
+class TestReadDrivenPeriod:
+    @pytest.mark.parametrize("shape", ["solo", "batch", "stack"])
+    @pytest.mark.parametrize("spec", FILTERS, ids=filter_id)
+    @pytest.mark.parametrize("height", HEIGHTS)
+    @pytest.mark.parametrize("steps", [60, 25], ids=["steps60", "steps25"])
+    def test_skipped_reads_keep_the_bits(self, shape, height, spec, steps):
+        got = assert_reads_match_a_full_read(shape, height, spec, steps, 3.0 * max(1.0, height))
+        assert got.total.sum() > 0
+
+    @pytest.mark.parametrize("shape", ["solo", "batch", "stack"])
+    @pytest.mark.parametrize("spec", FILTERS[2:], ids=["boxcar40", "boxcar7"])
+    def test_exactness_replay_keeps_the_bits(self, monkeypatch, shape, spec):
+        # m = 2**26 - 1 starts the period exact; counts near 1e9 break the
+        # bound, so each period is replayed on the corrected path.
+        spy = ReplaySpy(monkeypatch)
+        height = (2**26 - 1) * 2.0**-26
+        assert_reads_match_a_full_read(shape, height, spec, 60, 1e9)
+        assert spy.answers == [False, False]  # half-mean skipped, then read
+
+    @pytest.mark.parametrize("reads, fed, read", [("final", 7, 1), ("half", 36, 30),
+                                                  ("record", 60, 60)])
+    def test_the_boxcar_sees_only_the_frames_read(self, monkeypatch, reads, fed, read):
+        # 60 steps, W = 7: the final code needs steps 53-59; the last-half mean
+        # is read from step 30, which needs steps 24 on; a recording reads all.
+        flags = []
+        real = BoxcarFilter.step
+        monkeypatch.setattr(BoxcarFilter, "step",
+                            lambda f, value, read=True: flags.append(read) or real(f, value, read))
+        dictionary, x = instance(4, scale=3.0)
+        spec = PeriodSpec(LcaParams(lam=LAM, dt=1.0, tau=10.0, steps=60), 1.0,
+                          {"kind": "boxcar", "window_ms": 7.0})
+        experiment._period(dictionary, inhibition(dictionary), x[0], spec, half=reads == "half",
+                           record=reads == "record")
+        assert (len(flags), sum(flags)) == (fed, read)
+
+    @pytest.mark.parametrize("half", [False, True])
+    def test_graded_period_skips_only_the_half_mean(self, half):
+        dictionary, x = instance(4)
+        params = LcaParams(lam=LAM, dt=1.0, tau=10.0, steps=60)
+        want = _run_period(dictionary, inhibition(dictionary), x, params,
+                           experiment._output_stage(LAM, 0.0))
+        got = experiment._period(dictionary, inhibition(dictionary), x, PeriodSpec(params),
+                                 half=half)
+        same(got.code, want.code)
+        same(got.state.u, want.state.u)
+        if half:
+            same(got.half_mean, want.half_mean)
+        else:
+            assert got.half_mean is None
+
+    @pytest.mark.parametrize("scheme, half", [(None, False), ("final", False),
+                                              ("mean_last_half", True)])
+    def test_training_reads_the_half_mean_only_for_its_features(self, monkeypatch, scheme,
+                                                                half):
+        classifier = None if scheme is None else {"epochs": 5, "feature_scheme": scheme}
+        config = config_from_dict(raw_config(
+            spike_height=1.0, filter={"kind": "boxcar", "window_ms": 6.0}, epochs=1,
+            classifier=classifier))
+        seen = set()
+        real = experiment._period
+        monkeypatch.setattr(experiment, "_period",
+                            lambda *a, half=True, **k: seen.add(half) or real(*a, half=half, **k))
+        run_training(config)
+        assert seen == {half}
+
+
+def sweep_runs(config, axis, values):
+    """A lock-step trainer over the runs of a sweep, trained; returns it and its runs."""
+    runs = []
+    for value in values:
+        cfg = experiment.apply_axis(config, axis, value)
+        runs.append(experiment._prepare_run(cfg, *experiment.load_dataset(cfg.dataset)))
+    trainer = experiment._LockStep(runs)
+    trainer.train()
+    assert all(run.done for run in runs)
+    return trainer, runs
+
+
+def assert_same_record(got, want):
+    assert (got.rmse, got.sparsity, got.peak, got.spikes) == (want.rmse, want.sparsity,
+                                                               want.peak, want.spikes)
+    same(got.features, want.features)
+
+
+SWEEPS = [
+    ("lambda", [0.2, 0.4, 0.6], {}),
+    ("lambda", [0.2, 0.4], {"spike_height": 0.5, "input_encoding": "rate",
+                            "input_spike_height": 0.05}),
+    ("s", HEIGHTS, {"spike_height": 1.0, "filter": {"kind": "boxcar", "window_ms": 7.0}}),
+    ("s", [0.5, 1.0, 5.0, 20.0], {"spike_height": 1.0,
+                                  "filter": {"kind": "boxcar", "window_ms": 40.0}}),
+    ("s", [0.5, 0.37], {"spike_height": 1.0,
+                        "filter": {"kind": "exponential", "time_constant_ms": 4.0}}),
+]
+
+
+class TestStackedValidation:
+    @pytest.mark.parametrize("classifier", [None, {"epochs": 5, "feature_scheme": "final"},
+                                            {"epochs": 5}], ids=["none", "final", "half"])
+    @pytest.mark.parametrize("axis, values, extra", SWEEPS,
+                             ids=["lambda", "lambda-rate", "s-boxcar7", "s-boxcar40", "s-exp"])
+    def test_stacked_pass_is_each_runs_solo_pass(self, monkeypatch, axis, values, extra,
+                                                 classifier):
+        monkeypatch.setattr(experiment, "INFER_CHUNK", 3)  # 8 samples: chunks of 3, 3, 2
+        config = config_from_dict(raw_config(epochs=1, classifier=classifier, **extra))
+        trainer, runs = sweep_runs(config, axis, values)
+        spec = config.period_spec()
+        scheme = config.feature_scheme
+        stacked = experiment._frozen_pass(trainer.state, [run.valid for run in runs], spec,
+                                          scheme)
+        for i, run in enumerate(runs):
+            solo = experiment._frozen_pass(trainer.state.dictionary(i, run.dims), run.valid,
+                                           run.config.period_spec(), scheme)
+            assert_same_record(stacked[i], solo)
+            metrics = run.metrics
+            assert metrics.rmse_val[-1] == solo.rmse / len(run.valid)
+            assert metrics.sparsity_pct[-1] == solo.sparsity / len(run.valid)
+            if classifier is not None:
+                same(trainer.result(run).valid_features, solo.features)
+
+    def test_an_epoch_validates_in_one_stacked_pass(self, monkeypatch):
+        solo = []
+        real = experiment._frozen_pass
+        monkeypatch.setattr(experiment, "_frozen_pass",
+                            lambda h, *a: solo.append(isinstance(h, Dictionary)) or real(h, *a))
+        run_sweep(config_from_dict(raw_config(spike_height=1.0)), "s", [0.5, 1.0, 5.0])
+        assert solo == [False, False]  # one stacked pass per epoch, none alone
+
+    def test_validation_stacks_stay_within_stack_bytes(self, monkeypatch):
+        # One run's validation chunk at INFER_CHUNK = 64, N = 16, D = 72 takes
+        # about 176 kB, and its training dictionary about 11 kB: all three runs
+        # train in one stack but validate one by one.
+        config = config_from_dict(raw_config(spike_height=1.0, classifier={"epochs": 5}))
+        default, _ = spied_sweep(monkeypatch, config)
+        monkeypatch.setattr(experiment, "STACK_BYTES", 200_000)
+        holders = []
+        real = experiment._frozen_pass
+        monkeypatch.setattr(experiment, "_frozen_pass",
+                            lambda h, *a: holders.append(h.elements.shape) or real(h, *a))
+        small, stacks = spied_sweep(monkeypatch, config)
+        assert [len(runs) for _, runs in stacks] == [3]
+        assert holders == [(1, 16, 72)] * 6  # 3 runs x 2 epochs
+        for height, (run, trainer) in small.items():
+            other, other_trainer = default[height]
+            assert repr(run.metrics) == repr(other.metrics)
+            same(trainer.result(run).valid_features, other_trainer.result(other).valid_features)
+
+
+def spied_sweep(monkeypatch, config):
+    """An s sweep over 0.5, 1 and 2: each run with its trainer by height, and the stacks."""
+    with monkeypatch.context() as patch:
+        stacks = spy_stacks(patch)
+        run_sweep(config, "s", [0.5, 1.0, 2.0])
+    runs = {run.config.spike_height: (run, trainer) for trainer, stack in stacks
+            for run in stack}
+    return runs, stacks
+
+
+def sample(values, label=0):
+    return LabeledSample(FrameSequence(np.reshape(values, (1, 1, -1))), label)
+
+
+def assert_fails_alone(config, train, valids, bad, error, initial=None):
+    """Runs on the same training samples, one validation set each: run ``bad`` fails alone."""
+    runs = [experiment._prepare_run(config, train, valid, initial) for valid in valids]
+    trainer = experiment._LockStep(runs)
+    trainer.train()
+    assert [run.error is not None for run in runs] == [i == bad for i in range(len(runs))]
+    with pytest.raises(NumericError, match=error) as info:
+        run_training(config, train, valids[bad], initial_dictionary=initial)
+    assert repr(runs[bad].error) == repr(info.value)
+    for run, valid in zip(runs, valids):
+        if run.error is None:
+            alone = run_training(config, train, valid, initial_dictionary=initial)
+            got = trainer.result(run)
+            same(got.dictionary.elements, alone.dictionary.elements)
+            assert repr(got.metrics) == repr(alone.metrics)
+
+
+class TestValidationFailure:
+    @pytest.mark.parametrize("height", [0.0, OVERFLOW_HEIGHT], ids=["graded", "spiking"])
+    def test_a_run_that_goes_nonfinite_fails_alone(self, height):
+        # Zero training input leaves the dictionary as it is; a validation
+        # input near 1.19e308 drives its potentials past the float range
+        # part-way through the period (see ``overflow_instance``).
+        config = config_from_dict({
+            "dataset": {"kind": "npy", "path": "unused"}, "dict_size": 3,
+            "lambda": OVERFLOW_PARAMS.lam, "tau": OVERFLOW_PARAMS.tau,
+            "display_ms": float(OVERFLOW_PARAMS.steps), "spike_height": height,
+            "filter": {"kind": "boxcar", "window_ms": 7.0}, "epochs": 1,
+        })
+        train = [sample(np.zeros(2))]
+        valids = [[sample([1.0, 1.5]), sample([0.5, 0.2])],
+                  [sample([1.0, 1.5]), sample(overflow_input([1.19])[0])],
+                  [sample([0.3, 1.0]), sample([0.5, 0.2])]]
+        assert_fails_alone(config, train, valids, 1,
+                           r"non-finite membrane potential at step \d+, row 1",
+                           overflow_instance())
+
+    def test_a_stacked_pass_that_raises_validates_each_run_alone(self):
+        # A NaN validation input fails the rate encoder of the whole stack.
+        config = config_from_dict(raw_config(epochs=1, spike_height=0.5,
+                                             input_encoding="rate"))
+        train, valid = experiment.load_dataset(config.dataset)
+        broken = list(valid)
+        broken[4] = LabeledSample(FrameSequence(np.full(valid[4].input.frames.shape, np.nan)),
+                                  valid[4].label)
+        assert_fails_alone(config, train, [valid, broken, valid[::-1]], 1,
+                           "non-finite desired output in accumulator")

@@ -17,7 +17,9 @@ The matrix: ``synth``; ``train``, ``infer``, ``export-recon`` and
 ``classify-train`` at spike heights 0, 0.5, 1, 5 and 0.37, each with no
 filter, a boxcar and an exponential filter; the same four commands for a
 rate-encoded warm-start run with a gap, graded and spiking; and
-``sweep --axis s`` and ``sweep --axis lambda`` with 2 repeats. A command
+``sweep --axis s`` and ``sweep --axis lambda`` with 2 repeats, at a boxcar
+and a classifier block on the last-half-mean features, plus ``sweep --axis
+s`` on the final-code features and with no classifier block. A command
 that exits non-zero stops the run with exit status 1.
 """
 
@@ -57,6 +59,16 @@ def cases() -> list[tuple[str, dict]]:
     return out
 
 
+def sweep_configs() -> dict[str, dict]:
+    """The configs only the sweeps run at, beside ``s1.0_boxcar``: other readouts of its codes."""
+    boxcar = {**BASE, "spike_height": 1.0, "filter": FILTERS["boxcar"]}
+    no_classifier = {k: v for k, v in boxcar.items() if k != "classifier"}
+    return {
+        "sweep_final": {**boxcar, "classifier": {"epochs": 5, "feature_scheme": "final"}},
+        "sweep_no_classifier": no_classifier,
+    }
+
+
 def commands() -> list[list[str]]:
     """Every command of the matrix, in order, as ``lcalearn`` arguments."""
     argv = [["synth", "--config", "cfg/synth.json", "--out", "data"]]
@@ -78,6 +90,9 @@ def commands() -> list[list[str]]:
         ["sweep", "--config", sweep, "--out", "sweep/lambda", "--axis", "lambda",
          "--values", "0.2,0.4", "--repeats", "2"],
     ]
+    for name in sweep_configs():
+        argv.append(["sweep", "--config", f"cfg/{name}.json", "--out", f"sweep/{name}",
+                     "--axis", "s", "--values", "0.5,1,5,0.37", "--repeats", "2"])
     return argv
 
 
@@ -103,7 +118,7 @@ def main(argv: list[str]) -> int:
 
     (out / "cfg").mkdir()
     (out / "cfg" / "synth.json").write_text(json.dumps(SYNTH, indent=2) + "\n")
-    for name, config in cases():
+    for name, config in [*cases(), *sweep_configs().items()]:
         (out / "cfg" / f"{name}.json").write_text(json.dumps(config, indent=2) + "\n")
     for args in commands():
         done = subprocess.run([sys.executable, "-m", "lcalearn.cli", *args],
