@@ -49,13 +49,12 @@ fails.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from lcalearn.atomic import atomic_open
+from lcalearn.atomic import write_csv
 from lcalearn.dictionary import Dictionary
 from lcalearn.errors import NumericError
 from lcalearn.filters import CodeFilter, IdentityFilter
@@ -367,8 +366,4 @@ def run_spiking_inference(
 def write_raster_csv(path, raster: np.ndarray) -> None:
     """Dump nonzero spike counts as ``step,neuron,count`` rows."""
     steps, neurons = np.nonzero(raster)
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RASTER_HEADER)
-        for step, neuron in zip(steps, neurons):
-            writer.writerow([int(step), int(neuron), int(raster[step, neuron])])
+    write_csv(path, RASTER_HEADER, zip(steps, neurons, raster[steps, neurons]))

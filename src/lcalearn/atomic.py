@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -44,3 +45,19 @@ def save_npy(path, array) -> None:
     """``np.save(path, array)`` for a path ending in ``.npy``, atomically (the same bytes)."""
     with atomic_open(path, "wb") as fh:
         np.save(fh, array)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a CSV table atomically: the header, then each row.
+
+    Float cells, NumPy floats included, are written as ``repr(float(v))``,
+    the shortest text that reads back to the same float; other cells are
+    written as they are.
+    """
+    with atomic_open(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+            for row in rows
+        )

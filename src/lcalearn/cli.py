@@ -159,15 +159,12 @@ def _cmd_sweep(args) -> int:
             f"{failure['error']}",
             file=sys.stderr,
         )
-    print(",".join(experiment_mod.SWEEP_HEADER))
+    header = experiment_mod.SWEEP_HEADER
+    # value, repeats and failed print as they are; statistics to 4 places, max spikes to 1.
+    formats = {"value": "", "repeats": "", "failed": "", "max_spikes_mean": ".1f"}
+    print(",".join(header))
     for row in result.rows:
-        print(
-            f"{row['value']},{row['repeats']},{row['failed']},"
-            f"{row['rmse_val_mean']:.4f},{row['rmse_val_ci']:.4f},"
-            f"{row['sparsity_mean']:.4f},{row['sparsity_ci']:.4f},"
-            f"{row['accuracy_mean']:.4f},{row['accuracy_ci']:.4f},"
-            f"{row['max_spikes_mean']:.1f}"
-        )
+        print(",".join(format(row[key], formats.get(key, ".4f")) for key in header))
     return 0
 
 
@@ -276,6 +273,7 @@ def _cmd_synth(args) -> int:
         spec_kwargs = dict(raw)
         seed = spec_kwargs.pop("seed", seed)
     try:
+        experiment_mod._check_seed(seed)
         spec = data_mod.SyntheticSpec(**spec_kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

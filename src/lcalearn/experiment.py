@@ -24,7 +24,6 @@ and ``collect_features`` under that scheme.
 from __future__ import annotations
 
 import copy
-import csv
 import json
 import math
 import numbers
@@ -36,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from lcalearn import data as data_mod
-from lcalearn.atomic import atomic_open
+from lcalearn.atomic import write_csv
 from lcalearn.accumulator import InputRateEncoder, _output_stage
 from lcalearn.dictionary import (
     Dictionary,
@@ -151,6 +150,8 @@ class ExperimentConfig:
             ratio = value / self.dt
             if abs(ratio - round(ratio)) > 1e-9:
                 raise ConfigError(f"{name}={value} is not a whole number of dt={self.dt} steps")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.learning_rate <= 0:
@@ -274,23 +275,13 @@ class RunMetrics:
     mean_rate: list[float] = field(default_factory=list)
 
     def rows(self) -> list[list]:
-        return [
-            [
-                epoch + 1,
-                repr(self.rmse_train[epoch]),
-                repr(self.rmse_val[epoch]),
-                repr(self.sparsity_pct[epoch]),
-                repr(self.accuracy[epoch]),
-                self.max_spikes_per_step[epoch],
-            ]
-            for epoch in range(len(self.rmse_train))
-        ]
+        """One row per epoch, in ``METRICS_HEADER`` order, epochs counted from 1."""
+        columns = (self.rmse_train, self.rmse_val, self.sparsity_pct, self.accuracy,
+                   self.max_spikes_per_step)
+        return [[epoch, *row] for epoch, row in enumerate(zip(*columns), 1)]
 
     def write_csv(self, path) -> None:
-        with atomic_open(path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(METRICS_HEADER)
-            writer.writerows(self.rows())
+        write_csv(path, METRICS_HEADER, self.rows())
 
 
 @dataclass
@@ -309,8 +300,21 @@ def rmse(original: np.ndarray, reconstruction: np.ndarray) -> float:
         raise ValueError(
             f"shape mismatch: {original.shape} vs {reconstruction.shape}"
         )
-    diff = original - reconstruction
-    return float(np.sqrt(np.mean(diff * diff)))
+    return _rms(original - reconstruction)
+
+
+def _rms(diff: np.ndarray) -> float:
+    """Root mean square of ``diff``.
+
+    Only where the squares of a finite ``diff`` overflow (past about 1.3e154)
+    is it rescaled by ``max|diff|``, so other data keeps the plain form's bits.
+    """
+    with np.errstate(over="ignore"):
+        value = float(np.sqrt(np.mean(diff * diff)))
+    if math.isinf(value) and np.isfinite(diff).all():
+        scale = float(np.abs(diff).max())
+        value = scale * _rms(diff / scale)
+    return value
 
 
 def sparsity(code: np.ndarray) -> float:
@@ -339,7 +343,17 @@ def _dataset_options(spec: dict) -> dict:
 
 
 def _synthetic_spec(spec: dict) -> data_mod.SyntheticSpec:
+    if spec.get("seed") is not None:
+        _check_seed(spec["seed"])
     return data_mod.SyntheticSpec(**_dataset_options(spec))
+
+
+def _check_seed(seed) -> None:
+    """A seed NumPy's generators take: an integer >= 0, else ``ValueError``."""
+    if not (_is_number(seed) and isinstance(seed, numbers.Integral)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def _file_options(spec: dict) -> dict:
@@ -731,7 +745,7 @@ class _LockStep:
                 feature = _feature(out, config.feature_scheme) if want_features else None
                 for i, run in enumerate(self.runs):
                     res = residual[i, 0]
-                    run.rmse_sum += float(np.sqrt(np.mean(res * res)))
+                    run.rmse_sum += _rms(res)
                     if out.peak is not None:
                         run.tally(out.peak[i], out.total[i])
                     if want_features:
@@ -889,6 +903,11 @@ SWEEP_HEADER = [
     "max_spikes_mean",
 ]
 
+# A sweep row's statistics by column prefix: the mean and CI of a ``RunMetrics``
+# list's last epoch over completed runs, kept where ``SWEEP_HEADER`` names them.
+_SWEEP_STATS = {"rmse_val": "rmse_val", "sparsity": "sparsity_pct", "accuracy": "accuracy",
+                "max_spikes": "max_spikes_per_step"}
+
 
 @dataclass
 class SweepResult:
@@ -898,17 +917,7 @@ class SweepResult:
     failures: list[dict] = field(default_factory=list)
 
     def write_csv(self, path) -> None:
-        with atomic_open(path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SWEEP_HEADER)
-            for row in self.rows:
-                writer.writerow([
-                    row["value"], row["repeats"], row["failed"],
-                    repr(row["rmse_val_mean"]), repr(row["rmse_val_ci"]),
-                    repr(row["sparsity_mean"]), repr(row["sparsity_ci"]),
-                    repr(row["accuracy_mean"]), repr(row["accuracy_ci"]),
-                    repr(row["max_spikes_mean"]),
-                ])
+        write_csv(path, SWEEP_HEADER, ([row[key] for key in SWEEP_HEADER] for row in self.rows))
 
 
 def _mean_ci(values: list[float]) -> tuple[float, float]:
@@ -1006,34 +1015,18 @@ def run_sweep(
     failures = []
     for start in range(0, len(cells), repeats):
         value = cells[start][0]
-        metrics_lists: dict[str, list[float]] = {
-            "rmse_val": [], "sparsity": [], "accuracy": [], "max_spikes": []
-        }
-        failed = 0
+        completed, failed = [], 0
         for _, r, run in cells[start:start + repeats]:
             error = run if not isinstance(run, _Run) else run.error
             if error is not None:
                 failed += 1
                 failures.append({"value": value, "seed": base.seed + r,
                                  "error": f"{type(error).__name__}: {error}"})
-                continue
-            m = run.metrics
-            if m.rmse_val:
-                metrics_lists["rmse_val"].append(m.rmse_val[-1])
-                metrics_lists["sparsity"].append(m.sparsity_pct[-1])
-                metrics_lists["accuracy"].append(m.accuracy[-1])
-                metrics_lists["max_spikes"].append(float(m.max_spikes_per_step[-1]))
-        rmse_mean, rmse_ci = _mean_ci(metrics_lists["rmse_val"])
-        sp_mean, sp_ci = _mean_ci(metrics_lists["sparsity"])
-        acc_mean, acc_ci = _mean_ci(metrics_lists["accuracy"])
-        spikes_mean, _ = _mean_ci(metrics_lists["max_spikes"])
-        rows.append({
-            "value": value,
-            "repeats": repeats,
-            "failed": failed,
-            "rmse_val_mean": rmse_mean, "rmse_val_ci": rmse_ci,
-            "sparsity_mean": sp_mean, "sparsity_ci": sp_ci,
-            "accuracy_mean": acc_mean, "accuracy_ci": acc_ci,
-            "max_spikes_mean": spikes_mean,
-        })
+            elif run.metrics.rmse_val:
+                completed.append(run.metrics)
+        row = {"value": value, "repeats": repeats, "failed": failed}
+        for prefix, name in _SWEEP_STATS.items():
+            row[f"{prefix}_mean"], row[f"{prefix}_ci"] = _mean_ci(
+                [float(getattr(m, name)[-1]) for m in completed])
+        rows.append({key: row[key] for key in SWEEP_HEADER})
     return SweepResult(axis=axis, rows=rows, failures=failures)

@@ -42,13 +42,12 @@ potentials, each run bit-identical to its own solo period.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from lcalearn.atomic import atomic_open
+from lcalearn.atomic import write_csv
 from lcalearn.dictionary import Dictionary, analyze, synthesize
 from lcalearn.errors import NumericError
 
@@ -382,8 +381,4 @@ def run_inference(
 
 def write_trace_csv(path, trace: list) -> None:
     """Dump per-step inference records as ``step,energy,active,du_inf``."""
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for row in trace:
-            writer.writerow([row[0], repr(float(row[1])), row[2], repr(float(row[3]))])
+    write_csv(path, TRACE_HEADER, trace)

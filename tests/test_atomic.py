@@ -138,6 +138,19 @@ def test_writer_that_raises_mid_write_leaves_the_previous_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv"]
 
 
+def test_write_csv_writes_floats_by_repr_and_other_cells_as_they_are(tmp_path):
+    path = tmp_path / "table.csv"
+    atomic.write_csv(path, ["a", "b", "c", "d", "e"], [
+        [1, 0.1, np.float64(1 / 3), np.float32(0.1), np.int64(7)],
+        [{"ratio": 0.5}, float("nan"), -0.0, 1e300, "x,y"],
+    ])
+    assert path.read_bytes() == (
+        b"a,b,c,d,e\r\n"
+        b"1,0.1,0.3333333333333333,0.10000000149011612,7\r\n"
+        b"{'ratio': 0.5},nan,-0.0,1e+300,\"x,y\"\r\n"
+    )
+
+
 def test_atomic_open_removes_its_temporary_file_on_error(tmp_path):
     path = tmp_path / "out.txt"
     with pytest.raises(RuntimeError):

@@ -143,6 +143,15 @@ class TestSynth:
         assert len(captured.err.splitlines()) == 1
         assert not out.exists()
 
+    def test_negative_seed_writes_nothing(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": -1}))
+        for argv, seed in ((["--seed", -3], -3), (["--config", spec], -1)):
+            out = tmp_path / "d"
+            assert run("synth", "--out", out, *argv) == 1
+            assert capsys.readouterr().err == f"config error: seed must be >= 0, got {seed}\n"
+            assert not out.exists()
+
     def test_empty_split_writes_nothing(self, tmp_path, capsys):
         # An empty split is an invalid synth spec: exit 1 before anything is written.
         for name in ("valid_per_class", "train_per_class"):
@@ -408,7 +417,7 @@ class TestConfigRejectedAtLoad:
     @pytest.mark.parametrize("key, value", [
         ("spike_height", float("nan")), ("tau", float("inf")), ("gap_ms", float("inf")),
         ("warm_start", "no"), ("batch_size", 2.5), ("dict_size", 8.5),
-        ("checkpoint_every", 0.5), ("epochs", 1.5), ("seed", 1.5),
+        ("checkpoint_every", 0.5), ("epochs", 1.5), ("seed", 1.5), ("seed", -1),
     ])
     def test_wrong_type_exits_1_naming_the_key(self, tmp_path, capsys, key, value):
         path = self.write(tmp_path, **{key: value})
@@ -417,6 +426,22 @@ class TestConfigRejectedAtLoad:
         assert code == 1
         assert captured.err.startswith(f"config error: {key} must be ")
         assert len(captured.err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, extra", [
+        ("train", []), ("sweep", ["--axis", "s", "--values", "1"]),
+    ], ids=["train", "sweep"])
+    def test_negative_seed_flag_exits_1_before_writing(self, tmp_path, capsys, command, extra):
+        path = self.write(tmp_path)
+        code = run(command, "--config", path, "--out", tmp_path / "o", "--seed", -2, *extra)
+        assert code == 1
+        assert capsys.readouterr().err == "config error: seed must be >= 0, got -2\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_dataset_seed_exits_1_before_writing(self, tmp_path, capsys):
+        path = self.write(tmp_path, dataset={"kind": "synthetic", "seed": -1})
+        assert run("train", "--config", path, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == "config error: dataset: seed must be >= 0, got -1\n"
         assert not (tmp_path / "o").exists()
 
     def test_bad_synthetic_value_fails_before_writing(self, tmp_path, capsys):

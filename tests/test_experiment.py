@@ -12,7 +12,13 @@ import pytest
 
 import lcalearn
 from lcalearn import experiment
-from lcalearn.data import SyntheticSpec, generate_synthetic, save_events
+from lcalearn.data import (
+    FrameSequence,
+    LabeledSample,
+    SyntheticSpec,
+    generate_synthetic,
+    save_events,
+)
 from lcalearn.dictionary import init_random, load_checkpoint
 from lcalearn.errors import ConfigError
 from lcalearn.experiment import (
@@ -132,6 +138,16 @@ class TestMetricsFunctions:
 
     def test_rmse_unit_difference(self):
         assert rmse(np.array([1.0, 1.0]), np.array([0.0, 0.0])) == 1.0
+
+    def test_rmse_of_differences_whose_squares_overflow(self):
+        # The suite turns a RuntimeWarning (such as an overflow) into an error.
+        x = np.array([1e200, -1e200, 1e200])
+        assert rmse(x, -x) == 2e200
+        assert rmse(np.array([1e308]), np.array([-5e307])) == 1e308 + 5e307
+
+    def test_rmse_keeps_the_plain_form_on_ordinary_data(self):
+        diff = np.random.default_rng(0).normal(size=50) * 1e150
+        assert rmse(diff, np.zeros(50)) == float(np.sqrt(np.mean(diff * diff)))
 
     def test_rmse_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -262,6 +278,12 @@ class TestEvaluateCodes:
         report = evaluate_codes(dictionary, valid, config.lca_params())
         assert report["rmse"] > 0
         assert 0 <= report["sparsity_pct"] <= 100
+
+    def test_reports_finite_rmse_on_samples_at_1e200_scale(self):
+        dictionary, valid, config = self.trained()
+        huge = [LabeledSample(FrameSequence(s.input.frames * 1e200), s.label) for s in valid]
+        report = evaluate_codes(dictionary, huge, config.lca_params())
+        assert 0 < report["rmse"] < math.inf
 
     def test_filtered_not_worse_at_large_height(self):
         """At spike height >= 5 the smoothed code reconstructs no worse."""

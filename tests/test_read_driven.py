@@ -279,6 +279,31 @@ class TestValidationFailure:
                            r"non-finite membrane potential at step \d+, row 1",
                            overflow_instance())
 
+    @pytest.mark.parametrize("height", [0.0, OVERFLOW_HEIGHT], ids=["graded", "spiking"])
+    def test_a_run_dropped_from_a_warm_start_stack_fails_alone(self, height, monkeypatch):
+        # The overflowing run leaves at the end of epoch 1, while the stack
+        # holds a warm period, which the drop cuts to the remaining runs.
+        config = config_from_dict({
+            "dataset": {"kind": "npy", "path": "unused"}, "dict_size": 3,
+            "lambda": OVERFLOW_PARAMS.lam, "tau": OVERFLOW_PARAMS.tau,
+            "display_ms": float(OVERFLOW_PARAMS.steps), "spike_height": height,
+            "filter": {"kind": "boxcar", "window_ms": 7.0}, "epochs": 2,
+            "warm_start": True, "gap_ms": 3.0,
+        })
+        drops = []  # (runs in the stack, whether it holds a warm period) at each drop
+        real = experiment._LockStep.drop
+        monkeypatch.setattr(experiment._LockStep, "drop", lambda trainer, errors: (
+            errors and drops.append((len(trainer.runs), trainer.warm is not None)),
+            real(trainer, errors)))
+        train = [sample([0.4, -0.2]), sample([0.1, 0.3])]
+        valids = [[sample([1.0, 1.5]), sample([0.5, 0.2])],
+                  [sample([1.0, 1.5]), sample(overflow_input([1.19])[0])],
+                  [sample([0.3, 1.0]), sample([0.5, 0.2])]]
+        assert_fails_alone(config, train, valids, 1,
+                           r"non-finite membrane potential at step \d+, row 1",
+                           overflow_instance())
+        assert (3, True) in drops
+
     def test_a_stacked_pass_that_raises_validates_each_run_alone(self):
         # A NaN validation input fails the rate encoder of the whole stack.
         config = config_from_dict(raw_config(epochs=1, spike_height=0.5,

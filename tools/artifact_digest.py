@@ -1,13 +1,15 @@
-"""Digest every file that a fixed matrix of ``lcalearn`` commands writes.
+"""Digest every file that a fixed matrix of ``lcalearn`` commands writes, and their stdout.
 
     python3 tools/artifact_digest.py <checkout> <out>
 
 Runs each command with the ``lcalearn`` package under ``<checkout>/src``,
 with ``<out>`` (created, and required to be empty) as the working
 directory and relative paths only, so the ``config.json`` echoes hold no
-absolute path. Then prints ``sha256  relative/path`` for every file under
-``<out>``, sorted. Two checkouts that write the same bytes print the same
-lines, so a refactor that must keep its artifacts can be checked with
+absolute path. The standard output of the N-th command (from 0) is saved
+as ``<out>/stdout/<NNN>.txt``. Then prints ``sha256  relative/path`` for
+every file under ``<out>``, sorted, stdout included. Two checkouts that
+write the same bytes and print the same lines give the same digest, so a
+refactor that must keep its artifacts and output can be checked with
 
     python3 tools/artifact_digest.py . /tmp/new > new.txt
     python3 tools/artifact_digest.py ../parent /tmp/old > old.txt
@@ -120,13 +122,15 @@ def main(argv: list[str]) -> int:
     (out / "cfg" / "synth.json").write_text(json.dumps(SYNTH, indent=2) + "\n")
     for name, config in [*cases(), *sweep_configs().items()]:
         (out / "cfg" / f"{name}.json").write_text(json.dumps(config, indent=2) + "\n")
-    for args in commands():
+    (out / "stdout").mkdir()
+    for index, args in enumerate(commands()):
         done = subprocess.run([sys.executable, "-m", "lcalearn.cli", *args],
                               env=env, cwd=out, capture_output=True, text=True)
         if done.returncode != 0:
             print(f"error: lcalearn {' '.join(args)} exited {done.returncode}:\n{done.stderr}",
                   file=sys.stderr)
             return 1
+        (out / "stdout" / f"{index:03d}.txt").write_text(done.stdout)
 
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
