@@ -6,10 +6,10 @@ output never drifts more than ``s`` from cumulative desired output.
 Spiking LCA runs on the same period engine as graded LCA with one extra
 output stage: soft-threshold, discretize with carry, then filter. The
 spike values, not the graded code, drive the membrane dynamics. Like the
-engine, the stage takes one sample or a (B, N) batch of them. The one
-factory ``_output_stage`` picks graded or spiking from the spike height;
-only the public adapters (``run_inference``, ``run_spiking_inference``)
-build a stage themselves.
+engine, the stage works on the stack it is given: (R, B, N), or a lone
+run's (B, N) or (N,). The one factory ``_output_stage`` picks graded or
+spiking from the spike height; only the public adapters
+(``run_inference``, ``run_spiking_inference``) build a stage themselves.
 
 ``_discharge`` is the one discretization step; it works in place. The
 stage runs it on a copy of the start carry and on count and value
@@ -261,11 +261,17 @@ class _SpikingStage:
         self.exact = 0 < self.mantissa * self.code_filter.window_steps < 2**32
 
     def begin(self, u: np.ndarray, check: bool) -> None:
-        """Start (or restart) a period; with ``check`` the desired output is validated."""
-        self.check = check
+        """Start (or restart) a period; with ``check`` the start's desired output is validated.
+
+        Later steps start from potentials the engine has checked, so their
+        desired output is finite and nonnegative, and a stack's run that
+        goes non-finite does not stop the others.
+        """
         start = self.start
         self.carry = np.zeros(u.shape) if start is None else np.array(start, dtype=np.float64)
         self.desired, self.counts, self.value = (np.empty(u.shape) for _ in range(3))
+        if check:
+            _check_desired(_shrink(u, self.lam, self.desired))
         self.flag = None if self.exact else np.empty(u.shape, dtype=bool)
         self.peak, self.total = np.zeros(u.shape), np.zeros(u.shape)
         self.steps = 0  # steps discharged
@@ -273,8 +279,6 @@ class _SpikingStage:
 
     def emit(self, u: np.ndarray, code) -> np.ndarray:
         desired = _shrink(u, self.lam, self.desired)
-        if self.check:
-            _check_desired(desired)
         _discharge(self.carry, desired, self.spike_height, self.counts, self.value, self.flag)
         np.maximum(self.peak, self.counts, out=self.peak)
         self.total += self.counts

@@ -261,7 +261,6 @@ def _cmd_events_to_frames(args) -> int:
 
 def _cmd_synth(args) -> int:
     out = _require_out(args)
-    seed = args.seed if args.seed is not None else 0
     spec_kwargs = {}
     if args.config is not None:
         path = Path(args.config)
@@ -271,7 +270,8 @@ def _cmd_synth(args) -> int:
         if not isinstance(raw, dict):
             raise ConfigError("synthetic spec must be a JSON object")
         spec_kwargs = dict(raw)
-        seed = spec_kwargs.pop("seed", seed)
+    spec_seed = spec_kwargs.pop("seed", 0)
+    seed = spec_seed if args.seed is None else args.seed  # --seed overrides the spec's
     try:
         experiment_mod._check_seed(seed)
         spec = data_mod.SyntheticSpec(**spec_kwargs)

@@ -45,7 +45,7 @@ from lcalearn.dictionary import (
     save_checkpoint,
     synthesize,
 )
-from lcalearn.errors import ConfigError, NumericError
+from lcalearn.errors import ConfigError
 from lcalearn.filters import make_filter
 from lcalearn.lca import LcaParams, MembraneState, _first_read, _run_period, inhibition
 from lcalearn import classifier as classifier_mod
@@ -399,19 +399,21 @@ def load_dataset(
 
 
 def _period(holder, inhib, x, spec, *, lam=None, spike_height=None, warm=None, record=False,
-            half=True):
+            half=True, rows=None, errors=None):
     """One period at ``spec``: the one path every period takes, graded or spiking.
 
     Builds the stage (by ``accumulator._output_stage``), its filter and the
     input rate encoder, then runs ``lca._run_period``. ``holder`` is a
-    ``Dictionary`` with x (D,) or (B, D), or a stack of R runs (a
-    ``_TrainingState``) with x (R, B, D) and per-run ``lam`` and
-    ``spike_height`` (R, 1, 1). ``warm`` is the period to continue from.
-    ``record`` fills the trace (and raster) of one sample. ``half`` says
-    whether the caller reads the last-half mean; without it ``half_mean``
-    is None, and without either only the final code is computed. The
-    result holds ``x`` too; the stage's carry, counts, value, peak, total
-    and raster are None for a graded period.
+    stack of R runs with x (R, B, D) and per-run ``lam`` and
+    ``spike_height`` (R, 1, 1), or a lone ``Dictionary`` with x (D,) or
+    (B, D). ``warm`` is the period to continue from. ``record`` fills the
+    trace (and raster) of one sample. ``half`` says whether the caller
+    reads the last-half mean; without it ``half_mean`` is None, and
+    without either only the final code is computed. ``rows`` and
+    ``errors`` go to ``_run_period``: with ``errors``, a run that goes
+    non-finite leaves its error there, and the other runs' periods stand.
+    The result holds ``x`` too; the stage's carry, counts, value, peak,
+    total and raster are None for a graded period.
     """
     params = spec.params
     raster = np.zeros((params.steps, holder.elements.shape[-2]), dtype=np.int64) if record else None
@@ -424,7 +426,8 @@ def _period(holder, inhib, x, spec, *, lam=None, spike_height=None, warm=None, r
     rate = spec.input_spike_height
     encoder = None if rate is None else InputRateEncoder(x, rate)
     result = _run_period(holder, inhib, x, params, stage, record_trace=record, half=half,
-                         initial_state=None if warm is None else warm.state, input_encoder=encoder)
+                         initial_state=None if warm is None else warm.state, input_encoder=encoder,
+                         rows=rows, errors=errors)
     return SimpleNamespace(
         x=x, code=result.code, half_mean=result.half_mean, state=result.state, trace=result.trace,
         carry=stage.carry, counts=stage.counts, value=stage.value, peak=stage.peak,
@@ -432,7 +435,7 @@ def _period(holder, inhib, x, spec, *, lam=None, spike_height=None, warm=None, r
 
 
 def _pick(period, index) -> SimpleNamespace:
-    """The rows ``index`` picks (runs of a stack, or one run's row) of a stacked ``_period``."""
+    """The runs ``index`` picks (a slice, mask or list) of a stacked ``_period``, still a stack."""
     rows = {k: v[index] if isinstance(v, np.ndarray) else v for k, v in vars(period).items()}
     rows["state"] = MembraneState(period.state.u[index], period.state.step_index)
     return SimpleNamespace(**rows)
@@ -444,59 +447,59 @@ def _feature(result, scheme: str) -> np.ndarray:
 
 
 def _frozen_pass(holder, samples, spec, scheme="final"):
-    """A cold pass of a frozen dictionary, or of a stack: the one loop that stacks samples.
+    """A cold pass of a stack of frozen dictionaries: the one loop that stacks samples.
 
-    ``holder`` is a ``Dictionary`` with a list of ``samples``, or a stack
-    of R runs (a ``_TrainingState``, each run at its own ``lam`` and
-    ``spike_height``) with one equally long sample list per run. Runs
-    ``_period`` at ``spec`` on each chunk of at most ``INFER_CHUNK``
-    samples, in order: x (B, D) against the dictionary's ``inhibition``,
-    or x (R, B, D) against each run's own, so each run of a stack
-    computes what its solo pass computes, bit for bit. Returns each
-    sample's ``rmse`` and ``sparsity`` summed in sample order, the
-    ``peak`` and total (``spikes``) spike counts, 0 for graded periods,
-    and one ``features`` row per sample under ``scheme``; the last-half
-    mean is computed only under "mean_last_half". For a stack, a list of
-    one such record per run, or None for a run whose potentials went
-    non-finite: its solo pass gives its error.
+    ``holder`` is a stack of R runs (a ``_TrainingState``, each run at its
+    own ``lam`` and ``spike_height``) with one equally long sample list per
+    run, or a lone ``Dictionary`` at ``spec``'s threshold and spike height
+    with one list of ``samples``: a stack of one without the run axis.
+    Runs ``_period`` at ``spec`` on each chunk of at most ``INFER_CHUNK``
+    samples, in order, x (R, B, D) against each run's own ``inhibition``
+    (x (B, D) for a lone dictionary), and reads the result per run as
+    (R, B, N). Each run's record holds its samples' ``rmse`` and
+    ``sparsity`` summed in sample order, the ``peak`` and total
+    (``spikes``) spike counts, 0 for graded periods, and one ``features``
+    row per sample under ``scheme``; the last-half mean is computed only
+    under "mean_last_half". A run whose potentials go non-finite gets the
+    ``NumericError`` the stack finds for it, the one its pass alone
+    raises, in place of its record. Returns the list of records, or for a
+    lone dictionary its record, raising its error.
     """
-    stacked = not isinstance(holder, Dictionary)
-    if stacked:
-        dictionaries = [Dictionary(elements, holder.dims) for elements in holder.elements]
-        inhib = np.stack([inhibition(dictionary) for dictionary in dictionaries])
-        per_run = samples
+    lone = isinstance(holder, Dictionary)
+    per_run = [samples] if lone else samples
+    runs, (n, d) = holder.elements.shape[:-2], holder.elements.shape[-2:]
+    dictionaries = [Dictionary(elements, holder.dims) for elements in
+                    holder.elements.reshape(-1, n, d)]
+    inhib = np.reshape([inhibition(dictionary) for dictionary in dictionaries], runs + (n, n))
+    lam = height = None  # a lone dictionary's come from ``spec``
+    if not lone:
         lam, height = holder.lam[:, None, None], holder.spike_height[:, None, None]
-    else:
-        dictionaries, inhib, per_run = [holder], inhibition(holder), [samples]
-        lam = height = None
-    records = [SimpleNamespace(rmse=0.0, sparsity=0.0, peak=0, spikes=0) for _ in per_run]
-    rows = [[] for _ in per_run]
+    records = [SimpleNamespace(rmse=0.0, sparsity=0.0, peak=0, spikes=0, features=[])
+               for _ in per_run]
+    errors = {}  # run -> the error of the first chunk it fails in
     for start in range(0, len(per_run[0]), INFER_CHUNK):
-        x = np.stack([np.stack([s.input.flattened for s in run_samples[start:start + INFER_CHUNK]])
-                      for run_samples in per_run])
-        result = _period(holder, inhib, x if stacked else x[0], spec, lam=lam,
-                         spike_height=height, half=scheme == "mean_last_half")
-        if not stacked:
-            result = _pick(result, np.newaxis)  # a stack of one run
+        x = np.array([[s.input.flattened for s in run[start:start + INFER_CHUNK]]
+                      for run in per_run])
+        result = _period(holder, inhib, x.reshape(runs + x.shape[1:]), spec, lam=lam,
+                         spike_height=height, half=scheme == "mean_last_half", errors=errors)
+        code = result.code.reshape(x.shape[:2] + (n,))
+        feature = _feature(result, scheme).reshape(code.shape)
         for r, totals in enumerate(records):
-            if totals is None:
+            if r in errors:
                 continue
-            if stacked and not np.isfinite(result.state.u[r]).all():
-                records[r] = None
-                continue
-            code = result.code[r]
-            for vec, row, recon in zip(x[r], code, synthesize(dictionaries[r], code)):
+            for vec, row, recon in zip(x[r], code[r], synthesize(dictionaries[r], code[r])):
                 totals.rmse += rmse(vec, recon)
                 totals.sparsity += sparsity(row)
             if result.peak is not None:
-                totals.peak = max(totals.peak, int(result.peak[r].max()))
-                totals.spikes += int(result.total[r].sum())
-            rows[r].append(_feature(result, scheme)[r])
-    for totals, run_rows in zip(records, rows):
-        if totals is not None:
-            totals.features = (np.concatenate(run_rows) if run_rows
-                               else np.zeros((0, holder.elements.shape[-2])))
-    return records if stacked else records[0]
+                totals.peak = max(totals.peak, int(result.peak.reshape(code.shape)[r].max()))
+                totals.spikes += int(result.total.reshape(code.shape)[r].sum())
+            totals.features.append(feature[r])
+    for totals in records:
+        totals.features = np.concatenate(totals.features or [np.zeros((0, n))])
+    if lone and errors:
+        raise errors[0]
+    records = [errors.get(r, totals) for r, totals in enumerate(records)]
+    return records[0] if lone else records
 
 
 def run_training(
@@ -602,7 +605,7 @@ class _TrainingState:
         self.spike_height = np.array([run.config.spike_height for run in runs])
 
     def select(self, index) -> "_TrainingState":
-        """The runs ``index`` picks: views for a slice, a copy for a mask, one run for an int."""
+        """The runs ``index`` picks, still a stack: views for a slice, a copy for a mask."""
         picked = copy.copy(self)
         for name in ("elements", "inhib", "lam", "spike_height"):
             setattr(picked, name, getattr(self, name)[index])
@@ -662,46 +665,38 @@ class _LockStep:
         spike height as (R, 1, 1); with ``warm`` the period starts from
         ``self.warm``, and ``half`` computes the last-half mean (see
         ``_period``). Returns the ``_period`` result of the runs that
-        remain, or None if none does. A run whose period raises or ends
-        non-finite leaves the stack with the error of its period run
-        alone, on its (D,) sample, with a check after every step.
+        remain, or None if none does. A run that goes non-finite leaves the
+        stack with the error the stack finds for it, which names no row, as
+        its single-sample period alone does. An exception the stack cannot
+        pin on one run (the rate encoder's check of the whole input) is
+        found by running each run alone, as a stack of one.
         """
         while self.runs:
-            solo = np.array([sample(run) for run in self.runs])
-            x = solo[:, None, :]
+            x = np.array([sample(run) for run in self.runs])[:, None, :]
             start = self.warm if warm else None
-            stack = self.state
-            crash = None
+            stack, errors = self.state, {}
             try:
                 out = _period(stack, stack.inhib, x, spec, lam=stack.lam[:, None, None],
                               spike_height=stack.spike_height[:, None, None], warm=start,
-                              half=half)
-                bad = np.flatnonzero(~np.isfinite(out.state.u).reshape(len(x), -1).all(axis=1))
-            except Exception as exc:  # noqa: BLE001 - each run's own error is found alone
-                bad, crash = range(len(x)), exc
-            errors = {}
-            for i in bad:
-                one = stack.select(i)
-                try:
-                    _period(one, one.inhib, solo[i], spec, lam=one.lam,
-                            spike_height=one.spike_height, half=half,
-                            warm=None if start is None else _pick(start, (i, 0)))
-                    if crash is None:  # the run went bad in the stack but not alone
-                        raise NumericError("non-finite membrane potential at period end")
-                except Exception as exc:  # noqa: BLE001 - recorded as the run's failure
-                    errors[i] = exc
-            if crash is not None and not errors:
-                raise crash
-            self.drop(errors)
-            if crash is not None:
+                              half=half, rows=False, errors=errors)
+            except Exception as crash:  # noqa: BLE001 - each run's own error is found alone
+                for i in range(len(x)):
+                    one = stack.select(slice(i, i + 1))
+                    try:
+                        _period(one, one.inhib, x[i:i + 1], spec, lam=one.lam[:, None, None],
+                                spike_height=one.spike_height[:, None, None], half=half,
+                                rows=False,
+                                warm=None if start is None else _pick(start, slice(i, i + 1)))
+                    except Exception as exc:  # noqa: BLE001 - recorded as the run's failure
+                        errors[i] = exc
+                if not errors:
+                    raise crash
+                self.drop(errors)
                 continue
-            if len(errors) == len(x):
-                return None
-            keep = slice(None)
+            self.drop(errors)
             if errors:
-                keep = np.ones(len(x), dtype=bool)
-                keep[bad] = False
-            return _pick(out, keep)
+                out = _pick(out, [i for i in range(len(x)) if i not in errors])
+            return out if self.runs else None
         return None
 
     def each_run(self, step) -> None:
@@ -790,8 +785,9 @@ class _LockStep:
         (R, ``INFER_CHUNK``, D) chunks stay within about ``STACK_BYTES``
         together with the period's buffers: per run, the boxcar's W and
         some 16 more of (``INFER_CHUNK``, N). A run that goes non-finite
-        there, or every run of a stack that raises, validates alone, which
-        gives its own record or error.
+        there fails with the error the stack finds for it; every run of a
+        stack that raises validates alone, which gives its own record or
+        error.
         """
         scheme = self.config.feature_scheme if self.config.classifier is not None else "final"
         n, d = self.state.elements.shape[1:]
@@ -804,14 +800,17 @@ class _LockStep:
             try:
                 records += _frozen_pass(self.state.select(group), [r.valid for r in runs], spec,
                                         scheme)
-            except Exception:  # noqa: BLE001 - each run's own outcome is found alone
+            except Exception:  # noqa: BLE001 - not pinned on a run: each validates alone
                 records += [None] * len(runs)
 
         def record(i, run):
-            if records[i] is None:
-                records[i] = _frozen_pass(Dictionary(self.state.elements[i], run.dims),
-                                          run.valid, run.config.period_spec(), scheme)
-            self.record_epoch(i, run, records[i], epoch, spec.params.steps)
+            valid = records[i]
+            if valid is None:
+                valid = _frozen_pass(Dictionary(self.state.elements[i], run.dims), run.valid,
+                                     run.config.period_spec(), scheme)
+            if isinstance(valid, Exception):
+                raise valid
+            self.record_epoch(i, run, valid, epoch, spec.params.steps)
 
         self.each_run(record)
 

@@ -21,7 +21,7 @@ them through ``_euler`` in buffers it allocates once, and the stages
 write their code and spikes into buffers of their own, so a step creates
 no Python objects. Finiteness is checked once per period; a period that
 ends non-finite is replayed from its start with a check after every step,
-which names the step (and row) that went bad.
+which finds each bad run's first bad step (and row).
 
 A period computes only what its caller reads. The code is read at the
 last step, on the last half of the steps when the caller reads their
@@ -30,14 +30,20 @@ recorded; ``_first_read`` names the first step read. The last-half mean
 is summed only when it is read, and the spiking stage feeds its filter
 only the frames those reads need. What is read keeps its bits.
 
-The engine takes one sample, input (D,) and state (N,), or a batch of
-independent samples, input (B, D) and state (B, N), against the same
-dictionary. Frozen-dictionary passes (evaluation, classifier features,
-reconstruction export, validation) run batched. Training shows each run
-one sample at a time, because each sample's update changes the
-dictionary; it integrates a stack of R runs at once instead, with
-(R, N, D) elements, (R, N, N) inhibition matrices and (R, 1, N)
-potentials, each run bit-identical to its own solo period.
+Every period is a stack: R runs, each with its own dictionary, of B
+independent samples each, input (R, B, D) and potentials (R, B, N)
+against (R, N, D) elements and (R, N, N) inhibition matrices, each run
+bit-identical to its own period alone. Frozen-dictionary passes
+(evaluation, classifier features, reconstruction export, validation)
+run B samples per run, a lone dictionary as a stack of one. Training
+shows each run one sample at a time, because each sample's update
+changes the dictionary, so it integrates its R runs as (R, 1, D). The
+arithmetic is the same per run and per row, so the public adapters
+(``run_inference``, ``run_spiking_inference``) pass a lone dictionary's
+arrays as they are: (N, D) elements with input (B, D), or (D,) for one
+sample, a stack of one without those axes. A run that goes non-finite
+gets its own error, the one it gets alone: its first bad step, and its
+first bad row when its caller passed a batch. The other runs go on.
 """
 
 from __future__ import annotations
@@ -130,14 +136,21 @@ def _euler(u, drive, inhib, value, rate, tmp, du) -> None:
     u += du
 
 
-def _check_finite(u: np.ndarray, step_index: int) -> None:
-    """Raise ``NumericError`` naming the step (and first bad row) if ``u`` is not finite."""
-    finite = np.isfinite(u)
-    if not finite.all():
-        where = f"step {step_index}"
-        if u.ndim == 2:
-            where += f", row {int(np.flatnonzero(~finite.all(axis=1))[0])}"
-        raise NumericError(f"non-finite membrane potential at {where}")
+def _check_finite(u: np.ndarray, step_index: int, rows: bool, errors=None) -> None:
+    """Find each run of ``u`` (R, B, N) that is not finite, and its error.
+
+    The error names the step, and the run's first bad row when ``rows``
+    (its caller passed a batch). Each goes into ``errors`` (run ->
+    ``NumericError``), where a run keeps the first error it gets; without
+    ``errors``, the first is raised.
+    """
+    finite = np.isfinite(u).all(axis=-1)
+    for r in np.flatnonzero(~finite.all(axis=-1)).tolist():
+        row = f", row {int(np.argmin(finite[r]))}" if rows else ""
+        error = NumericError(f"non-finite membrane potential at step {step_index}{row}")
+        if errors is None:
+            raise error
+        errors.setdefault(r, error)
 
 
 def lca_step(
@@ -164,7 +177,7 @@ def lca_step(
         u, analyze(dictionary, input_vector), inhibition(dictionary), output_code,
         params.dt / params.tau, np.empty(u.shape), np.empty(u.shape),
     )
-    _check_finite(u, state.step_index)
+    _check_finite(u.reshape(1, -1, u.shape[-1]), state.step_index, u.ndim > 1)
     return MembraneState(u, state.step_index + 1)
 
 
@@ -223,33 +236,36 @@ def _first_read(steps: int, half: bool, recording: bool) -> int:
 def _run_period(
     dictionary, inhib, input_vector, params, stage, *, initial_state=None,
     record_codes=False, record_trace=False, early_stop=None, input_encoder=None, half=True,
+    rows=None, errors=None,
 ) -> InferenceResult:
-    """Integrate one period of the dynamics through an output stage.
+    """Integrate one period of a stack of runs through an output stage.
 
-    ``inhib`` is the dictionary's inhibition matrix, built by the caller
-    (per period for a frozen dictionary; training keeps its own up to date).
-    The drive ``analyze(input)`` is built once per period; under an input
-    encoder it is rebuilt from each step's encoded input. Finiteness is
-    checked once, at period end: the dynamics are deterministic and a
-    non-finite potential never turns finite again, so when the check fails
-    the period is replayed from its saved start (potentials, accumulator
-    carry, input-encoder carry) with a check after every step, which names
-    the first bad step (and row). A finite period whose stage's ``end()``
-    is false is run again from its start: a spiking period run exact past
-    its bound is rerun on the corrected path (see ``accumulator``), which
-    the checked replay of a non-finite one also takes. Every pass runs
-    with overflow and invalid-value warnings silenced; the checked
-    replay's error is the report.
+    ``dictionary`` is anything whose ``elements`` are (R, N, D), with
+    ``inhib`` (R, N, N), each run's inhibition matrix, and input (R, B, D);
+    a lone ``Dictionary`` is a stack of one without the run axis, with
+    input (B, D), or (D,) for one sample (see the module docstring). Each
+    run is integrated as it is alone, bit for bit, and each row matches
+    its single-sample period up to float reordering in the matrix
+    products. ``inhib`` is built by the caller (per period for a frozen
+    dictionary; training keeps its own up to date). The drive
+    ``analyze(input)`` is built once per period; under an input encoder it
+    is rebuilt from each step's encoded input. Per-step codes, traces and
+    early stop are for one sample.
 
-    A (B, D) input integrates B independent samples at once; each row
-    matches its single-sample run up to float reordering in the matrix
-    products. Per-step codes, traces and early stop are single-sample only.
-
-    ``dictionary`` may also be a stack of R runs: anything whose
-    ``elements`` are (R, N, D), with ``inhib`` (R, N, N) and input (R, B, D).
-    Each run is integrated as its own (B, D) batch would be, bit for bit.
-    A stack is not checked for finiteness: its caller checks each run and
-    replays a bad one alone, which gives that run's own error.
+    Finiteness is checked once, at period end: the dynamics are
+    deterministic and a non-finite potential never turns finite again, so
+    when the check fails the period is replayed from its saved start
+    (potentials, accumulator carry, input-encoder carry) with a check
+    after every step, which finds each bad run's first bad step, and its
+    first bad row when ``rows`` (by default, when the input has a batch
+    axis; see ``_check_finite``). Given an ``errors`` dict, the replay puts
+    each bad run's error there and the result holds the other runs'
+    periods; without one, the first bad step raises its error. A finite
+    period whose stage's ``end()`` is false is run again from its start: a
+    spiking period run exact past its bound is rerun on the corrected
+    path (see ``accumulator``), which the checked replay of a non-finite
+    one also takes. Every pass runs with overflow and invalid-value
+    warnings silenced; the checked replay's errors are the report.
 
     With ``half`` false the last-half mean is not summed and ``half_mean``
     is None. ``stage`` may skip the reads before ``_first_read`` of the
@@ -273,30 +289,28 @@ def _run_period(
     drive = _drive(elements, input_vector) if input_encoder is None else None
     # The encoder steps its carry in place, so each pass restarts from a copy.
     encoder_start = None if input_encoder is None else input_encoder.carry.copy()
+    rows = input_vector.ndim > 1 if rows is None else rows
 
-    def integrate(record_codes, record_trace, check):
+    def integrate(check):
         if input_encoder is not None:
             input_encoder.carry[...] = encoder_start
         return _integrate(
             dictionary, input_vector, params, stage, state, inhib, drive, input_encoder,
-            record_codes, record_trace, early_stop, half, check,
+            record_codes, record_trace, early_stop, half, rows, errors, check,
         )
 
     with np.errstate(over="ignore", invalid="ignore"):
-        result = integrate(record_codes, record_trace, check=False)
-        bad = not runs and not np.isfinite(result.state.u).all()
-        if not stage.end() and not bad:
-            result = integrate(record_codes, record_trace, check=False)
-            bad = not runs and not np.isfinite(result.state.u).all()
-        if bad:
-            integrate(False, False, check=True)
-            raise NumericError("non-finite membrane potential at period end")
+        result = integrate(False)
+        if not stage.end() and np.isfinite(result.state.u).all():
+            result = integrate(False)
+        if not np.isfinite(result.state.u).all():
+            result = integrate(True)
     return result
 
 
 def _integrate(
     dictionary, input_vector, params, stage, state, inhib, drive, input_encoder,
-    record_codes, record_trace, early_stop, half, check,
+    record_codes, record_trace, early_stop, half, rows, errors, check,
 ) -> InferenceResult:
     """The step loop of ``_run_period``, on buffers it allocates once.
 
@@ -305,10 +319,13 @@ def _integrate(
     the step from the new potentials. ``_euler`` is looked up as a module
     global on every step, so a wrapper installed on it (a profiler or
     tracer) sees each one. ``state`` is not modified. With ``check`` set,
-    the potentials are checked after every step. The last-half mean is
-    summed only with ``half``.
+    the potentials of each run are checked after every step by
+    ``_check_finite``, which raises without ``errors``; with them, the
+    period runs to its end for the runs that stay finite. The last-half
+    mean is summed only with ``half``.
     """
     u = np.array(state.u, dtype=np.float64)
+    per_run = u.reshape((inhib.shape[:-2] or (1,)) + (-1, u.shape[-1]))  # (R, B, N) view
     step_index = state.step_index
     tmp, du = np.empty(u.shape), np.empty(u.shape)
     watch_du = record_trace or early_stop is not None
@@ -328,7 +345,7 @@ def _integrate(
             np.copyto(prev, u)
         _euler(u, drive, inhib, value, rate, tmp, du)
         if check:
-            _check_finite(u, step_index)
+            _check_finite(per_run, step_index, rows, errors)
         step_index += 1
         du_inf = float(np.abs(u - prev).max()) if watch_du else 0.0
         code = stage.read(u, value)

@@ -152,6 +152,25 @@ class TestSynth:
             assert capsys.readouterr().err == f"config error: seed must be >= 0, got {seed}\n"
             assert not out.exists()
 
+    def test_seed_flag_overrides_the_spec_seed(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        shape = {"n_classes": 2, "train_per_class": 3, "valid_per_class": 1, "height": 4,
+                 "width": 4, "frames": 2}
+        spec.write_text(json.dumps({**shape, "seed": 1}))
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps(shape))
+        runs = {"flag": ["--seed", 5, "--config", spec],
+                "flag-only": ["--seed", 5, "--config", plain],
+                "spec": ["--config", spec], "spec-seed": ["--seed", 1, "--config", plain],
+                "none": ["--config", plain], "zero": ["--seed", 0, "--config", plain]}
+        inputs = {}
+        for name, argv in runs.items():
+            assert run("synth", "--out", tmp_path / name, *argv) == 0
+            inputs[name] = (tmp_path / name / "train_inputs.npy").read_bytes()
+        assert inputs["flag"] == inputs["flag-only"] != inputs["spec"]
+        assert inputs["spec"] == inputs["spec-seed"]
+        assert inputs["none"] == inputs["zero"] != inputs["spec"]
+
     def test_empty_split_writes_nothing(self, tmp_path, capsys):
         # An empty split is an invalid synth spec: exit 1 before anything is written.
         for name in ("valid_per_class", "train_per_class"):

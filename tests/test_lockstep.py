@@ -185,6 +185,22 @@ class TestFailureMasking:
             run_training(bad.config)
         assert f"NumericError: {info.value}" == failure["error"]
 
+    def test_two_tiny_spike_heights_fail_in_one_stack_each_with_its_own_error(
+            self, monkeypatch, tmp_path):
+        config = config_from_dict(raw_config(spike_height=1.0, epochs=1))
+        values = [1e-310, 1.0, 3e-320]
+        stacked = assert_lockstep_matches_solo(monkeypatch, tmp_path, config, "s", values)
+        result = run_sweep(config, "s", values)
+        assert [row["failed"] for row in result.rows] == [1, 0, 1]
+        assert [failure["value"] for failure in result.failures] == [1e-310, 3e-320]
+        for failure in result.failures:
+            assert re.fullmatch(r"NumericError: non-finite membrane potential at step \d+",
+                                failure["error"])
+            with pytest.raises(NumericError) as info:
+                run_training(experiment.apply_axis(config, "s", failure["value"]))
+            assert f"NumericError: {info.value}" == failure["error"]
+        assert sum(run.error is not None for run in stacked.values()) == 2
+
     def test_a_run_that_raises_in_the_stack_is_found_alone(self):
         # A non-finite input fails the rate encoder of the whole stack at once;
         # the trainer finds the run it belongs to by running each one alone.

@@ -9,6 +9,7 @@ Training validates the runs of a lock-step stack in one stacked
 ``_frozen_pass``, which must give each run the bits of its solo pass.
 """
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -314,3 +315,68 @@ class TestValidationFailure:
                                   valid[4].label)
         assert_fails_alone(config, train, [valid, broken, valid[::-1]], 1,
                            "non-finite desired output in accumulator")
+
+    @pytest.mark.parametrize("height", [0.0, 0.05], ids=["graded", "spiking"])
+    def test_a_drop_keeps_the_warm_rows_of_the_runs_that_stay(self, height):
+        # The runs differ in lambda, so each holds warm rows of its own; run 1
+        # overflows in validation at the end of epoch 1 and leaves the stack,
+        # and runs 0 and 2 must go on from their own warm periods.
+        raw = {
+            "dataset": {"kind": "npy", "path": "unused"}, "dict_size": 3,
+            "tau": OVERFLOW_PARAMS.tau, "display_ms": float(OVERFLOW_PARAMS.steps),
+            "spike_height": height, "filter": {"kind": "boxcar", "window_ms": 7.0},
+            "epochs": 2, "warm_start": True, "gap_ms": 3.0,
+        }
+        configs = [config_from_dict({**raw, "lambda": OVERFLOW_PARAMS.lam * factor})
+                   for factor in (0.5, 1.0, 0.25)]
+        train = [sample([0.4, -0.2]), sample([0.1, 0.3])]
+        valids = [[sample([1.0, 1.5]), sample([0.5, 0.2])],
+                  [sample([1.0, 1.5]), sample(overflow_input([1.19])[0])],
+                  [sample([0.3, 1.0]), sample([0.5, 0.2])]]
+        runs = assert_each_run_as_alone(configs, train, valids, overflow_instance())
+        assert [run.error is not None for run in runs] == [False, True, False]
+        assert re.fullmatch(r"non-finite membrane potential at step \d+, row 1",
+                            str(runs[1].error))
+
+    @pytest.mark.parametrize("height", [0.0, OVERFLOW_HEIGHT], ids=["graded", "spiking"])
+    def test_two_runs_that_go_nonfinite_each_get_their_own_error(self, height):
+        # Runs 0 and 2 overflow at different steps and rows of one stacked
+        # pass; run 1 stays finite.
+        config = config_from_dict({
+            "dataset": {"kind": "npy", "path": "unused"}, "dict_size": 3,
+            "lambda": OVERFLOW_PARAMS.lam, "tau": OVERFLOW_PARAMS.tau,
+            "display_ms": float(OVERFLOW_PARAMS.steps), "spike_height": height,
+            "filter": {"kind": "boxcar", "window_ms": 7.0}, "epochs": 1,
+        })
+        fast, slow = overflow_input([1.19, 1.1])
+        train = [sample(np.zeros(2))]
+        valids = [[sample([1.0, 1.5]), sample(fast)],
+                  [sample([0.3, 1.0]), sample([0.5, 0.2])],
+                  [sample(slow), sample([0.5, 0.2])]]
+        runs = assert_each_run_as_alone([config] * 3, train, valids, overflow_instance())
+        assert [str(run.error) if run.error else None for run in runs] == [
+            "non-finite membrane potential at step 31, row 1", None,
+            "non-finite membrane potential at step 39, row 0"]
+
+
+def assert_each_run_as_alone(configs, train, valids, initial):
+    """Runs on the same training samples, one config and validation set each, in one stack.
+
+    Each must end as it ends alone: with the same error, or the same
+    dictionary and metrics. Returns the runs.
+    """
+    runs = [experiment._prepare_run(config, train, valid, initial)
+            for config, valid in zip(configs, valids)]
+    trainer = experiment._LockStep(runs)
+    trainer.train()
+    for run, config, valid in zip(runs, configs, valids):
+        if run.error is not None:
+            with pytest.raises(NumericError) as info:
+                run_training(config, train, valid, initial_dictionary=initial)
+            assert repr(run.error) == repr(info.value)
+            continue
+        alone = run_training(config, train, valid, initial_dictionary=initial)
+        got = trainer.result(run)
+        same(got.dictionary.elements, alone.dictionary.elements)
+        assert repr(got.metrics) == repr(alone.metrics)
+    return runs

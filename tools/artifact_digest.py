@@ -1,13 +1,14 @@
-"""Digest every file that a fixed matrix of ``lcalearn`` commands writes, and their stdout.
+"""Digest every file that a fixed matrix of ``lcalearn`` commands writes, and their output.
 
     python3 tools/artifact_digest.py <checkout> <out>
 
 Runs each command with the ``lcalearn`` package under ``<checkout>/src``,
 with ``<out>`` (created, and required to be empty) as the working
 directory and relative paths only, so the ``config.json`` echoes hold no
-absolute path. The standard output of the N-th command (from 0) is saved
-as ``<out>/stdout/<NNN>.txt``. Then prints ``sha256  relative/path`` for
-every file under ``<out>``, sorted, stdout included. Two checkouts that
+absolute path. The standard output and standard error of the N-th
+command (from 0) are saved as ``<out>/stdout/<NNN>.txt`` and
+``<out>/stderr/<NNN>.txt``. Then prints ``sha256  relative/path`` for
+every file under ``<out>``, sorted, both streams included. Two checkouts that
 write the same bytes and print the same lines give the same digest, so a
 refactor that must keep its artifacts and output can be checked with
 
@@ -21,8 +22,11 @@ filter, a boxcar and an exponential filter; the same four commands for a
 rate-encoded warm-start run with a gap, graded and spiking; and
 ``sweep --axis s`` and ``sweep --axis lambda`` with 2 repeats, at a boxcar
 and a classifier block on the last-half-mean features, plus ``sweep --axis
-s`` on the final-code features and with no classifier block. A command
-that exits non-zero stops the run with exit status 1.
+s`` on the final-code features and with no classifier block; and a
+``sweep --axis s`` over 1 and 1e-310, where the tiny height fails each
+repeat's run part-way through a period, so its stderr holds the error
+messages a failing stacked run reports. A command that exits non-zero
+stops the run with exit status 1.
 """
 
 from __future__ import annotations
@@ -91,6 +95,8 @@ def commands() -> list[list[str]]:
          "--values", "0.5,1,5", "--repeats", "2"],
         ["sweep", "--config", sweep, "--out", "sweep/lambda", "--axis", "lambda",
          "--values", "0.2,0.4", "--repeats", "2"],
+        ["sweep", "--config", sweep, "--out", "sweep/failing", "--axis", "s",
+         "--values", "1,1e-310", "--repeats", "2"],
     ]
     for name in sweep_configs():
         argv.append(["sweep", "--config", f"cfg/{name}.json", "--out", f"sweep/{name}",
@@ -122,7 +128,8 @@ def main(argv: list[str]) -> int:
     (out / "cfg" / "synth.json").write_text(json.dumps(SYNTH, indent=2) + "\n")
     for name, config in [*cases(), *sweep_configs().items()]:
         (out / "cfg" / f"{name}.json").write_text(json.dumps(config, indent=2) + "\n")
-    (out / "stdout").mkdir()
+    for stream in ("stdout", "stderr"):
+        (out / stream).mkdir()
     for index, args in enumerate(commands()):
         done = subprocess.run([sys.executable, "-m", "lcalearn.cli", *args],
                               env=env, cwd=out, capture_output=True, text=True)
@@ -131,6 +138,7 @@ def main(argv: list[str]) -> int:
                   file=sys.stderr)
             return 1
         (out / "stdout" / f"{index:03d}.txt").write_text(done.stdout)
+        (out / "stderr" / f"{index:03d}.txt").write_text(done.stderr)
 
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
