@@ -6,10 +6,12 @@ output never drifts more than ``s`` from cumulative desired output.
 Spiking LCA runs on the same period engine as graded LCA with one extra
 output stage: soft-threshold, discretize with carry, then filter. The
 spike values, not the graded code, drive the membrane dynamics. Like the
-engine, the stage works on the stack it is given: (R, B, N), or a lone
-run's (B, N) or (N,). The one factory ``_output_stage`` picks graded or
-spiking from the spike height; only the public adapters
-(``run_inference``, ``run_spiking_inference``) build a stage themselves.
+engine, the stage works on the (R, B, N) stack it is given; a lone run
+is a stack of one, which ``run_spiking_inference`` builds from its
+caller's (N,) or (B, N) carry and gives back in that shape. The one
+factory ``_output_stage`` picks graded or spiking from the spike height;
+only the public adapters (``run_inference``, ``run_spiking_inference``)
+build a stage themselves.
 
 ``_discharge`` is the one discretization step; it works in place. The
 stage runs it on a copy of the start carry and on count and value
@@ -63,9 +65,8 @@ from lcalearn.lca import (
     MembraneState,
     _GradedStage,
     _first_read,
-    _run_period,
+    _lone_period,
     _shrink,
-    inhibition,
     lca_step,
     soft_threshold,
 )
@@ -353,15 +354,13 @@ def run_spiking_inference(
     if astate.carry.shape != shape:
         raise ValueError(f"initial accumulator has shape {astate.carry.shape}, expected {shape}")
     raster = np.zeros((params.steps, n), dtype=np.int64) if record_raster else None
-    stage = _SpikingStage(params.lam, spike_height, astate.carry, code_filter, raster,
-                          _first_read(params.steps, True, record_codes))
-    period = _run_period(
-        dictionary, inhibition(dictionary), input_vector, params, stage,
-        initial_state=initial_state, record_codes=record_codes, input_encoder=input_encoder,
-    )
+    stage = _SpikingStage(params.lam, spike_height, astate.carry.reshape(1, -1, n), code_filter,
+                          raster, _first_read(params.steps, True, record_codes))
+    period = _lone_period(dictionary, input_vector, params, stage, initial_state,
+                          record_codes=record_codes, input_encoder=input_encoder)
     return SpikingResult(
-        code=period.code, final_value=stage.value, state=period.state,
-        accumulator=AccumulatorState(stage.carry, spike_height),
+        code=period.code, final_value=stage.value.reshape(shape), state=period.state,
+        accumulator=AccumulatorState(stage.carry.reshape(shape), spike_height),
         max_counts=int(stage.peak.max()), total_counts=int(stage.total.sum()),
         half_mean=period.half_mean, raster=raster, codes=period.codes,
     )

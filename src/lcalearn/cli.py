@@ -25,7 +25,7 @@ from lcalearn import export as export_mod
 from lcalearn.accumulator import write_raster_csv
 from lcalearn.dictionary import load_checkpoint, save_checkpoint
 from lcalearn.errors import ConfigError, FormatError, NumericError
-from lcalearn.lca import inhibition, write_trace_csv
+from lcalearn.lca import write_trace_csv
 
 
 class UsageError(Exception):
@@ -179,18 +179,20 @@ def _cmd_infer(args) -> int:
     _echo_config(args, out)
     sample = samples[args.index]
     vec = sample.input.flattened
-    result = experiment_mod._period(dictionary, inhibition(dictionary), vec, config.period_spec(),
-                                    record=True)
+    spec = config.period_spec()
+    result = experiment_mod._period(experiment_mod._TrainingState.lone(dictionary, spec),
+                                    vec[None, None], spec, record=True, rows=False)
     write_trace_csv(out / "trace.csv", result.trace)
     if result.raster is not None:
         write_raster_csv(out / "raster.csv", result.raster)
-    atomic.save_npy(out / "code.npy", result.code)
-    recon = experiment_mod.synthesize(dictionary, result.code)
+    code = result.code[0, 0]
+    atomic.save_npy(out / "code.npy", code)
+    recon = experiment_mod.synthesize(dictionary, code)
     atomic.save_npy(out / "reconstruction.npy", recon)
     print(
         f"sample {args.split}[{args.index}] label={sample.label}: "
         f"rmse={experiment_mod.rmse(vec, recon):.4f} "
-        f"sparsity={experiment_mod.sparsity(result.code):.2f}%"
+        f"sparsity={experiment_mod.sparsity(code):.2f}%"
     )
     return 0
 
@@ -319,7 +321,7 @@ def _cmd_export_recon(args) -> int:
     if not valid:
         raise FormatError("validation split is empty")
     samples = valid[:args.count]
-    codes = experiment_mod._frozen_pass(dictionary, samples, config.period_spec()).features
+    codes = experiment_mod._lone_pass(dictionary, samples, config.period_spec()).features
     strip = export_mod.render_reconstruction_strip(
         [s.input.flattened for s in samples], list(experiment_mod.synthesize(dictionary, codes)),
         dictionary.dims)

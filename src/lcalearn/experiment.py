@@ -5,14 +5,20 @@ by a zero-input gap), infers a sparse code with graded or spiking
 dynamics, and applies one Hebbian dictionary update per period from the
 period-end (filtered) code. Runs are reproducible bit-for-bit from the
 config and seed. Every period, trained or frozen, is one ``_period`` at
-one ``PeriodSpec``; the stage factory it calls picks graded or spiking.
-Every pass over a frozen dictionary (validation, evaluation, features,
-reconstruction export) is one ``_frozen_pass``.
+one ``PeriodSpec`` on a stack of runs (``_TrainingState``); the stage
+factory it calls picks graded or spiking. Every pass over a frozen
+dictionary (validation, evaluation, features, reconstruction export) is
+one ``_frozen_pass``. A lone dictionary is a stack of one
+(``_TrainingState.lone``): its callers (``evaluate_codes``,
+``collect_features``, ``cli`` ``infer`` and ``export-recon``) shape their
+input as (1, B, D) and read the run's record back.
 
 There is one training loop, ``_LockStep``. It trains R runs that share
 N, D and mode (graded or spiking) in lock-step on one ``_TrainingState``:
 (R, N, D) elements and (R, N, N) inhibition matrices, updated in place,
-and validates them in one stacked ``_frozen_pass``. ``run_training`` is
+and validates them in one stacked ``_frozen_pass``. A run's error, in
+training or validation, comes from the stack, which names the run it
+belongs to; no run is rerun alone. ``run_training`` is
 the case R = 1; ``run_sweep`` stacks the runs of a sweep (values x
 repeats) that share N, which is R·N·(D+N)·8 bytes per stack. Each
 stacked run is byte-identical to the same run trained alone. Periods
@@ -45,9 +51,9 @@ from lcalearn.dictionary import (
     save_checkpoint,
     synthesize,
 )
-from lcalearn.errors import ConfigError
+from lcalearn.errors import ConfigError, NumericError
 from lcalearn.filters import make_filter
-from lcalearn.lca import LcaParams, MembraneState, _first_read, _run_period, inhibition
+from lcalearn.lca import LcaParams, MembraneState, _fail, _first_read, _run_period, inhibition
 from lcalearn import classifier as classifier_mod
 
 METRICS_HEADER = [
@@ -398,36 +404,40 @@ def load_dataset(
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
-def _period(holder, inhib, x, spec, *, lam=None, spike_height=None, warm=None, record=False,
-            half=True, rows=None, errors=None):
+def _period(stack, x, spec, *, warm=None, record=False, half=True, rows=True, errors=None):
     """One period at ``spec``: the one path every period takes, graded or spiking.
 
     Builds the stage (by ``accumulator._output_stage``), its filter and the
-    input rate encoder, then runs ``lca._run_period``. ``holder`` is a
-    stack of R runs with x (R, B, D) and per-run ``lam`` and
-    ``spike_height`` (R, 1, 1), or a lone ``Dictionary`` with x (D,) or
-    (B, D). ``warm`` is the period to continue from. ``record`` fills the
-    trace (and raster) of one sample. ``half`` says whether the caller
-    reads the last-half mean; without it ``half_mean`` is None, and
-    without either only the final code is computed. ``rows`` and
-    ``errors`` go to ``_run_period``: with ``errors``, a run that goes
-    non-finite leaves its error there, and the other runs' periods stand.
+    input rate encoder, then runs ``lca._run_period``. ``stack`` holds R
+    runs (a ``_TrainingState``): its elements, inhibition matrices and
+    per-run ``lam`` and ``spike_height`` are the period's, and x is
+    (R, B, D). ``warm`` is the period to continue from. ``record`` fills
+    the trace (and raster) of one sample, for a caller that passed no
+    batch (``rows`` false). ``half`` says whether the caller reads the
+    last-half mean; without it ``half_mean`` is None, and without either
+    only the final code is computed. ``rows`` and ``errors`` go to
+    ``_run_period``: with ``errors``, a run that goes non-finite leaves
+    its error there, and the other runs' periods stand. A rate-encoded
+    input is checked per run the same way: a run with a non-finite input
+    gets the encoder's error, the one it gets alone, and is fed zeros.
     The result holds ``x`` too; the stage's carry, counts, value, peak,
     total and raster are None for a graded period.
     """
     params = spec.params
-    raster = np.zeros((params.steps, holder.elements.shape[-2]), dtype=np.int64) if record else None
-    stage = _output_stage(
-        params.lam if lam is None else lam,
-        spec.spike_height if spike_height is None else spike_height,
-        None if warm is None else warm.carry, make_filter(spec.filter, params.dt), raster,
-        _first_read(params.steps, half, record),
-    )
-    rate = spec.input_spike_height
-    encoder = None if rate is None else InputRateEncoder(x, rate)
-    result = _run_period(holder, inhib, x, params, stage, record_trace=record, half=half,
-                         initial_state=None if warm is None else warm.state, input_encoder=encoder,
-                         rows=rows, errors=errors)
+    raster = np.zeros((params.steps, stack.elements.shape[-2]), dtype=np.int64) if record else None
+    stage = _output_stage(stack.lam[:, None, None], stack.spike_height[:, None, None],
+                          None if warm is None else warm.carry,
+                          make_filter(spec.filter, params.dt), raster,
+                          _first_read(params.steps, half, record))
+    encoder = None
+    if spec.input_spike_height is not None:
+        bad = ~np.isfinite(x).all(axis=(1, 2))
+        for r in np.flatnonzero(bad).tolist():
+            _fail(errors, r, NumericError("non-finite desired output in accumulator"))
+        encoder = InputRateEncoder(np.where(bad[:, None, None], 0.0, x), spec.input_spike_height)
+    result = _run_period(stack.elements, stack.inhib, x, params, stage, record_trace=record,
+                         half=half, initial_state=None if warm is None else warm.state,
+                         input_encoder=encoder, rows=rows, errors=errors)
     return SimpleNamespace(
         x=x, code=result.code, half_mean=result.half_mean, state=result.state, trace=result.trace,
         carry=stage.carry, counts=stage.counts, value=stage.value, peak=stage.peak,
@@ -446,60 +456,60 @@ def _feature(result, scheme: str) -> np.ndarray:
     return result.code if scheme == "final" else result.half_mean
 
 
-def _frozen_pass(holder, samples, spec, scheme="final"):
+def _frozen_pass(stack, samples, spec, scheme="final", errors=None):
     """A cold pass of a stack of frozen dictionaries: the one loop that stacks samples.
 
-    ``holder`` is a stack of R runs (a ``_TrainingState``, each run at its
-    own ``lam`` and ``spike_height``) with one equally long sample list per
-    run, or a lone ``Dictionary`` at ``spec``'s threshold and spike height
-    with one list of ``samples``: a stack of one without the run axis.
-    Runs ``_period`` at ``spec`` on each chunk of at most ``INFER_CHUNK``
-    samples, in order, x (R, B, D) against each run's own ``inhibition``
-    (x (B, D) for a lone dictionary), and reads the result per run as
-    (R, B, N). Each run's record holds its samples' ``rmse`` and
-    ``sparsity`` summed in sample order, the ``peak`` and total
-    (``spikes``) spike counts, 0 for graded periods, and one ``features``
-    row per sample under ``scheme``; the last-half mean is computed only
-    under "mean_last_half". A run whose potentials go non-finite gets the
-    ``NumericError`` the stack finds for it, the one its pass alone
-    raises, in place of its record. Returns the list of records, or for a
-    lone dictionary its record, raising its error.
+    ``stack`` is a frozen stack of R runs (``_TrainingState.frozen``, each
+    run at its own ``lam`` and ``spike_height``, with fresh inhibition
+    matrices), with one equally long sample list per run. Runs ``_period``
+    at ``spec`` on each chunk of at most ``INFER_CHUNK`` samples, in order,
+    x (R, B, D), and reads the result per run as (R, B, N). Each run's
+    record holds its samples' ``rmse`` and ``sparsity`` summed in sample
+    order, the ``peak`` and total (``spikes``) spike counts, 0 for graded
+    periods, and one ``features`` row per sample under ``scheme``; the
+    last-half mean is computed only under "mean_last_half". A run that
+    fails (its potentials or its rate-encoded input go non-finite) gets
+    the ``NumericError`` the stack finds for it, the one its pass alone
+    raises: with ``errors``, it goes there (run -> error) and later chunks
+    run without that run; without, it is raised. Returns the records, one
+    per run; a failed run's is incomplete.
     """
-    lone = isinstance(holder, Dictionary)
-    per_run = [samples] if lone else samples
-    runs, (n, d) = holder.elements.shape[:-2], holder.elements.shape[-2:]
-    dictionaries = [Dictionary(elements, holder.dims) for elements in
-                    holder.elements.reshape(-1, n, d)]
-    inhib = np.reshape([inhibition(dictionary) for dictionary in dictionaries], runs + (n, n))
-    lam = height = None  # a lone dictionary's come from ``spec``
-    if not lone:
-        lam, height = holder.lam[:, None, None], holder.spike_height[:, None, None]
+    dictionaries = [Dictionary(elements, stack.dims) for elements in stack.elements]
     records = [SimpleNamespace(rmse=0.0, sparsity=0.0, peak=0, spikes=0, features=[])
-               for _ in per_run]
-    errors = {}  # run -> the error of the first chunk it fails in
-    for start in range(0, len(per_run[0]), INFER_CHUNK):
-        x = np.array([[s.input.flattened for s in run[start:start + INFER_CHUNK]]
-                      for run in per_run])
-        result = _period(holder, inhib, x.reshape(runs + x.shape[1:]), spec, lam=lam,
-                         spike_height=height, half=scheme == "mean_last_half", errors=errors)
-        code = result.code.reshape(x.shape[:2] + (n,))
-        feature = _feature(result, scheme).reshape(code.shape)
-        for r, totals in enumerate(records):
-            if r in errors:
+               for _ in samples]
+    live, live_stack = list(range(len(samples))), stack  # the runs that have not failed
+    for start in range(0, len(samples[0]), INFER_CHUNK):
+        x = np.array([[s.input.flattened for s in samples[r][start:start + INFER_CHUNK]]
+                      for r in live])
+        found = None if errors is None else {}
+        result = _period(live_stack, x, spec, half=scheme == "mean_last_half", errors=found)
+        for i, r in enumerate(live):
+            if found and i in found:
+                errors[r] = found[i]
                 continue
-            for vec, row, recon in zip(x[r], code[r], synthesize(dictionaries[r], code[r])):
+            totals = records[r]
+            for vec, row, recon in zip(x[i], result.code[i],
+                                       synthesize(dictionaries[r], result.code[i])):
                 totals.rmse += rmse(vec, recon)
                 totals.sparsity += sparsity(row)
             if result.peak is not None:
-                totals.peak = max(totals.peak, int(result.peak.reshape(code.shape)[r].max()))
-                totals.spikes += int(result.total.reshape(code.shape)[r].sum())
-            totals.features.append(feature[r])
+                totals.peak = max(totals.peak, int(result.peak[i].max()))
+                totals.spikes += int(result.total[i].sum())
+            totals.features.append(_feature(result, scheme)[i])
+        if found:
+            live = [r for r in live if r not in errors]
+            if not live:
+                break
+            live_stack = stack.select(live)
+    n = stack.elements.shape[1]
     for totals in records:
         totals.features = np.concatenate(totals.features or [np.zeros((0, n))])
-    if lone and errors:
-        raise errors[0]
-    records = [errors.get(r, totals) for r, totals in enumerate(records)]
-    return records[0] if lone else records
+    return records
+
+
+def _lone_pass(dictionary: Dictionary, samples: list, spec: PeriodSpec, scheme="final"):
+    """A lone dictionary's ``_frozen_pass``, as a stack of one: its record, or its error raised."""
+    return _frozen_pass(_TrainingState.lone(dictionary, spec), [samples], spec, scheme)[0]
 
 
 def run_training(
@@ -587,7 +597,9 @@ class _TrainingState:
     inhibition matrix from the current elements, so the matrix never
     drifts from ``inhibition`` of the elements (it differs from a full
     rebuild by rounding only). ``lam`` and ``spike_height`` hold one value
-    per run; ``dims`` are the input dims the runs share.
+    per run; ``dims`` are the input dims the runs share. The same type is
+    the stack of every period: ``frozen`` builds one for a frozen pass,
+    and ``lone`` a lone dictionary's stack of one.
     """
 
     def __init__(self, runs):
@@ -603,6 +615,26 @@ class _TrainingState:
             self.inhib[r] = inhibition(start)
         self.lam = np.array([run.config.lam for run in runs])
         self.spike_height = np.array([run.config.spike_height for run in runs])
+
+    @classmethod
+    def frozen(cls, elements, lam, spike_height, dims) -> "_TrainingState":
+        """Dictionaries ``elements`` (R, N, D), as they stand, as the stack of a frozen pass.
+
+        ``lam`` and ``spike_height`` hold one value per run. Each run's
+        inhibition matrix is built fresh by ``inhibition``, as its pass alone
+        builds it; ``elements`` are not copied.
+        """
+        stack = cls.__new__(cls)
+        stack.elements, stack.dims = elements, dims
+        stack.inhib = np.array([inhibition(Dictionary(e, dims)) for e in elements])
+        stack.lam, stack.spike_height = np.asarray(lam), np.asarray(spike_height)
+        return stack
+
+    @classmethod
+    def lone(cls, dictionary: Dictionary, spec: PeriodSpec) -> "_TrainingState":
+        """A lone dictionary at ``spec``'s threshold and spike height, as a frozen stack of one."""
+        return cls.frozen(dictionary.elements[None], [spec.params.lam], [spec.spike_height],
+                          dictionary.dims)
 
     def select(self, index) -> "_TrainingState":
         """The runs ``index`` picks, still a stack: views for a slice, a copy for a mask."""
@@ -665,39 +697,19 @@ class _LockStep:
         spike height as (R, 1, 1); with ``warm`` the period starts from
         ``self.warm``, and ``half`` computes the last-half mean (see
         ``_period``). Returns the ``_period`` result of the runs that
-        remain, or None if none does. A run that goes non-finite leaves the
-        stack with the error the stack finds for it, which names no row, as
-        its single-sample period alone does. An exception the stack cannot
-        pin on one run (the rate encoder's check of the whole input) is
-        found by running each run alone, as a stack of one.
+        remain, or None if none does. A run that fails (its potentials or
+        its rate-encoded input go non-finite) leaves the stack with the
+        error the stack finds for it, which names no row, as its
+        single-sample period alone does. Any other exception propagates.
         """
-        while self.runs:
-            x = np.array([sample(run) for run in self.runs])[:, None, :]
-            start = self.warm if warm else None
-            stack, errors = self.state, {}
-            try:
-                out = _period(stack, stack.inhib, x, spec, lam=stack.lam[:, None, None],
-                              spike_height=stack.spike_height[:, None, None], warm=start,
-                              half=half, rows=False, errors=errors)
-            except Exception as crash:  # noqa: BLE001 - each run's own error is found alone
-                for i in range(len(x)):
-                    one = stack.select(slice(i, i + 1))
-                    try:
-                        _period(one, one.inhib, x[i:i + 1], spec, lam=one.lam[:, None, None],
-                                spike_height=one.spike_height[:, None, None], half=half,
-                                rows=False,
-                                warm=None if start is None else _pick(start, slice(i, i + 1)))
-                    except Exception as exc:  # noqa: BLE001 - recorded as the run's failure
-                        errors[i] = exc
-                if not errors:
-                    raise crash
-                self.drop(errors)
-                continue
-            self.drop(errors)
-            if errors:
-                out = _pick(out, [i for i in range(len(x)) if i not in errors])
-            return out if self.runs else None
-        return None
+        x = np.array([sample(run) for run in self.runs])[:, None, :]
+        errors = {}
+        out = _period(self.state, x, spec, warm=self.warm if warm else None, half=half,
+                      rows=False, errors=errors)
+        self.drop(errors)
+        if errors:
+            out = _pick(out, [i for i in range(len(x)) if i not in errors])
+        return out if self.runs else None
 
     def each_run(self, step) -> None:
         """``step(i, run)`` for every live run; a run whose step raises leaves the stack."""
@@ -781,36 +793,31 @@ class _LockStep:
     def end_epoch(self, spec: PeriodSpec, epoch: int) -> None:
         """Validate the live runs together, then write each run's epoch record.
 
-        The runs validate by stacked ``_frozen_pass`` calls, in stacks whose
-        (R, ``INFER_CHUNK``, D) chunks stay within about ``STACK_BYTES``
-        together with the period's buffers: per run, the boxcar's W and
-        some 16 more of (``INFER_CHUNK``, N). A run that goes non-finite
-        there fails with the error the stack finds for it; every run of a
-        stack that raises validates alone, which gives its own record or
-        error.
+        The runs validate by stacked ``_frozen_pass`` calls on frozen stacks
+        of their current dictionaries, in stacks whose (R, ``INFER_CHUNK``,
+        D) chunks stay within about ``STACK_BYTES`` together with the
+        period's buffers: per run, the boxcar's W and some 16 more of
+        (``INFER_CHUNK``, N). A run that fails there fails with the error
+        the stack finds for it; the others keep their records.
         """
         scheme = self.config.feature_scheme if self.config.classifier is not None else "final"
-        n, d = self.state.elements.shape[1:]
+        state = self.state
+        n, d = state.elements.shape[1:]
         window = make_filter(spec.filter, spec.params.dt).window_steps
         size = max(1, STACK_BYTES // (8 * INFER_CHUNK * (d + (window + 16) * n)))
-        records = []
+        records, errors = [], {}
         for first in range(0, len(self.runs), size):
-            group = slice(first, first + size)
-            runs = self.runs[group]
-            try:
-                records += _frozen_pass(self.state.select(group), [r.valid for r in runs], spec,
-                                        scheme)
-            except Exception:  # noqa: BLE001 - not pinned on a run: each validates alone
-                records += [None] * len(runs)
+            group, found = slice(first, first + size), {}
+            stack = _TrainingState.frozen(state.elements[group], state.lam[group],
+                                          state.spike_height[group], state.dims)
+            records += _frozen_pass(stack, [run.valid for run in self.runs[group]], spec, scheme,
+                                    found)
+            errors.update((first + r, error) for r, error in found.items())
 
         def record(i, run):
-            valid = records[i]
-            if valid is None:
-                valid = _frozen_pass(Dictionary(self.state.elements[i], run.dims), run.valid,
-                                     run.config.period_spec(), scheme)
-            if isinstance(valid, Exception):
-                raise valid
-            self.record_epoch(i, run, valid, epoch, spec.params.steps)
+            if i in errors:
+                raise errors[i]
+            self.record_epoch(i, run, records[i], epoch, spec.params.steps)
 
         self.each_run(record)
 
@@ -873,7 +880,7 @@ def evaluate_codes(
     """
     if not samples:
         raise ValueError("need at least one sample")
-    totals = _frozen_pass(dictionary, samples, PeriodSpec(params, spike_height, filter_spec))
+    totals = _lone_pass(dictionary, samples, PeriodSpec(params, spike_height, filter_spec))
     return {
         "rmse": totals.rmse / len(samples),
         "sparsity_pct": totals.sparsity / len(samples),
@@ -885,7 +892,7 @@ def collect_features(
     dictionary: Dictionary, samples: list, config: ExperimentConfig
 ) -> np.ndarray:
     """Classifier features from a frozen dictionary, one row per sample."""
-    return _frozen_pass(dictionary, samples, config.period_spec(), config.feature_scheme).features
+    return _lone_pass(dictionary, samples, config.period_spec(), config.feature_scheme).features
 
 
 # ---------------------------------------------------------------------------

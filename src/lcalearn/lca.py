@@ -30,20 +30,20 @@ recorded; ``_first_read`` names the first step read. The last-half mean
 is summed only when it is read, and the spiking stage feeds its filter
 only the frames those reads need. What is read keeps its bits.
 
-Every period is a stack: R runs, each with its own dictionary, of B
-independent samples each, input (R, B, D) and potentials (R, B, N)
-against (R, N, D) elements and (R, N, N) inhibition matrices, each run
-bit-identical to its own period alone. Frozen-dictionary passes
-(evaluation, classifier features, reconstruction export, validation)
-run B samples per run, a lone dictionary as a stack of one. Training
-shows each run one sample at a time, because each sample's update
-changes the dictionary, so it integrates its R runs as (R, 1, D). The
-arithmetic is the same per run and per row, so the public adapters
-(``run_inference``, ``run_spiking_inference``) pass a lone dictionary's
-arrays as they are: (N, D) elements with input (B, D), or (D,) for one
-sample, a stack of one without those axes. A run that goes non-finite
-gets its own error, the one it gets alone: its first bad step, and its
-first bad row when its caller passed a batch. The other runs go on.
+Every period is a stack, and the engine takes no other shape: R runs,
+each with its own dictionary, of B independent samples each, input
+(R, B, D) and potentials (R, B, N) against (R, N, D) elements and
+(R, N, N) inhibition matrices, each run bit-identical to its own period
+alone. Frozen-dictionary passes (evaluation, classifier features,
+reconstruction export, validation) run B samples per run. Training shows
+each run one sample at a time, because each sample's update changes the
+dictionary, so it integrates its R runs as (R, 1, D). A lone dictionary
+is a stack of one: the public adapters (``run_inference``,
+``run_spiking_inference``) check their caller's input, (D,) for one
+sample or (B, D), run it as (1, B, D) through ``_lone_period`` and give
+the results back in the caller's shape. A run that goes non-finite gets
+its own error, the one it gets alone: its first bad step, and its first
+bad row when its caller passed a batch. The other runs go on.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class MembraneState:
 
 @dataclass
 class InferenceResult:
-    code: np.ndarray  # (N,), or (B, N) for a batch like every per-sample field
+    code: np.ndarray  # (N,) or (B, N) like every per-sample field; (R, B, N) in the engine
     state: MembraneState
     half_mean: np.ndarray = None  # mean code over the last half, None if not read
     codes: Optional[np.ndarray] = None  # (steps, N) per-step codes when traced
@@ -140,17 +140,23 @@ def _check_finite(u: np.ndarray, step_index: int, rows: bool, errors=None) -> No
     """Find each run of ``u`` (R, B, N) that is not finite, and its error.
 
     The error names the step, and the run's first bad row when ``rows``
-    (its caller passed a batch). Each goes into ``errors`` (run ->
-    ``NumericError``), where a run keeps the first error it gets; without
-    ``errors``, the first is raised.
+    (its caller passed a batch), and goes to ``_fail``.
     """
     finite = np.isfinite(u).all(axis=-1)
     for r in np.flatnonzero(~finite.all(axis=-1)).tolist():
         row = f", row {int(np.argmin(finite[r]))}" if rows else ""
-        error = NumericError(f"non-finite membrane potential at step {step_index}{row}")
-        if errors is None:
-            raise error
-        errors.setdefault(r, error)
+        _fail(errors, r, NumericError(f"non-finite membrane potential at step {step_index}{row}"))
+
+
+def _fail(errors, r: int, error: Exception) -> None:
+    """Run ``r`` of a stack fails with ``error``: the one way a period reports a bad run.
+
+    The error goes into ``errors`` (run -> error), where a run keeps the
+    first error it gets; without ``errors``, it is raised.
+    """
+    if errors is None:
+        raise error
+    errors.setdefault(r, error)
 
 
 def lca_step(
@@ -189,6 +195,11 @@ def energy(
 ) -> float:
     """Sparse-coding cost: 0.5 * ||input - reconstruction||^2 + lam * ||code||_1."""
     residual = np.asarray(input_vector, dtype=np.float64) - synthesize(dictionary, code)
+    return _cost(residual, code, lam)
+
+
+def _cost(residual: np.ndarray, code: np.ndarray, lam: float) -> float:
+    """``energy`` from the reconstruction residual of one sample."""
     return 0.5 * float(residual @ residual) + lam * float(np.abs(code).sum())
 
 
@@ -234,34 +245,34 @@ def _first_read(steps: int, half: bool, recording: bool) -> int:
 
 
 def _run_period(
-    dictionary, inhib, input_vector, params, stage, *, initial_state=None,
-    record_codes=False, record_trace=False, early_stop=None, input_encoder=None, half=True,
-    rows=None, errors=None,
+    elements, inhib, x, params, stage, *, initial_state=None, record_codes=False,
+    record_trace=False, early_stop=None, input_encoder=None, half=True, rows=True, errors=None,
 ) -> InferenceResult:
     """Integrate one period of a stack of runs through an output stage.
 
-    ``dictionary`` is anything whose ``elements`` are (R, N, D), with
-    ``inhib`` (R, N, N), each run's inhibition matrix, and input (R, B, D);
-    a lone ``Dictionary`` is a stack of one without the run axis, with
-    input (B, D), or (D,) for one sample (see the module docstring). Each
+    ``elements`` are the runs' dictionaries (R, N, D), ``inhib`` their
+    inhibition matrices (R, N, N) and the input ``x`` is (R, B, D). Each
     run is integrated as it is alone, bit for bit, and each row matches
     its single-sample period up to float reordering in the matrix
     products. ``inhib`` is built by the caller (per period for a frozen
     dictionary; training keeps its own up to date). The drive
-    ``analyze(input)`` is built once per period; under an input encoder it
-    is rebuilt from each step's encoded input. Per-step codes, traces and
-    early stop are for one sample.
+    ``analyze(x)`` is built once per period; under an input encoder it is
+    rebuilt from each step's encoded input (an encoder of a lone caller's
+    (D,) or (B, D) input steps in that shape, and its drive broadcasts
+    over the stack). Per-step codes, traces and early stop are for one
+    sample of one run, from a caller that passed no batch (``rows``
+    false).
 
     Finiteness is checked once, at period end: the dynamics are
     deterministic and a non-finite potential never turns finite again, so
     when the check fails the period is replayed from its saved start
     (potentials, accumulator carry, input-encoder carry) with a check
     after every step, which finds each bad run's first bad step, and its
-    first bad row when ``rows`` (by default, when the input has a batch
-    axis; see ``_check_finite``). Given an ``errors`` dict, the replay puts
-    each bad run's error there and the result holds the other runs'
-    periods; without one, the first bad step raises its error. A finite
-    period whose stage's ``end()`` is false is run again from its start: a
+    first bad row when ``rows`` (its caller passed a batch; see
+    ``_check_finite``). Given an ``errors`` dict, the replay puts each bad
+    run's error there and the result holds the other runs' periods;
+    without one, the first bad step raises its error. A finite period
+    whose stage's ``end()`` is false is run again from its start: a
     spiking period run exact past its bound is rerun on the corrected
     path (see ``accumulator``), which the checked replay of a non-finite
     one also takes. Every pass runs with overflow and invalid-value
@@ -271,31 +282,24 @@ def _run_period(
     is None. ``stage`` may skip the reads before ``_first_read`` of the
     period (see ``accumulator._SpikingStage``).
     """
-    elements = dictionary.elements
-    input_vector = np.asarray(input_vector, dtype=np.float64)
-    runs, (n, d) = elements.shape[:-2], elements.shape[-2:]
-    shape = input_vector.shape
-    ndims = (3,) if runs else (1, 2)
-    if shape[-1:] != (d,) or shape[:len(runs)] != runs or len(shape) not in ndims:
-        expected = f"({runs[0]}, B, {d})" if runs else f"({d},) or (B, {d})"
-        raise ValueError(f"input has shape {shape}, expected {expected}")
-    if input_vector.ndim > 1 and (record_codes or record_trace or early_stop is not None):
+    x = np.asarray(x, dtype=np.float64)
+    runs, n, d = elements.shape
+    if x.ndim != 3 or x.shape[0] != runs or x.shape[2] != d:
+        raise ValueError(f"input has shape {x.shape}, expected ({runs}, B, {d})")
+    one_sample = not rows and x.shape[:2] == (1, 1)
+    if (record_codes or record_trace or early_stop is not None) and not one_sample:
         raise ValueError("per-step codes, traces and early stop are for one sample, not a batch")
-    shape = input_vector.shape[:-1] + (n,)
-    state = initial_state if initial_state is not None else MembraneState.zeros(shape)
-    if state.u.shape != shape:
-        raise ValueError(f"state has shape {state.u.shape}, expected {shape}")
+    state = initial_state if initial_state is not None else MembraneState.zeros(x.shape[:2] + (n,))
 
-    drive = _drive(elements, input_vector) if input_encoder is None else None
+    drive = _drive(elements, x) if input_encoder is None else None
     # The encoder steps its carry in place, so each pass restarts from a copy.
     encoder_start = None if input_encoder is None else input_encoder.carry.copy()
-    rows = input_vector.ndim > 1 if rows is None else rows
 
     def integrate(check):
         if input_encoder is not None:
             input_encoder.carry[...] = encoder_start
         return _integrate(
-            dictionary, input_vector, params, stage, state, inhib, drive, input_encoder,
+            elements, inhib, x, params, stage, state, drive, input_encoder,
             record_codes, record_trace, early_stop, half, rows, errors, check,
         )
 
@@ -309,7 +313,7 @@ def _run_period(
 
 
 def _integrate(
-    dictionary, input_vector, params, stage, state, inhib, drive, input_encoder,
+    elements, inhib, input_vector, params, stage, state, drive, input_encoder,
     record_codes, record_trace, early_stop, half, rows, errors, check,
 ) -> InferenceResult:
     """The step loop of ``_run_period``, on buffers it allocates once.
@@ -325,7 +329,6 @@ def _integrate(
     mean is summed only with ``half``.
     """
     u = np.array(state.u, dtype=np.float64)
-    per_run = u.reshape((inhib.shape[:-2] or (1,)) + (-1, u.shape[-1]))  # (R, B, N) view
     step_index = state.step_index
     tmp, du = np.empty(u.shape), np.empty(u.shape)
     watch_du = record_trace or early_stop is not None
@@ -339,13 +342,13 @@ def _integrate(
     code = stage.begin(u, check)
     for i in range(params.steps):
         if input_encoder is not None:
-            drive = _drive(dictionary.elements, input_encoder.step())
+            drive = _drive(elements, input_encoder.step())
         value = stage.emit(u, code)
         if watch_du:
             np.copyto(prev, u)
         _euler(u, drive, inhib, value, rate, tmp, du)
         if check:
-            _check_finite(per_run, step_index, rows, errors)
+            _check_finite(u, step_index, rows, errors)
         step_index += 1
         du_inf = float(np.abs(u - prev).max()) if watch_du else 0.0
         code = stage.read(u, value)
@@ -355,7 +358,8 @@ def _integrate(
         if record_codes:
             codes[i] = code
         if record_trace:
-            step_energy = energy(dictionary, input_vector, code, params.lam)
+            one = code[0, 0]  # the one sample of the one run
+            step_energy = _cost(input_vector[0, 0] - one @ elements[0], one, params.lam)
             trace.append([step_index, step_energy, int(np.count_nonzero(code)), du_inf])
         if early_stop is not None and du_inf < early_stop:
             if record_codes:
@@ -368,6 +372,33 @@ def _integrate(
         code=code, state=MembraneState(u, step_index), half_mean=half_mean, codes=codes,
         trace=trace,
     )
+
+
+def _lone_period(dictionary, input_vector, params, stage, initial_state=None,
+                 **kwargs) -> InferenceResult:
+    """A lone dictionary's period, run as a stack of one: the public adapters' boundary.
+
+    Checks the caller's input, (D,) for one sample or (B, D), and start
+    state, runs them as (1, B, D) and (1, B, N) through ``_run_period``,
+    and gives the code, last-half mean and state back in the caller's
+    shape, (N,) or (B, N). ``stage`` must be built for (1, B, N).
+    """
+    x = np.asarray(input_vector, dtype=np.float64)
+    n, d = dictionary.elements.shape
+    if x.ndim not in (1, 2) or x.shape[-1] != d:
+        raise ValueError(f"input has shape {x.shape}, expected ({d},) or (B, {d})")
+    shape = x.shape[:-1] + (n,)
+    if initial_state is not None:
+        if initial_state.u.shape != shape:
+            raise ValueError(f"state has shape {initial_state.u.shape}, expected {shape}")
+        initial_state = MembraneState(initial_state.u.reshape(1, -1, n), initial_state.step_index)
+    result = _run_period(
+        dictionary.elements[None], inhibition(dictionary)[None], x.reshape(1, -1, d), params,
+        stage, initial_state=initial_state, rows=x.ndim > 1, **kwargs,
+    )
+    result.code, result.half_mean = result.code.reshape(shape), result.half_mean.reshape(shape)
+    result.state.u = result.state.u.reshape(shape)
+    return result
 
 
 def run_inference(
@@ -389,10 +420,10 @@ def run_inference(
     optionally replaces the constant input current with a per-step encoded
     version (see ``accumulator.InputRateEncoder``).
     """
-    return _run_period(
-        dictionary, inhibition(dictionary), input_vector, params, _GradedStage(params.lam),
-        initial_state=initial_state, record_codes=record_codes, record_trace=record_trace,
-        early_stop=early_stop, input_encoder=input_encoder,
+    return _lone_period(
+        dictionary, input_vector, params, _GradedStage(params.lam), initial_state,
+        record_codes=record_codes, record_trace=record_trace, early_stop=early_stop,
+        input_encoder=input_encoder,
     )
 
 

@@ -10,7 +10,6 @@ from lcalearn import cli
 from lcalearn import experiment as experiment_mod
 from lcalearn.data import save_events
 from lcalearn.dictionary import init_random, load_checkpoint, save_checkpoint
-from lcalearn.lca import inhibition
 
 
 @pytest.fixture()
@@ -582,12 +581,17 @@ class TestRateEncodedInference:
         _, valid = experiment_mod.load_dataset(config.dataset)
         vec = valid[1].input.flattened
         params = config.lca_params()
-        trained = experiment_mod._period(dictionary, inhibition(dictionary), vec,
-                                         config.period_spec())
+
+        def period(spec):
+            # The dictionary's stack of one, its (1, 1, N) code read back as (N,).
+            stack = experiment_mod._TrainingState.lone(dictionary, spec)
+            result = experiment_mod._period(stack, vec[None, None], spec)
+            result.code = result.code[0, 0]
+            return result
+
+        trained = period(config.period_spec())
         assert config.period_spec().input_spike_height == 0.3
-        constant = experiment_mod._period(
-            dictionary, inhibition(dictionary), vec,
-            experiment_mod.PeriodSpec(params, spike_height, config.filter))
+        constant = period(experiment_mod.PeriodSpec(params, spike_height, config.filter))
         code = np.load(out / "code.npy")
         assert np.array_equal(code, trained.code)
         assert not np.array_equal(code, constant.code)

@@ -24,7 +24,7 @@ from lcalearn.experiment import (
     run_training,
 )
 from lcalearn.filters import make_filter
-from lcalearn.lca import LcaParams, inhibition, run_inference
+from lcalearn.lca import LcaParams, run_inference
 
 from reference_lca import reference_run_inference, reference_run_spiking_inference
 
@@ -45,9 +45,13 @@ def instance(seed, n=12, side=4, frames=2, batch=5, scale=1.0):
 
 
 def period(dictionary, x, params, height, **kwargs):
-    """``experiment._period`` on a frozen dictionary at threshold, height and no filter."""
+    """``experiment._period`` on a frozen dictionary at threshold, height and no filter.
+
+    The (B, D) input runs as (1, B, D), on the dictionary's stack of one.
+    """
     spec = PeriodSpec(params, height)
-    return experiment._period(dictionary, inhibition(dictionary), x, spec, **kwargs)
+    stack = experiment._TrainingState.lone(dictionary, spec)
+    return experiment._period(stack, x[None], spec, **kwargs)
 
 
 def close(got, want):
@@ -59,7 +63,9 @@ class SpikeWatch:
 
     It also keeps the closest approach of ``(carry + desired) / s`` to a
     positive integer: a floor tie that float reordering could flip.
-    Calls for the input encoder (width D, not N) are passed through.
+    Calls for the input encoder (width D, not N) are passed through. The
+    engine discharges a lone dictionary's period as a stack of one, (1, B, N),
+    so its counts are logged as its one run's, (B, N).
     """
 
     def __init__(self, monkeypatch, n):
@@ -77,7 +83,8 @@ class SpikeWatch:
                     self.margin = min(self.margin, float(near.min()))
             real(carry, desired, s, counts, tmp, flag)
             if neurons:
-                self.counts.append(counts.astype(np.int64))
+                run = counts[0] if np.ndim(counts) == 3 else counts
+                self.counts.append(run.astype(np.int64))
 
         monkeypatch.setattr(accumulator, "_discharge", watched)
 
@@ -230,7 +237,9 @@ class TestFrozenPasses:
         })
         result = run_training(config)
         _, valid = experiment.load_dataset(config.dataset)
-        frozen = experiment._frozen_pass(result.dictionary, valid, config.period_spec())
+        spec = config.period_spec()
+        (frozen,) = experiment._frozen_pass(experiment._TrainingState.lone(result.dictionary, spec),
+                                            [valid], spec)
         assert result.metrics.rmse_val[-1] == frozen.rmse / len(valid)
         assert result.metrics.sparsity_pct[-1] == frozen.sparsity / len(valid)
         report = evaluate_codes(result.dictionary, valid, config.lca_params(),
@@ -259,7 +268,7 @@ class TestFrozenPasses:
         calls = []
         real = experiment._period
         monkeypatch.setattr(experiment, "_period",
-                            lambda d, m, x, *a, **k: calls.append(len(x)) or real(d, m, x, *a, **k))
+                            lambda s, x, *a, **k: calls.append(x.shape[1]) or real(s, x, *a, **k))
         chunked = collect_features(dictionary, data, config)
         chunked_eval = evaluate_codes(dictionary, data, params, height, config.filter)
         assert calls == [5, 5, 2, 5, 5, 2]
@@ -321,3 +330,69 @@ class TestBatchErrors:
         params = LcaParams(lam=0.3, dt=1.0, tau=10.0, steps=5)
         with pytest.raises(ValueError, match="input has shape"):
             run_inference(dictionary, x[:, :-1], params)
+
+
+class TestAdapterBoundary:
+    """The public adapters take (D,) or (B, D) and give their results back in that shape."""
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["sample", "batch"])
+    def test_results_keep_the_callers_shape(self, batch):
+        dictionary, x = instance(15)
+        x = x if batch else x[0]
+        shape = (5, 12) if batch else (12,)
+        params = LcaParams(lam=0.3, dt=1.0, tau=10.0, steps=10)
+        graded = run_inference(dictionary, x, params)
+        warm = run_inference(dictionary, x, params, initial_state=graded.state)
+        for result in (graded, warm):
+            assert result.code.shape == result.half_mean.shape == result.state.u.shape == shape
+        spiking = run_spiking_inference(dictionary, x, params, 1.0)
+        warm = run_spiking_inference(dictionary, x, params, 1.0, initial_state=spiking.state,
+                                     initial_accumulator=spiking.accumulator)
+        for result in (spiking, warm):
+            assert (result.code.shape == result.half_mean.shape == result.state.u.shape
+                    == result.accumulator.carry.shape == result.final_value.shape == shape)
+        if not batch:
+            recorded = run_inference(dictionary, x, params, record_codes=True)
+            assert recorded.codes.shape == (10, 12)
+            recorded = run_spiking_inference(dictionary, x, params, 1.0, record_codes=True,
+                                             record_raster=True)
+            assert recorded.codes.shape == recorded.raster.shape == (10, 12)
+
+    def test_a_stacked_input_is_refused_with_the_lone_shapes(self):
+        dictionary, x = instance(16)
+        params = LcaParams(lam=0.3, dt=1.0, tau=10.0, steps=5)
+        message = r"input has shape \(1, 5, 32\), expected \(32,\) or \(B, 32\)$"
+        with pytest.raises(ValueError, match=message):
+            run_inference(dictionary, x[None], params)
+        with pytest.raises(ValueError, match=message):
+            run_spiking_inference(dictionary, x[None], params, 1.0)
+        with pytest.raises(ValueError, match=r"input has shape \(5, 31\), expected \(32,\)"):
+            run_spiking_inference(dictionary, x[:, :-1], params, 1.0)
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_recording_a_batch_is_refused_with_its_message(self, rows):
+        dictionary, x = instance(17)
+        x = x[:rows]
+        params = LcaParams(lam=0.3, dt=1.0, tau=10.0, steps=5)
+        message = "^per-step codes, traces and early stop are for one sample, not a batch$"
+        for kwargs in ({"record_codes": True}, {"record_trace": True}, {"early_stop": 1e-4}):
+            with pytest.raises(ValueError, match=message):
+                run_inference(dictionary, x, params, **kwargs)
+        with pytest.raises(ValueError, match=message):
+            run_spiking_inference(dictionary, x, params, 1.0, record_codes=True)
+        with pytest.raises(ValueError,
+                           match="^a spike raster is recorded for one sample, not a batch$"):
+            run_spiking_inference(dictionary, x, params, 1.0, record_raster=True)
+
+    def test_a_start_of_the_wrong_shape_is_refused_with_both_shapes(self):
+        dictionary, x = instance(18)
+        params = LcaParams(lam=0.3, dt=1.0, tau=10.0, steps=5)
+        one = run_spiking_inference(dictionary, x[0], params, 1.0)
+        batch = run_spiking_inference(dictionary, x, params, 1.0)
+        with pytest.raises(ValueError, match=r"^state has shape \(12,\), expected \(5, 12\)$"):
+            run_inference(dictionary, x, params, initial_state=one.state)
+        with pytest.raises(ValueError, match=r"^state has shape \(5, 12\), expected \(12,\)$"):
+            run_spiking_inference(dictionary, x[0], params, 1.0, initial_state=batch.state)
+        with pytest.raises(ValueError, match=r"^initial accumulator has shape \(12,\), "
+                                             r"expected \(5, 12\)$"):
+            run_spiking_inference(dictionary, x, params, 1.0, initial_accumulator=one.accumulator)

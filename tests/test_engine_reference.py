@@ -20,7 +20,7 @@ from lcalearn.accumulator import AccumulatorState, InputRateEncoder, run_spiking
 from lcalearn.dictionary import Dictionary, InputDims, init_random
 from lcalearn.errors import NumericError
 from lcalearn.filters import make_filter
-from lcalearn.lca import LcaParams, MembraneState, inhibition, run_inference
+from lcalearn.lca import LcaParams, MembraneState, run_inference
 
 from reference_lca import reference_run_inference, reference_run_spiking_inference
 from test_engine_batch import TIE_MARGIN, TOL, SpikeWatch
@@ -330,8 +330,9 @@ class TestStateOwnership:
         params = LcaParams(lam=0.2, dt=1.0, tau=10.0, steps=20)
 
         def period(warm):
-            return experiment._period(dictionary, inhibition(dictionary), x,
-                                      experiment.PeriodSpec(params, height, spec), warm=warm)
+            period_spec = experiment.PeriodSpec(params, height, spec)
+            return experiment._period(experiment._TrainingState.lone(dictionary, period_spec),
+                                      x[None, None], period_spec, warm=warm)
 
         first = period(None)
         kept = {name: np.copy(getattr(first, name)) for name in ("code", "half_mean")}

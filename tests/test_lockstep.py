@@ -43,6 +43,28 @@ def spy_stacks(monkeypatch):
     return stacks
 
 
+def spy_live_stacks(monkeypatch):
+    """Log each ``_period`` and ``_frozen_pass`` call's runs with the trainer's live runs then.
+
+    Returns a list of (live runs, the call's stack shape before (N, D)); a
+    call that holds every live run logs (k, (k,)).
+    """
+    live, calls = [], []
+    for name in ("stacked_period", "end_epoch"):
+        def outer(trainer, *args, real=getattr(experiment._LockStep, name), **kwargs):
+            live.append(len(trainer.runs))
+            return real(trainer, *args, **kwargs)
+
+        monkeypatch.setattr(experiment._LockStep, name, outer)
+    for name in ("_period", "_frozen_pass"):
+        def inner(stack, *args, real=getattr(experiment, name), **kwargs):
+            calls.append((live[-1], stack.elements.shape[:-2]))
+            return real(stack, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, name, inner)
+    return calls
+
+
 def sweep(monkeypatch, tmp_path, name, config, axis, values, repeats, *, alone):
     """Run a sweep stacked (or every run alone); returns its CSV bytes, failures and runs."""
     with monkeypatch.context() as patch:
@@ -203,7 +225,7 @@ class TestFailureMasking:
 
     def test_a_run_that_raises_in_the_stack_is_found_alone(self):
         # A non-finite input fails the rate encoder of the whole stack at once;
-        # the trainer finds the run it belongs to by running each one alone.
+        # the stack names the run it belongs to.
         config = config_from_dict(raw_config(
             spike_height=0.5, input_encoding="rate", epochs=1))
         train, valid = experiment.load_dataset(config.dataset)
@@ -221,6 +243,25 @@ class TestFailureMasking:
         assert got.dictionary.elements.tobytes() == alone.dictionary.elements.tobytes()
         with pytest.raises(NumericError, match="non-finite desired output"):
             run_training(config, broken, valid)
+
+    def test_a_rate_encoded_nan_in_training_keeps_every_live_run_in_the_stack(self,
+                                                                              monkeypatch):
+        # As above, but every period and pass must hold all the live runs:
+        # the NaN fails its own run in the stacked period, with no rerun alone.
+        config = config_from_dict(raw_config(
+            spike_height=0.5, input_encoding="rate", epochs=1))
+        train, valid = experiment.load_dataset(config.dataset)
+        broken = list(train)
+        broken[2] = LabeledSample(FrameSequence(np.full(train[2].input.frames.shape, np.nan)),
+                                  train[2].label)
+        runs = [experiment._prepare_run(config, train, valid),
+                experiment._prepare_run(config, broken, valid)]
+        calls = spy_live_stacks(monkeypatch)
+        experiment._LockStep(runs).train()
+        assert repr(runs[1].error) == repr(NumericError("non-finite desired output in accumulator"))
+        assert runs[0].error is None
+        assert (2, (2,)) in calls and (1, (1,)) in calls
+        assert all(shape == (live,) for live, shape in calls)
 
 
     def test_a_stack_that_breaks_fails_its_runs_not_the_sweep(self, monkeypatch):

@@ -10,22 +10,21 @@ Training validates the runs of a lock-step stack in one stacked
 """
 
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from lcalearn import experiment
+from lcalearn import experiment, lca
 from lcalearn.data import FrameSequence, LabeledSample
-from lcalearn.dictionary import Dictionary, init_random
+from lcalearn.dictionary import init_random
 from lcalearn.errors import NumericError
 from lcalearn.filters import BoxcarFilter
 from lcalearn.experiment import PeriodSpec, config_from_dict, run_sweep, run_training
-from lcalearn.lca import LcaParams, _run_period, inhibition
+from lcalearn.lca import LcaParams, _run_period
 
 from reference_spiking import ReferenceStage, reference_filter
 from test_engine_batch import instance
-from test_lockstep import raw_config, spy_stacks
+from test_lockstep import raw_config, spy_live_stacks, spy_stacks
 from test_engine_reference import (
     OVERFLOW_HEIGHT,
     OVERFLOW_PARAMS,
@@ -45,19 +44,21 @@ LAM = 0.3
 
 
 def holder(shape, height, scale):
-    """A dictionary (or a stack of two) with input and the per-run lam and heights.
+    """A dictionary's stack of one (or a stack of two) with input and the per-run lam and heights.
 
-    ``shape`` is "solo" (x (D,)), "batch" (x (B, D)) or "stack": two runs at
-    heights ``height`` and ``2 * height``, x (2, B, D).
+    ``shape`` is "solo" (x (1, 1, D)), "batch" (x (1, B, D)) or "stack": two
+    runs at heights ``height`` and ``2 * height``, x (2, B, D).
     """
     dictionary, x = instance(4, scale=scale)
     if shape != "stack":
-        return dictionary, inhibition(dictionary), x[0] if shape == "solo" else x, None, height
+        stack = experiment._TrainingState.frozen(dictionary.elements[None], [LAM], [height],
+                                                 dictionary.dims)
+        return stack, stack.inhib, x[None, :1] if shape == "solo" else x[None], None, height
     other = init_random(9, dictionary.element_count, dictionary.dims)
-    stack = SimpleNamespace(elements=np.stack([dictionary.elements, other.elements]))
-    inhib = np.stack([inhibition(dictionary), inhibition(other)])
+    stack = experiment._TrainingState.frozen(np.stack([dictionary.elements, other.elements]),
+                                             [LAM, LAM], [height, 2 * height], dictionary.dims)
     heights = np.array([height, 2 * height])[:, None, None]
-    return stack, inhib, np.stack([x, x[::-1]]), np.full((2, 1, 1), LAM), heights
+    return stack, stack.inhib, np.stack([x, x[::-1]]), np.full((2, 1, 1), LAM), heights
 
 
 def assert_reads_match_a_full_read(shape, height, spec, steps, scale):
@@ -66,10 +67,9 @@ def assert_reads_match_a_full_read(shape, height, spec, steps, scale):
     dictionary, inhib, x, lam, heights = holder(shape, height, scale)
     want_stage = ReferenceStage(LAM if lam is None else lam, heights,
                                 np.zeros(x.shape[:-1] + (12,)), reference_filter(spec, 1.0))
-    want = _run_period(dictionary, inhib, x, params, want_stage)
+    want = _run_period(dictionary.elements, inhib, x, params, want_stage)
     for half in (False, True):
-        got = experiment._period(dictionary, inhib, x, PeriodSpec(params, height, spec),
-                                 lam=lam, spike_height=heights, half=half)
+        got = experiment._period(dictionary, x, PeriodSpec(params, height, spec), half=half)
         same(got.code, want.code)
         same(got.state.u, want.state.u)
         for name in ("carry", "counts", "value", "peak", "total"):
@@ -112,18 +112,18 @@ class TestReadDrivenPeriod:
         dictionary, x = instance(4, scale=3.0)
         spec = PeriodSpec(LcaParams(lam=LAM, dt=1.0, tau=10.0, steps=60), 1.0,
                           {"kind": "boxcar", "window_ms": 7.0})
-        experiment._period(dictionary, inhibition(dictionary), x[0], spec, half=reads == "half",
-                           record=reads == "record")
+        experiment._period(experiment._TrainingState.lone(dictionary, spec), x[None, :1], spec,
+                           half=reads == "half", record=reads == "record", rows=False)
         assert (len(flags), sum(flags)) == (fed, read)
 
     @pytest.mark.parametrize("half", [False, True])
     def test_graded_period_skips_only_the_half_mean(self, half):
         dictionary, x = instance(4)
         params = LcaParams(lam=LAM, dt=1.0, tau=10.0, steps=60)
-        want = _run_period(dictionary, inhibition(dictionary), x, params,
+        stack = experiment._TrainingState.lone(dictionary, PeriodSpec(params))
+        want = _run_period(stack.elements, stack.inhib, x[None], params,
                            experiment._output_stage(LAM, 0.0))
-        got = experiment._period(dictionary, inhibition(dictionary), x, PeriodSpec(params),
-                                 half=half)
+        got = experiment._period(stack, x[None], PeriodSpec(params), half=half)
         same(got.code, want.code)
         same(got.state.u, want.state.u)
         if half:
@@ -189,11 +189,16 @@ class TestStackedValidation:
         trainer, runs = sweep_runs(config, axis, values)
         spec = config.period_spec()
         scheme = config.feature_scheme
-        stacked = experiment._frozen_pass(trainer.state, [run.valid for run in runs], spec,
-                                          scheme)
+        state = trainer.state
+        stacked = experiment._frozen_pass(
+            experiment._TrainingState.frozen(state.elements, state.lam, state.spike_height,
+                                             state.dims),
+            [run.valid for run in runs], spec, scheme)
         for i, run in enumerate(runs):
-            solo = experiment._frozen_pass(trainer.state.dictionary(i, run.dims), run.valid,
-                                           run.config.period_spec(), scheme)
+            solo_spec = run.config.period_spec()
+            (solo,) = experiment._frozen_pass(
+                experiment._TrainingState.lone(trainer.state.dictionary(i, run.dims), solo_spec),
+                [run.valid], solo_spec, scheme)
             assert_same_record(stacked[i], solo)
             metrics = run.metrics
             assert metrics.rmse_val[-1] == solo.rmse / len(run.valid)
@@ -202,12 +207,12 @@ class TestStackedValidation:
                 same(trainer.result(run).valid_features, solo.features)
 
     def test_an_epoch_validates_in_one_stacked_pass(self, monkeypatch):
-        solo = []
+        runs = []
         real = experiment._frozen_pass
         monkeypatch.setattr(experiment, "_frozen_pass",
-                            lambda h, *a: solo.append(isinstance(h, Dictionary)) or real(h, *a))
+                            lambda h, *a: runs.append(len(h.elements)) or real(h, *a))
         run_sweep(config_from_dict(raw_config(spike_height=1.0)), "s", [0.5, 1.0, 5.0])
-        assert solo == [False, False]  # one stacked pass per epoch, none alone
+        assert runs == [3, 3]  # one stacked pass of all 3 runs per epoch, none alone
 
     def test_validation_stacks_stay_within_stack_bytes(self, monkeypatch):
         # One run's validation chunk at INFER_CHUNK = 64, N = 16, D = 72 takes
@@ -315,6 +320,60 @@ class TestValidationFailure:
                                   valid[4].label)
         assert_fails_alone(config, train, [valid, broken, valid[::-1]], 1,
                            "non-finite desired output in accumulator")
+
+    def test_a_rate_encoded_nan_in_validation_keeps_every_live_run_in_the_stack(self,
+                                                                                monkeypatch):
+        # As above, but every period and pass must hold all the live runs:
+        # the NaN fails its own run in the stacked pass, with no pass alone.
+        config = config_from_dict(raw_config(epochs=1, spike_height=0.5,
+                                             input_encoding="rate"))
+        train, valid = experiment.load_dataset(config.dataset)
+        broken = list(valid)
+        broken[4] = LabeledSample(FrameSequence(np.full(valid[4].input.frames.shape, np.nan)),
+                                  valid[4].label)
+        runs = [experiment._prepare_run(config, train, v) for v in (valid, broken, valid[::-1])]
+        calls = spy_live_stacks(monkeypatch)
+        experiment._LockStep(runs).train()
+        assert [run.error is not None for run in runs] == [False, True, False]
+        assert repr(runs[1].error) == repr(NumericError("non-finite desired output in accumulator"))
+        assert calls and all(shape == (live,) == (3,) for live, shape in calls)
+
+    @pytest.mark.parametrize("height", [0.0, OVERFLOW_HEIGHT], ids=["graded", "spiking"])
+    def test_a_run_that_fails_sits_out_the_later_chunks_of_its_pass(self, monkeypatch, height):
+        # Six validation samples in chunks of 2: run 1 overflows on every one,
+        # so only its first chunk is replayed with checks; the later chunks
+        # run without it.
+        monkeypatch.setattr(experiment, "INFER_CHUNK", 2)
+        config = config_from_dict({
+            "dataset": {"kind": "npy", "path": "unused"}, "dict_size": 3,
+            "lambda": OVERFLOW_PARAMS.lam, "tau": OVERFLOW_PARAMS.tau,
+            "display_ms": float(OVERFLOW_PARAMS.steps), "spike_height": height,
+            "filter": {"kind": "boxcar", "window_ms": 7.0}, "epochs": 1,
+        })
+        train = [sample(np.zeros(2))]
+        good = [sample([1.0, 1.5]), sample([0.5, 0.2]), sample([0.3, 1.0]),
+                sample([0.2, 0.1]), sample([1.2, 0.4]), sample([0.7, 0.9])]
+        valids = [good, [sample(x) for x in overflow_input([1.19, 1.1, 1.19, 1.0, 1.1, 1.19])],
+                  good[::-1]]
+        checks = []
+        with monkeypatch.context() as patch:
+            real = lca._integrate
+            patch.setattr(lca, "_integrate", lambda *args: checks.append(args[-1]) or real(*args))
+            runs = [experiment._prepare_run(config, train, valid, overflow_instance())
+                    for valid in valids]
+            trainer = experiment._LockStep(runs)
+            trainer.train()
+        assert checks.count(True) == 1  # one checked replay in the epoch
+        assert [run.error is not None for run in runs] == [False, True, False]
+        with pytest.raises(NumericError) as info:
+            run_training(config, train, valids[1], initial_dictionary=overflow_instance())
+        assert repr(runs[1].error) == repr(info.value)
+        for run, valid in zip(runs, valids):
+            if run.error is None:
+                alone = run_training(config, train, valid, initial_dictionary=overflow_instance())
+                got = trainer.result(run)
+                same(got.dictionary.elements, alone.dictionary.elements)
+                assert repr(got.metrics) == repr(alone.metrics)
 
     @pytest.mark.parametrize("height", [0.0, 0.05], ids=["graded", "spiking"])
     def test_a_drop_keeps_the_warm_rows_of_the_runs_that_stay(self, height):

@@ -193,11 +193,23 @@ class ReplaySpy:
 
 
 def oracle_period(dictionary, x, params, height, spec, carry=None, **kwargs):
-    """``_run_period`` on the frozen corrected stage and filter; returns (result, stage)."""
+    """``_run_period`` on the frozen corrected stage and filter; returns (result, stage).
+
+    x (D,) or (B, D) runs as (1, B, D) on the dictionary's stack of one; the
+    result's and the stage's per-sample arrays are read back in x's shape.
+    """
     shape = np.shape(x)[:-1] + (dictionary.element_count,)
     carry = np.zeros(shape) if carry is None else carry
-    stage = ReferenceStage(params.lam, height, carry, reference_filter(spec, params.dt))
-    return _run_period(dictionary, inhibition(dictionary), x, params, stage, **kwargs), stage
+    stage = ReferenceStage(params.lam, height, carry.reshape(1, -1, shape[-1]),
+                           reference_filter(spec, params.dt))
+    result = _run_period(dictionary.elements[None], inhibition(dictionary)[None],
+                         np.reshape(x, (1, -1, np.shape(x)[-1])), params, stage,
+                         rows=np.ndim(x) > 1, **kwargs)
+    result.code, result.half_mean = result.code.reshape(shape), result.half_mean.reshape(shape)
+    result.state.u = result.state.u.reshape(shape)
+    for name in ("carry", "value", "peak", "total"):
+        setattr(stage, name, getattr(stage, name).reshape(shape))
+    return result, stage
 
 
 def assert_spiking_matches_oracle(got, want, stage):
@@ -309,11 +321,10 @@ class TestLockStepPeriod:
             :, None, None]
         state = trainer.state
         lam, height = state.lam[:, None, None], state.spike_height[:, None, None]
-        got = experiment._period(state, state.inhib, x, trainer.config.period_spec(),
-                                 lam=lam, spike_height=height,
+        got = experiment._period(state, x, trainer.config.period_spec(),
                                  warm=SimpleNamespace(state=None, carry=carry.copy()))
         want_stage = ReferenceStage(lam, height, carry.copy(), reference_filter(spec, params.dt))
-        want = _run_period(state, state.inhib, x, params, want_stage)
+        want = _run_period(state.elements, state.inhib, x, params, want_stage)
         same(got.code, want.code)
         same(got.state.u, want.state.u)
         for name in ("carry", "counts", "value", "peak", "total"):

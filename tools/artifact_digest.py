@@ -27,6 +27,17 @@ s`` on the final-code features and with no classifier block; and a
 repeat's run part-way through a period, so its stderr holds the error
 messages a failing stacked run reports. A command that exits non-zero
 stops the run with exit status 1.
+
+Then one Python-API step (``API_SCRIPT``, run the same way) saves what
+public calls return, on the trained ``s0.5_boxcar`` dictionary and the
+``synth`` data, as files under ``<out>/api``: every array of a result as
+``.npy`` (so its shape is pinned too) and every other value as its
+``repr``. It covers ``run_inference`` and ``run_spiking_inference`` (at
+s = 0.5 and 0.37, with no filter and a boxcar) at a (D,) and a (B, D)
+input, each cold, warm (from the cold call's state and accumulator) and
+rate-encoded, plus one recorded call each on the (D,) input (codes and
+trace; codes and raster); ``evaluate_codes``, graded and spiking; and
+``collect_features`` on both feature schemes under rate encoding.
 """
 
 from __future__ import annotations
@@ -51,6 +62,74 @@ BASE = {
     "dict_size": 16, "lambda": 0.3, "tau": 10.0, "display_ms": 30.0,
     "epochs": 2, "learning_rate": 0.05, "seed": 0, "classifier": {"epochs": 5},
 }
+
+
+API_SCRIPT = """
+import dataclasses
+from pathlib import Path
+
+import numpy as np
+
+from lcalearn import LcaParams, load_checkpoint, make_filter, run_inference
+from lcalearn.accumulator import InputRateEncoder, run_spiking_inference
+from lcalearn.experiment import collect_features, config_from_dict, evaluate_codes, load_dataset
+
+out = Path("api")
+out.mkdir()
+
+
+def save(name, value):
+    if isinstance(value, np.ndarray):
+        np.save(out / f"{name}.npy", value)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            save(f"{name}.{field.name}", getattr(value, field.name))
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            save(f"{name}.{key}", item)
+    else:
+        (out / f"{name}.txt").write_text(repr(value) + "\\n")
+
+
+dictionary = load_checkpoint("train/s0.5_boxcar/dict_epoch_2.lcad")
+train, valid = load_dataset({"kind": "npy", "path": "data"})
+params = LcaParams(lam=0.3, dt=1.0, tau=10.0, steps=30)
+inputs = {"one": valid[0].input.flattened,
+          "batch": np.array([s.input.flattened for s in valid[:4]])}
+for shape, x in inputs.items():
+    cold = run_inference(dictionary, x, params)
+    save(f"graded_{shape}", cold)
+    save(f"graded_{shape}_warm", run_inference(dictionary, x, params, initial_state=cold.state))
+    save(f"graded_{shape}_rate", run_inference(dictionary, x, params,
+                                                input_encoder=InputRateEncoder(x, 0.3)))
+    for height in (0.5, 0.37):
+        for kind, spec in (("none", None), ("boxcar", {"kind": "boxcar", "window_ms": 7.0})):
+            name = f"s{height}_{kind}_{shape}"
+            cold = run_spiking_inference(dictionary, x, params, height, make_filter(spec, 1.0))
+            save(name, cold)
+            save(f"{name}_warm", run_spiking_inference(
+                dictionary, x, params, height, make_filter(spec, 1.0), initial_state=cold.state,
+                initial_accumulator=cold.accumulator))
+            save(f"{name}_rate", run_spiking_inference(
+                dictionary, x, params, height, make_filter(spec, 1.0),
+                input_encoder=InputRateEncoder(x, 0.3)))
+x = inputs["one"]
+save("graded_one_recorded", run_inference(dictionary, x, params, record_codes=True,
+                                          record_trace=True))
+save("s0.5_boxcar_one_recorded", run_spiking_inference(
+    dictionary, x, params, 0.5, make_filter({"kind": "boxcar", "window_ms": 7.0}, 1.0),
+    record_raster=True, record_codes=True))
+save("evaluate_graded", evaluate_codes(dictionary, valid, params))
+save("evaluate_s0.5_boxcar", evaluate_codes(dictionary, valid, params, 0.5,
+                                            {"kind": "boxcar", "window_ms": 7.0}))
+for scheme in ("final", "mean_last_half"):
+    config = config_from_dict({
+        "dataset": {"kind": "npy", "path": "data"}, "dict_size": 16, "lambda": 0.3,
+        "tau": 10.0, "display_ms": 30.0, "spike_height": 0.5,
+        "filter": {"kind": "boxcar", "window_ms": 7.0}, "input_encoding": "rate",
+        "input_spike_height": 0.3, "classifier": {"feature_scheme": scheme}})
+    save(f"features_{scheme}", collect_features(dictionary, train, config))
+"""
 
 
 def cases() -> list[tuple[str, dict]]:
@@ -139,6 +218,12 @@ def main(argv: list[str]) -> int:
             return 1
         (out / "stdout" / f"{index:03d}.txt").write_text(done.stdout)
         (out / "stderr" / f"{index:03d}.txt").write_text(done.stderr)
+    done = subprocess.run([sys.executable, "-c", API_SCRIPT], env=env, cwd=out,
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        print(f"error: the Python-API step exited {done.returncode}:\n{done.stderr}",
+              file=sys.stderr)
+        return 1
 
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
