@@ -23,7 +23,7 @@ from lcalearn import data as data_mod
 from lcalearn import experiment as experiment_mod
 from lcalearn import export as export_mod
 from lcalearn.accumulator import write_raster_csv
-from lcalearn.dictionary import load_checkpoint, save_checkpoint
+from lcalearn.dictionary import load_checkpoint, save_checkpoint, synthesize
 from lcalearn.errors import ConfigError, FormatError, NumericError
 from lcalearn.lca import write_trace_csv
 
@@ -180,14 +180,14 @@ def _cmd_infer(args) -> int:
     sample = samples[args.index]
     vec = sample.input.flattened
     spec = config.period_spec()
-    result = experiment_mod._period(experiment_mod._TrainingState.lone(dictionary, spec),
-                                    vec[None, None], spec, record=True, rows=False)
+    result = experiment_mod._period(experiment_mod._Stack.lone(dictionary, spec),
+                                    vec[None, None], spec, record=True, rows=None)
     write_trace_csv(out / "trace.csv", result.trace)
     if result.raster is not None:
         write_raster_csv(out / "raster.csv", result.raster)
     code = result.code[0, 0]
     atomic.save_npy(out / "code.npy", code)
-    recon = experiment_mod.synthesize(dictionary, code)
+    recon = synthesize(dictionary, code)
     atomic.save_npy(out / "reconstruction.npy", recon)
     print(
         f"sample {args.split}[{args.index}] label={sample.label}: "
@@ -323,7 +323,7 @@ def _cmd_export_recon(args) -> int:
     samples = valid[:args.count]
     codes = experiment_mod._lone_pass(dictionary, samples, config.period_spec()).features
     strip = export_mod.render_reconstruction_strip(
-        [s.input.flattened for s in samples], list(experiment_mod.synthesize(dictionary, codes)),
+        [s.input.flattened for s in samples], list(synthesize(dictionary, codes)),
         dictionary.dims)
     name = _image_name("reconstructions", dictionary.dims.channels)
     strip.save(out / name)

@@ -5,31 +5,30 @@ by a zero-input gap), infers a sparse code with graded or spiking
 dynamics, and applies one Hebbian dictionary update per period from the
 period-end (filtered) code. Runs are reproducible bit-for-bit from the
 config and seed. Every period, trained or frozen, is one ``_period`` at
-one ``PeriodSpec`` on a stack of runs (``_TrainingState``); the stage
-factory it calls picks graded or spiking. Every pass over a frozen
-dictionary (validation, evaluation, features, reconstruction export) is
-one ``_frozen_pass``. A lone dictionary is a stack of one
-(``_TrainingState.lone``): its callers (``evaluate_codes``,
+one ``PeriodSpec`` on a stack of runs, a ``_Stack`` (made one way, by
+``_Stack.build``); the stage factory it calls picks graded or spiking.
+Every pass over a frozen dictionary (validation, evaluation, features,
+reconstruction export) is one ``_frozen_pass``. A lone dictionary is a
+stack of one (``_Stack.lone``): its callers (``evaluate_codes``,
 ``collect_features``, ``cli`` ``infer`` and ``export-recon``) shape their
 input as (1, B, D) and read the run's record back.
 
 There is one training loop, ``_LockStep``. It trains R runs that share
-N, D and mode (graded or spiking) in lock-step on one ``_TrainingState``:
+N, D and mode (graded or spiking) in lock-step on one ``_Stack``:
 (R, N, D) elements and (R, N, N) inhibition matrices, updated in place,
-and validates them in one stacked ``_frozen_pass``. A run's error, in
-training or validation, comes from the stack, which names the run it
-belongs to; no run is rerun alone. ``run_training`` is
-the case R = 1; ``run_sweep`` stacks the runs of a sweep (values x
-repeats) that share N, which is R·N·(D+N)·8 bytes per stack. Each
-stacked run is byte-identical to the same run trained alone. Periods
-compute the last-half mean only for the callers that read it: training
-and validation with a classifier block on ``mean_last_half`` features,
-and ``collect_features`` under that scheme.
+and validates them each epoch in one stacked ``_frozen_pass``. A run's
+error, in training or validation, comes from the stack, which names the
+run it belongs to; no run is rerun alone. ``run_training`` is the case
+R = 1; ``run_sweep`` stacks the runs of a sweep (values x repeats) that
+share N, in stacks of at most ``STACK_BYTES``. Each stacked run is
+byte-identical to the same run trained alone. Periods compute the
+last-half mean only for the callers that read it: training and
+validation with a classifier block on ``mean_last_half`` features, and
+``collect_features`` under that scheme.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import numbers
@@ -49,7 +48,6 @@ from lcalearn.dictionary import (
     _hebbian_step,
     init_random,
     save_checkpoint,
-    synthesize,
 )
 from lcalearn.errors import ConfigError, NumericError
 from lcalearn.filters import make_filter
@@ -84,7 +82,11 @@ INFER_CHUNK = 64
 
 # Bytes of stacked elements and inhibition matrices, R * N * (D + N) * 8,
 # that one lock-step stack of sweep runs may hold; a larger group trains as
-# several stacks. 64 MiB is 97 runs at (64, 1280) and 32 at (256, 768).
+# several stacks. 64 MiB is 97 runs at (64, 1280) and 32 at (256, 768). A
+# frozen pass takes its runs in groups whose INFER_CHUNK-sample chunks, with
+# their period buffers, G * INFER_CHUNK * (D + (W + 16) * N) floats for a
+# boxcar of W steps, stay within the same cap: 55 runs at (64, 1280) and 25
+# at (256, 768) unfiltered, 26 and 8 with a 40-step boxcar.
 STACK_BYTES = 64 * 2**20
 
 
@@ -404,20 +406,20 @@ def load_dataset(
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
-def _period(stack, x, spec, *, warm=None, record=False, half=True, rows=True, errors=None):
+def _period(stack, x, spec, *, warm=None, record=False, half=True, rows=0, errors=None):
     """One period at ``spec``: the one path every period takes, graded or spiking.
 
     Builds the stage (by ``accumulator._output_stage``), its filter and the
     input rate encoder, then runs ``lca._run_period``. ``stack`` holds R
-    runs (a ``_TrainingState``): its elements, inhibition matrices and
-    per-run ``lam`` and ``spike_height`` are the period's, and x is
-    (R, B, D). ``warm`` is the period to continue from. ``record`` fills
-    the trace (and raster) of one sample, for a caller that passed no
-    batch (``rows`` false). ``half`` says whether the caller reads the
-    last-half mean; without it ``half_mean`` is None, and without either
-    only the final code is computed. ``rows`` and ``errors`` go to
-    ``_run_period``: with ``errors``, a run that goes non-finite leaves
-    its error there, and the other runs' periods stand. A rate-encoded
+    runs (a ``_Stack``): its elements, inhibition matrices and per-run
+    ``lam`` and ``spike_height`` are the period's, and x is (R, B, D).
+    ``warm`` is the period to continue from. ``record`` fills the trace
+    (and raster) of one sample, for a caller that passed no batch
+    (``rows`` None). ``half`` says whether the caller reads the last-half
+    mean; without it ``half_mean`` is None, and without either only the
+    final code is computed. ``rows`` and ``errors`` go to ``_run_period``:
+    with ``errors``, a run that goes non-finite leaves its error there,
+    and the other runs' periods stand. A rate-encoded
     input is checked per run the same way: a run with a non-finite input
     gets the encoder's error, the one it gets alone, and is fed zeros.
     The result holds ``x`` too; the stage's carry, counts, value, peak,
@@ -459,49 +461,57 @@ def _feature(result, scheme: str) -> np.ndarray:
 def _frozen_pass(stack, samples, spec, scheme="final", errors=None):
     """A cold pass of a stack of frozen dictionaries: the one loop that stacks samples.
 
-    ``stack`` is a frozen stack of R runs (``_TrainingState.frozen``, each
-    run at its own ``lam`` and ``spike_height``, with fresh inhibition
-    matrices), with one equally long sample list per run. Runs ``_period``
-    at ``spec`` on each chunk of at most ``INFER_CHUNK`` samples, in order,
-    x (R, B, D), and reads the result per run as (R, B, N). Each run's
-    record holds its samples' ``rmse`` and ``sparsity`` summed in sample
-    order, the ``peak`` and total (``spikes``) spike counts, 0 for graded
-    periods, and one ``features`` row per sample under ``scheme``; the
-    last-half mean is computed only under "mean_last_half". A run that
+    ``stack`` is a frozen ``_Stack`` of R runs (each at its own ``lam``
+    and ``spike_height``, with fresh inhibition matrices), with one
+    equally long sample list per run. Runs ``_period`` at ``spec`` on each
+    chunk of at most ``INFER_CHUNK`` samples, in order, x (G, B, D), and
+    reads the codes per run as (G, B, N). The runs go in groups of G, as
+    many as fit in ``STACK_BYTES`` with their period buffers, so a run's
+    chunks are the ones it takes alone. Each run's record holds its
+    samples' ``rmse`` and ``sparsity`` summed in sample order, the
+    ``peak`` and total (``spikes``) spike counts, 0 for graded periods,
+    and one ``features`` row per sample under ``scheme``; the last-half
+    mean is computed only under "mean_last_half". A run that
     fails (its potentials or its rate-encoded input go non-finite) gets
     the ``NumericError`` the stack finds for it, the one its pass alone
-    raises: with ``errors``, it goes there (run -> error) and later chunks
-    run without that run; without, it is raised. Returns the records, one
-    per run; a failed run's is incomplete.
+    raises, which names the sample by its index in the list: with
+    ``errors``, it goes there (run -> error) and later chunks run without
+    that run; without, it is raised. Returns the records, one per run; a
+    failed run's is incomplete.
     """
-    dictionaries = [Dictionary(elements, stack.dims) for elements in stack.elements]
     records = [SimpleNamespace(rmse=0.0, sparsity=0.0, peak=0, spikes=0, features=[])
                for _ in samples]
-    live, live_stack = list(range(len(samples))), stack  # the runs that have not failed
-    for start in range(0, len(samples[0]), INFER_CHUNK):
-        x = np.array([[s.input.flattened for s in samples[r][start:start + INFER_CHUNK]]
-                      for r in live])
-        found = None if errors is None else {}
-        result = _period(live_stack, x, spec, half=scheme == "mean_last_half", errors=found)
-        for i, r in enumerate(live):
-            if found and i in found:
-                errors[r] = found[i]
-                continue
-            totals = records[r]
-            for vec, row, recon in zip(x[i], result.code[i],
-                                       synthesize(dictionaries[r], result.code[i])):
-                totals.rmse += rmse(vec, recon)
-                totals.sparsity += sparsity(row)
-            if result.peak is not None:
-                totals.peak = max(totals.peak, int(result.peak[i].max()))
-                totals.spikes += int(result.total[i].sum())
-            totals.features.append(_feature(result, scheme)[i])
-        if found:
-            live = [r for r in live if r not in errors]
-            if not live:
-                break
-            live_stack = stack.select(live)
-    n = stack.elements.shape[1]
+    n, d = stack.elements.shape[1:]
+    window = make_filter(spec.filter, spec.params.dt).window_steps
+    size = max(1, STACK_BYTES // (8 * INFER_CHUNK * (d + (window + 16) * n)))
+    for first in range(0, len(samples), size):
+        live = list(range(first, min(first + size, len(samples))))  # the runs that have not failed
+        live_stack = stack.select(slice(first, first + size))
+        for start in range(0, len(samples[0]), INFER_CHUNK):
+            x = np.array([[s.input.flattened for s in samples[r][start:start + INFER_CHUNK]]
+                          for r in live])
+            found = None if errors is None else {}
+            result = _period(live_stack, x, spec, half=scheme == "mean_last_half", rows=start,
+                             errors=found)
+            for i, r in enumerate(live):
+                if found and i in found:
+                    errors[r] = found[i]
+                    continue
+                totals = records[r]
+                residual = np.matmul(result.code[i], live_stack.elements[i])
+                np.subtract(x[i], residual, out=residual)  # one (B, D) buffer, as synthesize's
+                for res, row in zip(residual, result.code[i]):
+                    totals.rmse += _rms(res)
+                    totals.sparsity += sparsity(row)
+                if result.peak is not None:
+                    totals.peak = max(totals.peak, int(result.peak[i].max()))
+                    totals.spikes += int(result.total[i].sum())
+                totals.features.append(_feature(result, scheme)[i])
+            if found:
+                live = [r for r in live if r not in errors]
+                if not live:
+                    break
+                live_stack = stack.select(live)
     for totals in records:
         totals.features = np.concatenate(totals.features or [np.zeros((0, n))])
     return records
@@ -509,7 +519,7 @@ def _frozen_pass(stack, samples, spec, scheme="final", errors=None):
 
 def _lone_pass(dictionary: Dictionary, samples: list, spec: PeriodSpec, scheme="final"):
     """A lone dictionary's ``_frozen_pass``, as a stack of one: its record, or its error raised."""
-    return _frozen_pass(_TrainingState.lone(dictionary, spec), [samples], spec, scheme)[0]
+    return _frozen_pass(_Stack.lone(dictionary, spec), [samples], spec, scheme)[0]
 
 
 def run_training(
@@ -587,61 +597,43 @@ def _prepare_run(
     return _Run(config, train, valid, dims, n, initial_dictionary, out_dir, progress)
 
 
-class _TrainingState:
-    """The dictionaries of R runs that share (N, D), stacked and updated in place.
+@dataclass
+class _Stack:
+    """The dictionaries of R runs that share (N, D): the stack every period runs on.
 
     ``elements`` is (R, N, D) and ``inhib`` (R, N, N), each run's
-    inhibition matrix. A Hebbian step (``dictionary._hebbian_step``, the
-    rule of ``hebbian_update``) moves a run's active rows of ``elements``
-    in place, and ``refresh`` recomputes those rows and columns of its
-    inhibition matrix from the current elements, so the matrix never
-    drifts from ``inhibition`` of the elements (it differs from a full
-    rebuild by rounding only). ``lam`` and ``spike_height`` hold one value
-    per run; ``dims`` are the input dims the runs share. The same type is
-    the stack of every period: ``frozen`` builds one for a frozen pass,
-    and ``lone`` a lone dictionary's stack of one.
+    inhibition matrix; ``lam`` and ``spike_height`` hold one value per run,
+    and ``dims`` are the input dims the runs share. ``build`` is the one
+    way a stack is made. In training, a Hebbian step
+    (``dictionary._hebbian_step``, the rule of ``hebbian_update``) moves a
+    run's active rows of ``elements`` in place, and ``refresh`` recomputes
+    those rows and columns of its inhibition matrix from the current
+    elements, so the matrix never drifts from ``inhibition`` of the
+    elements (it differs from a full rebuild by rounding only).
     """
 
-    def __init__(self, runs):
-        self.dims = runs[0].dims
-        n, d = runs[0].n, self.dims.size
-        self.elements = np.empty((len(runs), n, d))
-        self.inhib = np.empty((len(runs), n, n))
-        for r, run in enumerate(runs):
-            start = run.initial
-            if start is None:
-                start = init_random(run.config.seed, n, run.dims)
-            self.elements[r] = start.elements
-            self.inhib[r] = inhibition(start)
-        self.lam = np.array([run.config.lam for run in runs])
-        self.spike_height = np.array([run.config.spike_height for run in runs])
+    elements: np.ndarray
+    inhib: np.ndarray
+    lam: np.ndarray
+    spike_height: np.ndarray
+    dims: InputDims
 
     @classmethod
-    def frozen(cls, elements, lam, spike_height, dims) -> "_TrainingState":
-        """Dictionaries ``elements`` (R, N, D), as they stand, as the stack of a frozen pass.
-
-        ``lam`` and ``spike_height`` hold one value per run. Each run's
-        inhibition matrix is built fresh by ``inhibition``, as its pass alone
-        builds it; ``elements`` are not copied.
-        """
-        stack = cls.__new__(cls)
-        stack.elements, stack.dims = elements, dims
-        stack.inhib = np.array([inhibition(Dictionary(e, dims)) for e in elements])
-        stack.lam, stack.spike_height = np.asarray(lam), np.asarray(spike_height)
-        return stack
+    def build(cls, elements, lam, spike_height, dims) -> "_Stack":
+        """Dictionaries ``elements`` (R, N, D), not copied, with fresh ``inhibition`` matrices."""
+        inhib = np.array([inhibition(Dictionary(e, dims)) for e in elements])
+        return cls(elements, inhib, np.asarray(lam), np.asarray(spike_height), dims)
 
     @classmethod
-    def lone(cls, dictionary: Dictionary, spec: PeriodSpec) -> "_TrainingState":
-        """A lone dictionary at ``spec``'s threshold and spike height, as a frozen stack of one."""
-        return cls.frozen(dictionary.elements[None], [spec.params.lam], [spec.spike_height],
-                          dictionary.dims)
+    def lone(cls, dictionary: Dictionary, spec: PeriodSpec) -> "_Stack":
+        """A lone dictionary at ``spec``'s threshold and spike height, as a stack of one."""
+        return cls.build(dictionary.elements[None], [spec.params.lam], [spec.spike_height],
+                         dictionary.dims)
 
-    def select(self, index) -> "_TrainingState":
+    def select(self, index) -> "_Stack":
         """The runs ``index`` picks, still a stack: views for a slice, a copy for a mask."""
-        picked = copy.copy(self)
-        for name in ("elements", "inhib", "lam", "spike_height"):
-            setattr(picked, name, getattr(self, name)[index])
-        return picked
+        return _Stack(self.elements[index], self.inhib[index], self.lam[index],
+                      self.spike_height[index], self.dims)
 
     def refresh(self, r: int, rows: np.ndarray) -> None:
         """Recompute rows and columns ``rows`` of run ``r``'s inhibition matrix."""
@@ -651,13 +643,13 @@ class _TrainingState:
         inhib[:, rows] = block.T
         inhib[rows, rows] -= 1.0
 
-    def dictionary(self, r: int, dims) -> Dictionary:
-        """Run ``r``'s dictionary, as a copy the state will not write."""
-        return Dictionary(self.elements[r].copy(), dims)
+    def dictionary(self, r: int) -> Dictionary:
+        """Run ``r``'s dictionary, as a copy the stack will not write."""
+        return Dictionary(self.elements[r].copy(), self.dims)
 
 
 class _LockStep:
-    """Trains runs that share N, D, mode and schedule in lock-step on one ``_TrainingState``.
+    """Trains runs that share N, D, mode and schedule in lock-step on one ``_Stack``.
 
     Each training period integrates every live run at once through
     ``_period``, with the potentials as (R, 1, N) against the
@@ -674,7 +666,12 @@ class _LockStep:
     def __init__(self, runs: list[_Run]):
         self.runs = list(runs)
         self.config = runs[0].config
-        self.state = _TrainingState(runs)
+        n, dims = runs[0].n, runs[0].dims
+        elements = np.empty((len(runs), n, dims.size))
+        for r, run in enumerate(runs):
+            elements[r] = (run.initial or init_random(run.config.seed, n, dims)).elements
+        self.state = _Stack.build(elements, [run.config.lam for run in runs],
+                                  [run.config.spike_height for run in runs], dims)
         self.warm = None  # the live runs' last period, when state carries over
 
     def drop(self, errors: dict) -> None:
@@ -705,7 +702,7 @@ class _LockStep:
         x = np.array([sample(run) for run in self.runs])[:, None, :]
         errors = {}
         out = _period(self.state, x, spec, warm=self.warm if warm else None, half=half,
-                      rows=False, errors=errors)
+                      rows=None, errors=errors)
         self.drop(errors)
         if errors:
             out = _pick(out, [i for i in range(len(x)) if i not in errors])
@@ -769,15 +766,14 @@ class _LockStep:
         def finish(i, run):
             if run.out_dir is not None and config.epochs == 0:
                 run.metrics.write_csv(run.out_dir / "metrics.csv")
-                save_checkpoint(self.state.dictionary(i, run.dims),
-                                run.out_dir / "dict_epoch_0.lcad")
+                save_checkpoint(self.state.dictionary(i), run.out_dir / "dict_epoch_0.lcad")
             run.done = True
 
         self.each_run(finish)
 
     def result(self, run: _Run) -> TrainingResult:
         """A trained run's result; its dictionary is a copy the state will not write."""
-        return TrainingResult(run.metrics, self.state.dictionary(self.runs.index(run), run.dims),
+        return TrainingResult(run.metrics, self.state.dictionary(self.runs.index(run)),
                               run.train_features, run.valid_features)
 
     def learn(self, i: int, run: _Run, learning_rate: float) -> None:
@@ -791,28 +787,18 @@ class _LockStep:
             self.state.refresh(i, np.unique(np.concatenate(moved)))
 
     def end_epoch(self, spec: PeriodSpec, epoch: int) -> None:
-        """Validate the live runs together, then write each run's epoch record.
+        """Validate the live runs in one stacked pass, then write each run's epoch record.
 
-        The runs validate by stacked ``_frozen_pass`` calls on frozen stacks
-        of their current dictionaries, in stacks whose (R, ``INFER_CHUNK``,
-        D) chunks stay within about ``STACK_BYTES`` together with the
-        period's buffers: per run, the boxcar's W and some 16 more of
-        (``INFER_CHUNK``, N). A run that fails there fails with the error
-        the stack finds for it; the others keep their records.
+        The pass is one ``_frozen_pass`` on a ``_Stack`` of the runs'
+        current dictionaries, which takes the runs in groups whose chunks fit
+        ``STACK_BYTES``. A run that fails there fails with the error the
+        stack finds for it; the others keep their records.
         """
         scheme = self.config.feature_scheme if self.config.classifier is not None else "final"
-        state = self.state
-        n, d = state.elements.shape[1:]
-        window = make_filter(spec.filter, spec.params.dt).window_steps
-        size = max(1, STACK_BYTES // (8 * INFER_CHUNK * (d + (window + 16) * n)))
-        records, errors = [], {}
-        for first in range(0, len(self.runs), size):
-            group, found = slice(first, first + size), {}
-            stack = _TrainingState.frozen(state.elements[group], state.lam[group],
-                                          state.spike_height[group], state.dims)
-            records += _frozen_pass(stack, [run.valid for run in self.runs[group]], spec, scheme,
-                                    found)
-            errors.update((first + r, error) for r, error in found.items())
+        state, errors = self.state, {}
+        records = _frozen_pass(
+            _Stack.build(state.elements, state.lam, state.spike_height, state.dims),
+            [run.valid for run in self.runs], spec, scheme, errors)
 
         def record(i, run):
             if i in errors:
@@ -855,7 +841,7 @@ class _LockStep:
             last = epoch == config.epochs - 1
             interval = config.checkpoint_every
             if last or (interval > 0 and (epoch + 1) % interval == 0):
-                save_checkpoint(self.state.dictionary(i, run.dims),
+                save_checkpoint(self.state.dictionary(i),
                                 run.out_dir / f"dict_epoch_{epoch + 1}.lcad")
         if run.progress is not None:
             run.progress(

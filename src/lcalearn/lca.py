@@ -136,15 +136,15 @@ def _euler(u, drive, inhib, value, rate, tmp, du) -> None:
     u += du
 
 
-def _check_finite(u: np.ndarray, step_index: int, rows: bool, errors=None) -> None:
+def _check_finite(u: np.ndarray, step_index: int, rows: Optional[int], errors=None) -> None:
     """Find each run of ``u`` (R, B, N) that is not finite, and its error.
 
-    The error names the step, and the run's first bad row when ``rows``
-    (its caller passed a batch), and goes to ``_fail``.
+    The error names the step and, unless ``rows`` is None (no batch), the
+    run's first bad row counted from ``rows``, and goes to ``_fail``.
     """
     finite = np.isfinite(u).all(axis=-1)
     for r in np.flatnonzero(~finite.all(axis=-1)).tolist():
-        row = f", row {int(np.argmin(finite[r]))}" if rows else ""
+        row = "" if rows is None else f", row {rows + int(np.argmin(finite[r]))}"
         _fail(errors, r, NumericError(f"non-finite membrane potential at step {step_index}{row}"))
 
 
@@ -183,7 +183,7 @@ def lca_step(
         u, analyze(dictionary, input_vector), inhibition(dictionary), output_code,
         params.dt / params.tau, np.empty(u.shape), np.empty(u.shape),
     )
-    _check_finite(u.reshape(1, -1, u.shape[-1]), state.step_index, u.ndim > 1)
+    _check_finite(u.reshape(1, -1, u.shape[-1]), state.step_index, 0 if u.ndim > 1 else None)
     return MembraneState(u, state.step_index + 1)
 
 
@@ -246,7 +246,7 @@ def _first_read(steps: int, half: bool, recording: bool) -> int:
 
 def _run_period(
     elements, inhib, x, params, stage, *, initial_state=None, record_codes=False,
-    record_trace=False, early_stop=None, input_encoder=None, half=True, rows=True, errors=None,
+    record_trace=False, early_stop=None, input_encoder=None, half=True, rows=0, errors=None,
 ) -> InferenceResult:
     """Integrate one period of a stack of runs through an output stage.
 
@@ -259,24 +259,24 @@ def _run_period(
     ``analyze(x)`` is built once per period; under an input encoder it is
     rebuilt from each step's encoded input (an encoder of a lone caller's
     (D,) or (B, D) input steps in that shape, and its drive broadcasts
-    over the stack). Per-step codes, traces and early stop are for one
-    sample of one run, from a caller that passed no batch (``rows``
-    false).
+    over the stack). ``rows`` is the index of row 0's sample, from which
+    an error counts its row, or None for a caller that passed no batch,
+    the one that may record per-step codes, a trace or early stop.
 
     Finiteness is checked once, at period end: the dynamics are
     deterministic and a non-finite potential never turns finite again, so
     when the check fails the period is replayed from its saved start
     (potentials, accumulator carry, input-encoder carry) with a check
     after every step, which finds each bad run's first bad step, and its
-    first bad row when ``rows`` (its caller passed a batch; see
-    ``_check_finite``). Given an ``errors`` dict, the replay puts each bad
-    run's error there and the result holds the other runs' periods;
-    without one, the first bad step raises its error. A finite period
-    whose stage's ``end()`` is false is run again from its start: a
-    spiking period run exact past its bound is rerun on the corrected
-    path (see ``accumulator``), which the checked replay of a non-finite
-    one also takes. Every pass runs with overflow and invalid-value
-    warnings silenced; the checked replay's errors are the report.
+    first bad row unless ``rows`` is None (see ``_check_finite``). Given
+    an ``errors`` dict, the replay puts each bad run's error there and the
+    result holds the other runs' periods; without one, the first bad step
+    raises its error. A finite period whose stage's ``end()`` is false is
+    run again from its start: a spiking period run exact past its bound
+    is rerun on the corrected path (see ``accumulator``), which the
+    checked replay of a non-finite one also takes. The drive and every
+    pass are computed with overflow and invalid-value warnings silenced;
+    the checked replay's errors are the report.
 
     With ``half`` false the last-half mean is not summed and ``half_mean``
     is None. ``stage`` may skip the reads before ``_first_read`` of the
@@ -286,12 +286,11 @@ def _run_period(
     runs, n, d = elements.shape
     if x.ndim != 3 or x.shape[0] != runs or x.shape[2] != d:
         raise ValueError(f"input has shape {x.shape}, expected ({runs}, B, {d})")
-    one_sample = not rows and x.shape[:2] == (1, 1)
+    one_sample = rows is None and x.shape[:2] == (1, 1)
     if (record_codes or record_trace or early_stop is not None) and not one_sample:
         raise ValueError("per-step codes, traces and early stop are for one sample, not a batch")
     state = initial_state if initial_state is not None else MembraneState.zeros(x.shape[:2] + (n,))
 
-    drive = _drive(elements, x) if input_encoder is None else None
     # The encoder steps its carry in place, so each pass restarts from a copy.
     encoder_start = None if input_encoder is None else input_encoder.carry.copy()
 
@@ -304,6 +303,7 @@ def _run_period(
         )
 
     with np.errstate(over="ignore", invalid="ignore"):
+        drive = _drive(elements, x) if input_encoder is None else None
         result = integrate(False)
         if not stage.end() and np.isfinite(result.state.u).all():
             result = integrate(False)
@@ -394,7 +394,7 @@ def _lone_period(dictionary, input_vector, params, stage, initial_state=None,
         initial_state = MembraneState(initial_state.u.reshape(1, -1, n), initial_state.step_index)
     result = _run_period(
         dictionary.elements[None], inhibition(dictionary)[None], x.reshape(1, -1, d), params,
-        stage, initial_state=initial_state, rows=x.ndim > 1, **kwargs,
+        stage, initial_state=initial_state, rows=0 if x.ndim > 1 else None, **kwargs,
     )
     result.code, result.half_mean = result.code.reshape(shape), result.half_mean.reshape(shape)
     result.state.u = result.state.u.reshape(shape)

@@ -584,7 +584,7 @@ class TestRateEncodedInference:
 
         def period(spec):
             # The dictionary's stack of one, its (1, 1, N) code read back as (N,).
-            stack = experiment_mod._TrainingState.lone(dictionary, spec)
+            stack = experiment_mod._Stack.lone(dictionary, spec)
             result = experiment_mod._period(stack, vec[None, None], spec)
             result.code = result.code[0, 0]
             return result

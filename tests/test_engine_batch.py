@@ -13,7 +13,7 @@ import pytest
 
 from lcalearn import accumulator, experiment
 from lcalearn.accumulator import InputRateEncoder, run_spiking_inference
-from lcalearn.data import SyntheticSpec, generate_synthetic
+from lcalearn.data import FrameSequence, LabeledSample, SyntheticSpec, generate_synthetic
 from lcalearn.dictionary import InputDims, init_random, synthesize
 from lcalearn.errors import NumericError
 from lcalearn.experiment import (
@@ -50,7 +50,7 @@ def period(dictionary, x, params, height, **kwargs):
     The (B, D) input runs as (1, B, D), on the dictionary's stack of one.
     """
     spec = PeriodSpec(params, height)
-    stack = experiment._TrainingState.lone(dictionary, spec)
+    stack = experiment._Stack.lone(dictionary, spec)
     return experiment._period(stack, x[None], spec, **kwargs)
 
 
@@ -238,7 +238,7 @@ class TestFrozenPasses:
         result = run_training(config)
         _, valid = experiment.load_dataset(config.dataset)
         spec = config.period_spec()
-        (frozen,) = experiment._frozen_pass(experiment._TrainingState.lone(result.dictionary, spec),
+        (frozen,) = experiment._frozen_pass(experiment._Stack.lone(result.dictionary, spec),
                                             [valid], spec)
         assert result.metrics.rmse_val[-1] == frozen.rmse / len(valid)
         assert result.metrics.sparsity_pct[-1] == frozen.sparsity / len(valid)
@@ -285,6 +285,43 @@ class TestBatchErrors:
         params = LcaParams(lam=0.3, dt=1.0, tau=10.0, steps=10)
         with pytest.raises(NumericError, match=r"step 0, row 3"):
             period(dictionary, x, params, height)
+
+    @pytest.mark.parametrize("height", [0.0, 1.0])
+    def test_a_chunked_pass_names_the_samples_index(self, monkeypatch, height):
+        # Chunks of 5: the bad sample 7 is row 2 of the second chunk, and
+        # the error must name its index in the sample list.
+        monkeypatch.setattr(experiment, "INFER_CHUNK", 5)
+        config = config_from_dict({
+            "dataset": {"kind": "synthetic", "seed": 1, "height": 4, "width": 4, "frames": 2,
+                        "train_per_class": 2, "valid_per_class": 3},
+            "dict_size": 12, "lambda": 0.2, "tau": 10.0, "display_ms": 10.0,
+            "spike_height": height, "epochs": 1,
+        })
+        train, valid = experiment.load_dataset(config.dataset)
+        frames = valid[7].input.frames.copy()
+        frames.flat[0] = np.inf
+        valid[7] = LabeledSample(FrameSequence(frames), valid[7].label)
+        dictionary = init_random(3, 12, valid[0].input.dims)
+        with pytest.raises(NumericError, match=r"at step 0, row 7$"):
+            evaluate_codes(dictionary, valid, config.lca_params(), height)
+        with pytest.raises(NumericError, match=r"at step 0, row 7$"):
+            run_training(config, train, valid)
+
+    @pytest.mark.parametrize("height", [0.0, 1.0])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_infinite_input_raises_its_error_not_a_warning(self, height):
+        # An all-infinite input meets weights of both signs, so its drive is
+        # inf - inf: that invalid-value warning stays silent, and the run's
+        # error is the report.
+        dictionary = init_random(0, 4, InputDims(2, 2))
+        params = LcaParams(lam=0.1, dt=1.0, tau=10.0, steps=5)
+        run = run_inference if height == 0 else (
+            lambda *args: run_spiking_inference(*args, height))
+        with pytest.raises(NumericError, match=r"at step 0$"):
+            run(dictionary, np.full(4, np.inf), params)
+        sample = LabeledSample(FrameSequence(np.full((1, 2, 2), np.inf)), 0)
+        with pytest.raises(NumericError, match=r"at step 0, row 0$"):
+            evaluate_codes(dictionary, [sample], params, height)
 
     def test_first_bad_row_is_named(self):
         dictionary, x = instance(10)

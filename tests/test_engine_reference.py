@@ -331,7 +331,7 @@ class TestStateOwnership:
 
         def period(warm):
             period_spec = experiment.PeriodSpec(params, height, spec)
-            return experiment._period(experiment._TrainingState.lone(dictionary, period_spec),
+            return experiment._period(experiment._Stack.lone(dictionary, period_spec),
                                       x[None, None], period_spec, warm=warm)
 
         first = period(None)

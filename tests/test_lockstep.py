@@ -223,9 +223,9 @@ class TestFailureMasking:
             assert f"NumericError: {info.value}" == failure["error"]
         assert sum(run.error is not None for run in stacked.values()) == 2
 
-    def test_a_run_that_raises_in_the_stack_is_found_alone(self):
-        # A non-finite input fails the rate encoder of the whole stack at once;
-        # the stack names the run it belongs to.
+    def test_a_rate_encoded_nan_in_training_fails_only_its_own_run(self):
+        # A non-finite input fails the rate encoding of its own run only: the
+        # stack names that run, and the other trains as it does alone.
         config = config_from_dict(raw_config(
             spike_height=0.5, input_encoding="rate", epochs=1))
         train, valid = experiment.load_dataset(config.dataset)
@@ -265,10 +265,10 @@ class TestFailureMasking:
 
 
     def test_a_stack_that_breaks_fails_its_runs_not_the_sweep(self, monkeypatch):
-        def broken(self, runs):
+        def broken(cls, *args):
             raise MemoryError("no room for the stack")
 
-        monkeypatch.setattr(experiment._TrainingState, "__init__", broken)
+        monkeypatch.setattr(experiment._Stack, "build", classmethod(broken))
         result = run_sweep(config_from_dict(raw_config(epochs=1)), "lambda", [0.2, 0.3])
         assert [row["failed"] for row in result.rows] == [1, 1]
         assert [f["error"] for f in result.failures] == ["MemoryError: no room for the stack"] * 2
@@ -283,14 +283,14 @@ class TestTrainingState:
     def test_inhibition_tracks_a_full_rebuild(self, monkeypatch, extra):
         dims = experiment.load_dataset(raw_config()["dataset"])[0][0].input.dims
         checked = []
-        real = experiment._TrainingState.refresh
+        real = experiment._Stack.refresh
 
         def refresh(self, r, rows):
             real(self, r, rows)
             full = inhibition(Dictionary(self.elements[r].copy(), dims))
             checked.append(float(np.abs(self.inhib[r] - full).max()))
 
-        monkeypatch.setattr(experiment._TrainingState, "refresh", refresh)
+        monkeypatch.setattr(experiment._Stack, "refresh", refresh)
         config = config_from_dict(raw_config(**extra))
         run_sweep(config, "lambda", [0.2, 0.3])
         assert len(checked) >= 16

@@ -51,12 +51,12 @@ def holder(shape, height, scale):
     """
     dictionary, x = instance(4, scale=scale)
     if shape != "stack":
-        stack = experiment._TrainingState.frozen(dictionary.elements[None], [LAM], [height],
-                                                 dictionary.dims)
+        stack = experiment._Stack.build(dictionary.elements[None], [LAM], [height],
+                                        dictionary.dims)
         return stack, stack.inhib, x[None, :1] if shape == "solo" else x[None], None, height
     other = init_random(9, dictionary.element_count, dictionary.dims)
-    stack = experiment._TrainingState.frozen(np.stack([dictionary.elements, other.elements]),
-                                             [LAM, LAM], [height, 2 * height], dictionary.dims)
+    stack = experiment._Stack.build(np.stack([dictionary.elements, other.elements]),
+                                    [LAM, LAM], [height, 2 * height], dictionary.dims)
     heights = np.array([height, 2 * height])[:, None, None]
     return stack, stack.inhib, np.stack([x, x[::-1]]), np.full((2, 1, 1), LAM), heights
 
@@ -112,15 +112,15 @@ class TestReadDrivenPeriod:
         dictionary, x = instance(4, scale=3.0)
         spec = PeriodSpec(LcaParams(lam=LAM, dt=1.0, tau=10.0, steps=60), 1.0,
                           {"kind": "boxcar", "window_ms": 7.0})
-        experiment._period(experiment._TrainingState.lone(dictionary, spec), x[None, :1], spec,
-                           half=reads == "half", record=reads == "record", rows=False)
+        experiment._period(experiment._Stack.lone(dictionary, spec), x[None, :1], spec,
+                           half=reads == "half", record=reads == "record", rows=None)
         assert (len(flags), sum(flags)) == (fed, read)
 
     @pytest.mark.parametrize("half", [False, True])
     def test_graded_period_skips_only_the_half_mean(self, half):
         dictionary, x = instance(4)
         params = LcaParams(lam=LAM, dt=1.0, tau=10.0, steps=60)
-        stack = experiment._TrainingState.lone(dictionary, PeriodSpec(params))
+        stack = experiment._Stack.lone(dictionary, PeriodSpec(params))
         want = _run_period(stack.elements, stack.inhib, x[None], params,
                            experiment._output_stage(LAM, 0.0))
         got = experiment._period(stack, x[None], PeriodSpec(params), half=half)
@@ -191,13 +191,12 @@ class TestStackedValidation:
         scheme = config.feature_scheme
         state = trainer.state
         stacked = experiment._frozen_pass(
-            experiment._TrainingState.frozen(state.elements, state.lam, state.spike_height,
-                                             state.dims),
+            experiment._Stack.build(state.elements, state.lam, state.spike_height, state.dims),
             [run.valid for run in runs], spec, scheme)
         for i, run in enumerate(runs):
             solo_spec = run.config.period_spec()
             (solo,) = experiment._frozen_pass(
-                experiment._TrainingState.lone(trainer.state.dictionary(i, run.dims), solo_spec),
+                experiment._Stack.lone(trainer.state.dictionary(i), solo_spec),
                 [run.valid], solo_spec, scheme)
             assert_same_record(stacked[i], solo)
             metrics = run.metrics
@@ -217,17 +216,25 @@ class TestStackedValidation:
     def test_validation_stacks_stay_within_stack_bytes(self, monkeypatch):
         # One run's validation chunk at INFER_CHUNK = 64, N = 16, D = 72 takes
         # about 176 kB, and its training dictionary about 11 kB: all three runs
-        # train in one stack but validate one by one.
+        # train in one stack, and its one pass per epoch validates them one by one.
         config = config_from_dict(raw_config(spike_height=1.0, classifier={"epochs": 5}))
         default, _ = spied_sweep(monkeypatch, config)
         monkeypatch.setattr(experiment, "STACK_BYTES", 200_000)
-        holders = []
-        real = experiment._frozen_pass
+        passes, chunks = [], []
+        real_pass, real_period = experiment._frozen_pass, experiment._period
+
+        def period(h, x, *a, rows=None, **k):
+            if rows is not None:  # a frozen pass's chunk, not a training period
+                chunks.append(x.shape)
+            return real_period(h, x, *a, rows=rows, **k)
+
         monkeypatch.setattr(experiment, "_frozen_pass",
-                            lambda h, *a: holders.append(h.elements.shape) or real(h, *a))
+                            lambda h, *a: passes.append(h.elements.shape) or real_pass(h, *a))
+        monkeypatch.setattr(experiment, "_period", period)
         small, stacks = spied_sweep(monkeypatch, config)
         assert [len(runs) for _, runs in stacks] == [3]
-        assert holders == [(1, 16, 72)] * 6  # 3 runs x 2 epochs
+        assert passes == [(3, 16, 72)] * 2  # one pass per epoch
+        assert chunks == [(1, 8, 72)] * 6  # 3 runs x 2 epochs, 8 samples each
         for height, (run, trainer) in small.items():
             other, other_trainer = default[height]
             assert repr(run.metrics) == repr(other.metrics)
@@ -310,8 +317,9 @@ class TestValidationFailure:
                            overflow_instance())
         assert (3, True) in drops
 
-    def test_a_stacked_pass_that_raises_validates_each_run_alone(self):
-        # A NaN validation input fails the rate encoder of the whole stack.
+    def test_a_rate_encoded_nan_in_validation_fails_only_its_own_run(self):
+        # A NaN validation input fails the rate encoding of its own run only;
+        # the other runs validate as they do alone.
         config = config_from_dict(raw_config(epochs=1, spike_height=0.5,
                                              input_encoding="rate"))
         train, valid = experiment.load_dataset(config.dataset)

@@ -204,7 +204,7 @@ def oracle_period(dictionary, x, params, height, spec, carry=None, **kwargs):
                            reference_filter(spec, params.dt))
     result = _run_period(dictionary.elements[None], inhibition(dictionary)[None],
                          np.reshape(x, (1, -1, np.shape(x)[-1])), params, stage,
-                         rows=np.ndim(x) > 1, **kwargs)
+                         rows=0 if np.ndim(x) > 1 else None, **kwargs)
     result.code, result.half_mean = result.code.reshape(shape), result.half_mean.reshape(shape)
     result.state.u = result.state.u.reshape(shape)
     for name in ("carry", "value", "peak", "total"):
