@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from lcalearn import atomic
-from lcalearn.errors import FormatError
+from lcalearn.errors import FormatError, check_fields
 
 MODEL_MAGIC = b"LCLS"
 MODEL_VERSION = 1
@@ -32,15 +32,12 @@ FEATURE_SCHEMES = ("final", "mean_last_half")
 
 @dataclass
 class ClassifierConfig:
-    epochs: int = 200
-    learning_rate: float = 0.01
-    seed: int = 0
+    epochs: int = field(default=200, metadata={">=": 1})
+    learning_rate: float = field(default=0.01, metadata={">": 0})
+    seed: int = field(default=0, metadata={">=": 0})
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning rate must be > 0, got {self.learning_rate}")
+        check_fields(self)
 
 
 @dataclass

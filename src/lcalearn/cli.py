@@ -24,7 +24,7 @@ from lcalearn import experiment as experiment_mod
 from lcalearn import export as export_mod
 from lcalearn.accumulator import write_raster_csv
 from lcalearn.dictionary import load_checkpoint, save_checkpoint, synthesize
-from lcalearn.errors import ConfigError, FormatError, NumericError
+from lcalearn.errors import ConfigError, FormatError, NumericError, check_value
 from lcalearn.lca import write_trace_csv
 
 
@@ -274,8 +274,8 @@ def _cmd_synth(args) -> int:
         spec_kwargs = dict(raw)
     spec_seed = spec_kwargs.pop("seed", 0)
     seed = spec_seed if args.seed is None else args.seed  # --seed overrides the spec's
+    check_value("seed", seed, "int", 0)
     try:
-        experiment_mod._check_seed(seed)
         spec = data_mod.SyntheticSpec(**spec_kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

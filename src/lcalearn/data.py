@@ -12,14 +12,14 @@ from them. Event frames hold signed values in [-1, 1]; image frames hold
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from lcalearn import atomic
 from lcalearn.dictionary import InputDims
-from lcalearn.errors import FormatError
+from lcalearn.errors import ConfigError, FormatError, check_fields
 
 EVENT_MAGIC = b"EVT1"
 EVENT_VERSION = 1
@@ -71,29 +71,20 @@ class LabeledSample:
 class SyntheticSpec:
     """Parameters of the event-like synthetic dataset used for desk-scale runs."""
 
-    n_classes: int = 4
-    height: int = 16
-    width: int = 16
-    frames: int = 5
-    density: float = 0.18
-    noise: float = 0.02
-    train_per_class: int = 12
-    valid_per_class: int = 5
-    saturation: int = 2
+    n_classes: int = field(default=4, metadata={">=": 1})
+    height: int = field(default=16, metadata={">=": 1})
+    width: int = field(default=16, metadata={">=": 1})
+    frames: int = field(default=5, metadata={">=": 1})
+    density: float = field(default=0.18, metadata={">": 0})
+    noise: float = field(default=0.02, metadata={">=": 0})
+    train_per_class: int = field(default=12, metadata={">=": 0})
+    valid_per_class: int = field(default=5, metadata={">=": 0})
+    saturation: int = field(default=2, metadata={">=": 1})
 
     def __post_init__(self):
-        if self.n_classes < 1:
-            raise ValueError("need at least one class")
-        for name in ("height", "width", "frames", "saturation"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("train_per_class", "valid_per_class"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not 0 < self.density <= 1:
-            raise ValueError(f"density must be in (0, 1], got {self.density}")
-        if self.noise < 0:
-            raise ValueError(f"noise must be >= 0, got {self.noise}")
+        check_fields(self)
+        if self.density > 1:
+            raise ConfigError(f"density must be in (0, 1], got {self.density}")
 
 
 # ---------------------------------------------------------------------------

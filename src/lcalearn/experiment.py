@@ -49,7 +49,7 @@ from lcalearn.dictionary import (
     init_random,
     save_checkpoint,
 )
-from lcalearn.errors import ConfigError, NumericError
+from lcalearn.errors import ConfigError, NumericError, check_fields, check_value
 from lcalearn.filters import make_filter
 from lcalearn.lca import LcaParams, MembraneState, _fail, _first_read, _run_period, inhibition
 from lcalearn import classifier as classifier_mod
@@ -75,6 +75,8 @@ _DATASET_KEYS = {
     },
     "npy": {"kind", "path"},
 }
+# The readout's ``seed`` is not among them: the run's seed sets it.
+_CLASSIFIER_KEYS = {"feature_scheme", "epochs", "learning_rate"}
 
 # Samples per batched frozen-dictionary period (validation included). It
 # caps memory: a boxcar filter holds window x chunk x N floats.
@@ -104,42 +106,31 @@ class PeriodSpec:
     input_spike_height: Optional[float] = None
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass
 class ExperimentConfig:
     """Everything one run needs; mirrors the JSON schema accepted by the CLI."""
 
     dataset: dict
     dict_size: int | dict
-    lam: float
-    spike_height: float = 0.0  # 0 disables spiking
-    dt: float = 1.0
+    lam: float = field(metadata={"key": "lambda"})
+    spike_height: float = field(default=0.0, metadata={">=": 0})  # 0 disables spiking
+    dt: float = field(default=1.0, metadata={">": 0})
     tau: float = 100.0
-    display_ms: float = 100.0
-    gap_ms: float = 0.0
-    epochs: int = 1
-    learning_rate: float = 0.005
+    display_ms: float = field(default=100.0, metadata={">=": 0})
+    gap_ms: float = field(default=0.0, metadata={">=": 0})
+    epochs: int = field(default=1, metadata={">=": 0})
+    learning_rate: float = field(default=0.005, metadata={">": 0})
     filter: Optional[dict] = None
     classifier: Optional[dict] = None
-    seed: int = 0
+    seed: int = field(default=0, metadata={">=": 0})
     warm_start: bool = False
     input_encoding: str = "constant"
-    input_spike_height: float = 0.01
-    checkpoint_every: int = 0  # 0 writes only the final checkpoint
-    batch_size: int = 1
+    input_spike_height: float = field(default=0.01, metadata={">": 0})
+    checkpoint_every: int = field(default=0, metadata={">=": 0})  # 0 writes only the final checkpoint
+    batch_size: int = field(default=1, metadata={">=": 1})
 
     def __post_init__(self):
-        for f in fields(self):
-            value, key = getattr(self, f.name), "lambda" if f.name == "lam" else f.name
-            if f.type == "float" and not (_is_number(value) and math.isfinite(value)):
-                raise ConfigError(f"{key} must be a finite number, got {value!r}")
-            if f.type == "int" and not (_is_number(value) and isinstance(value, numbers.Integral)):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-            if f.type == "bool" and not isinstance(value, bool):
-                raise ConfigError(f"{key} must be true or false, got {value!r}")
+        check_fields(self)
         for name in ("dataset", "filter", "classifier"):
             value = getattr(self, name)
             if not isinstance(value, dict) and (name == "dataset" or value is not None):
@@ -149,40 +140,24 @@ class ExperimentConfig:
             self.lca_params()
         except ValueError as exc:
             raise ConfigError(f"invalid inference parameters: {exc}") from exc
-        if self.spike_height < 0:
-            raise ConfigError(f"spike_height must be >= 0, got {self.spike_height}")
         for name in ("display_ms", "gap_ms"):
             value = getattr(self, name)
-            if value < 0:
-                raise ConfigError(f"{name} must be >= 0, got {value}")
             ratio = value / self.dt
             if abs(ratio - round(ratio)) > 1e-9:
                 raise ConfigError(f"{name}={value} is not a whole number of dt={self.dt} steps")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.input_encoding not in ("constant", "rate"):
             raise ConfigError(f"input_encoding must be 'constant' or 'rate', got {self.input_encoding!r}")
-        if self.input_spike_height <= 0:
-            raise ConfigError(f"input_spike_height must be > 0, got {self.input_spike_height}")
-        if self.checkpoint_every < 0:
-            raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if isinstance(self.dict_size, dict):
             extra = set(self.dict_size) - {"ratio"}
             if extra:
                 raise ConfigError(f"unknown dict_size keys {sorted(extra)}")
             ratio = self.dict_size.get("ratio", 0)
-            if not (_is_number(ratio) and 0 < ratio < math.inf):
+            if isinstance(ratio, bool) or not (isinstance(ratio, numbers.Real) and 0 < ratio < math.inf):
                 raise ConfigError(f"dict_size ratio must be a finite number > 0, got {ratio!r}")
-        elif not (_is_number(self.dict_size) and isinstance(self.dict_size, numbers.Integral)):
+        elif isinstance(self.dict_size, bool) or not isinstance(self.dict_size, numbers.Integral):
             raise ConfigError(f"dict_size must be an integer or a ratio, got {self.dict_size!r}")
-        elif self.dict_size < 1:
-            raise ConfigError(f"dict_size must be >= 1, got {self.dict_size}")
+        else:
+            check_value("dict_size", self.dict_size, "int", 1)
         kind = self.dataset.get("kind")
         if kind not in _DATASET_KEYS:
             raise ConfigError(f"unknown dataset kind {kind!r}")
@@ -196,14 +171,17 @@ class ExperimentConfig:
                 _synthetic_spec(self.dataset)
             else:
                 _file_options(self.dataset)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"dataset: {exc}") from exc
         make_filter(self.filter, self.dt)
+        extra = set(self.classifier or {}) - _CLASSIFIER_KEYS
+        if extra:
+            raise ConfigError(f"unknown classifier keys {sorted(extra)}")
         if self.feature_scheme not in classifier_mod.FEATURE_SCHEMES:
             raise ConfigError(f"unknown feature_scheme {self.feature_scheme!r}")
         try:
             self.classifier_config()
-        except (TypeError, ValueError) as exc:
+        except ConfigError as exc:
             raise ConfigError(f"classifier: {exc}") from exc
 
     @property
@@ -232,7 +210,7 @@ class ExperimentConfig:
         return classifier_mod.ClassifierConfig(**spec, seed=self.seed)
 
 
-_CONFIG_KEYS = {"lambda" if f.name == "lam" else f.name for f in fields(ExperimentConfig)}
+_CONFIG_KEYS = {f.metadata.get("key", f.name) for f in fields(ExperimentConfig)}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -352,29 +330,21 @@ def _dataset_options(spec: dict) -> dict:
 
 def _synthetic_spec(spec: dict) -> data_mod.SyntheticSpec:
     if spec.get("seed") is not None:
-        _check_seed(spec["seed"])
+        check_value("seed", spec["seed"], "int", 0)
     return data_mod.SyntheticSpec(**_dataset_options(spec))
-
-
-def _check_seed(seed) -> None:
-    """A seed NumPy's generators take: an integer >= 0, else ``ValueError``."""
-    if not (_is_number(seed) and isinstance(seed, numbers.Integral)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def _file_options(spec: dict) -> dict:
     """The checked options a file dataset spec sets; the two sensor keys become ``sensor``."""
     options = _dataset_options(spec)
-    for key in ("crop", "limit", "window_us", "frames_per_window", "stride", "saturation",
-                "sensor_width", "sensor_height"):
-        value = options.get(key, 1)
-        if not isinstance(value, int) or value < 1:
-            raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+    for key, value in options.items():
+        if key == "valid_fraction":
+            check_value(key, value, "float", 0)
+        else:
+            check_value(key, value, "int", 1)
     if options.get("crop", 1) > 32:
         raise ValueError(f"crop must be in 1..32, got {options['crop']}")
-    if not 0 <= options.get("valid_fraction", 0) < 1:
+    if options.get("valid_fraction", 0) >= 1:
         raise ValueError(f"valid_fraction must be in [0, 1), got {options['valid_fraction']}")
     if ("sensor_width" in options) != ("sensor_height" in options):
         raise ValueError("sensor_width and sensor_height must be given together")

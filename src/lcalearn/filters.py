@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from lcalearn.errors import ConfigError
+from lcalearn.errors import ConfigError, check_value
 
 
 class CodeFilter:
@@ -171,6 +171,8 @@ def make_filter(spec: dict | None, dt: float) -> CodeFilter:
         raise ConfigError(
             f"filter kind {kind!r} takes keys {sorted(expected)}, got {sorted(given)}"
         )
+    for key in expected:
+        check_value(key, spec[key], "float")
     try:
         if kind == "identity":
             return IdentityFilter()

@@ -1,6 +1,8 @@
 """Command dispatch, exit codes, and run-directory artifacts."""
 
 import json
+import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,9 @@ import pytest
 
 from lcalearn import cli
 from lcalearn import experiment as experiment_mod
-from lcalearn.data import save_events
+from lcalearn import filters as filters_mod
+from lcalearn.classifier import ClassifierConfig
+from lcalearn.data import SyntheticSpec, save_events
 from lcalearn.dictionary import init_random, load_checkpoint, save_checkpoint
 
 
@@ -180,6 +184,18 @@ class TestSynth:
             assert capsys.readouterr().err == (
                 f"config error: {name} must be >= 1 for synth, which writes both splits\n")
             assert not out.exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"height": 2.5}, "height must be an integer, got 2.5"),
+        ({"noise": math.nan}, "noise must be a finite number, got nan"),
+    ], ids=["height-2.5", "noise-nan"])
+    def test_wrong_type_writes_nothing(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "d"
+        assert run("synth", "--out", out, "--config", path) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
 
 class TestSweep:
@@ -469,6 +485,79 @@ class TestConfigRejectedAtLoad:
         assert code == 1
         assert "density" in captured.err
         assert not (tmp_path / "o" / "config.json").exists()
+
+
+def _typed_keys():
+    """(block, key, type) for every int and float a config sets, read from the code that owns it.
+
+    The block is None for the top level, else the dataset kind, "classifier"
+    or the filter kind that holds the key.
+    """
+    owners = {None: experiment_mod.ExperimentConfig, "synthetic": SyntheticSpec,
+              "classifier": ClassifierConfig}
+    keys = [(block, f.metadata.get("key", f.name), f.type)
+            for block, owner in owners.items() for f in fields(owner)
+            if f.type in ("int", "float") and (block, f.name) != ("classifier", "seed")]
+    keys.append(("synthetic", "seed", "int"))
+    for kind in ("cifar", "events"):
+        for key in sorted(experiment_mod._DATASET_KEYS[kind] - {"kind", "path"}):
+            keys.append((kind, key, "float" if key == "valid_fraction" else "int"))
+    for kind, params in filters_mod._FILTER_PARAMS.items():
+        keys += [(kind, key, "float") for key in sorted(params)]
+    return keys
+
+
+_WRONG_VALUES = {"int": [2.5, True], "float": [math.nan, math.inf, "1", True]}
+
+
+class TestEveryFieldTyped:
+    """Every int field refuses 2.5 and true, every float field NaN, Infinity, "1" and true.
+
+    At the top level and in every block alike: exit 1 with one ``config
+    error:`` line naming the key, before the run directory is written.
+    """
+
+    @pytest.mark.parametrize("block, key, value", [
+        pytest.param(block, key, value, id=f"{block or 'top'}-{key}-{value!r}")
+        for block, key, kind in _typed_keys() for value in _WRONG_VALUES[kind]
+    ])
+    def test_wrong_type_exits_1_naming_the_key(self, tmp_path, capsys, block, key, value):
+        raw = {
+            "dataset": {"kind": "synthetic", "seed": 1, "height": 4, "width": 4, "frames": 2,
+                        "train_per_class": 2, "valid_per_class": 1},
+            "dict_size": 8, "lambda": 0.3, "tau": 10.0, "display_ms": 10.0,
+        }
+        if block is None:
+            raw[key] = value
+        elif block == "synthetic":
+            raw["dataset"][key] = value
+        elif block in ("cifar", "events"):
+            raw["dataset"] = {"kind": block, "path": "absent", key: value}
+        elif block == "classifier":
+            raw["classifier"] = {key: value}
+        else:
+            raw["filter"] = {"kind": block, key: value}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        code = run("train", "--config", path, "--out", out)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("config error:")
+        assert f"{key} must be " in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+        assert not (out / "config.json").exists()
+
+    @pytest.mark.parametrize("key", ["foo", "seed"])
+    def test_unknown_classifier_key_is_refused_by_name(self, config_path, tmp_path, capsys, key):
+        raw = json.loads(config_path.read_text())
+        raw["classifier"] = {"epochs": 5, key: 3}
+        config_path.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert run("train", "--config", config_path, "--out", out) == 1
+        assert capsys.readouterr().err == f"config error: unknown classifier keys ['{key}']\n"
+        assert not out.exists()
 
 
 class TestDatasetValues:

@@ -253,7 +253,14 @@ class TestFrozenPasses:
                               collect_features(result.dictionary, valid, config))
 
     @pytest.mark.parametrize("height", [0.0, 5.0])
-    def test_chunk_boundary_changes_nothing(self, monkeypatch, height):
+    def test_chunk_size_moves_results_only_within_tol(self, monkeypatch, height):
+        """Chunks of 5 give the features and RMSE of one chunk within ``TOL``, and its peak count.
+
+        Not bit for bit: the number of rows ``np.matmul`` multiplies at once
+        moves its results, by up to about 2e-13. So a lock-step run is
+        identical to the same run alone only because every pass keeps
+        ``INFER_CHUNK``-sample chunks.
+        """
         config = config_from_dict({
             "dataset": {"kind": "synthetic", "seed": 5, "height": 4, "width": 4, "frames": 2},
             "dict_size": 12, "lambda": 0.2, "tau": 10.0, "display_ms": 50.0,

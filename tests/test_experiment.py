@@ -422,7 +422,7 @@ class TestConfigValidatedAtLoad:
             config_from_dict(base_raw(classifier={"feature_scheme": "max"}))
 
     def test_classifier_nonpositive_learning_rate_rejected(self):
-        with pytest.raises(ConfigError, match="learning rate"):
+        with pytest.raises(ConfigError, match="learning_rate must be > 0"):
             config_from_dict(base_raw(classifier={"learning_rate": 0.0}))
 
     def test_zero_display_period_rejected(self):
