@@ -2,10 +2,13 @@
 
 Exit codes: 0 success, 1 usage error (bad flags, unreadable or invalid
 config), 2 runtime error (bad data files, numeric failures, interrupts).
-Every command writes only under ``--out``; configs are echoed verbatim
-into the run directory before any computation so a run directory is
-self-describing. An interrupted training run keeps the metrics rows of
-its completed epochs and leaves a ``partial.marker`` file beside them.
+Every command writes only under ``--out``, and checks every input (config,
+checkpoint, dataset, flags) before it writes anything there. Configs are
+echoed verbatim into the run directory before any computation, so a run
+directory is self-describing. An interrupted command whose ``--out``
+exists leaves a ``partial.marker`` there; an interrupted ``train`` also
+keeps the metrics rows of its completed epochs and its dictionary as it
+stood (``dict_interrupted.lcad``).
 """
 
 from __future__ import annotations
@@ -91,21 +94,12 @@ def _image_name(stem: str, channels: int) -> str:
 def _cmd_train(args) -> int:
     config = _load_config(args)
     out = _require_out(args)
-    _echo_config(args, out)
     initial = load_checkpoint(args.init_dict) if args.init_dict else None
-    try:
-        result = experiment_mod.run_training(
-            config,
-            out_dir=out,
-            initial_dictionary=initial,
-            progress=_progress(args),
-        )
-    except KeyboardInterrupt:
-        atomic.write_text(
-            out / "partial.marker", "run interrupted; metrics.csv holds completed epochs only\n"
-        )
-        print("interrupted; wrote partial.marker", file=sys.stderr)
-        return 2
+    train, valid = experiment_mod.load_dataset(config.dataset, config.seed)
+    _echo_config(args, out)
+    result = experiment_mod.run_training(
+        config, train, valid, out_dir=out, initial_dictionary=initial, progress=_progress(args)
+    )
     metrics = result.metrics
     if metrics.rmse_train:
         print(
@@ -144,14 +138,9 @@ def _cmd_sweep(args) -> int:
     if args.repeats < 1:
         raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
     _echo_config(args, out)
-    try:
-        result = experiment_mod.run_sweep(
-            config, args.axis, values, repeats=args.repeats, progress=_progress(args)
-        )
-    except KeyboardInterrupt:
-        atomic.write_text(out / "partial.marker", "sweep interrupted before completion\n")
-        print("interrupted; wrote partial.marker", file=sys.stderr)
-        return 2
+    result = experiment_mod.run_sweep(
+        config, args.axis, values, repeats=args.repeats, progress=_progress(args)
+    )
     result.write_csv(out / "sweep.csv")
     for failure in result.failures:
         print(
@@ -200,9 +189,9 @@ def _cmd_infer(args) -> int:
 def _cmd_classify_train(args) -> int:
     config = _load_config(args)
     out = _require_out(args)
-    _echo_config(args, out)
     dictionary = load_checkpoint(args.dict)
     train, valid = experiment_mod.load_dataset(config.dataset, config.seed)
+    _echo_config(args, out)
     _log(args, f"extracting features for {len(train)} train / {len(valid)} valid samples")
     train_features = experiment_mod.collect_features(dictionary, train, config)
     model = classifier_mod.train(
@@ -315,11 +304,11 @@ def _cmd_export_recon(args) -> int:
     config = _load_config(args)
     out = _require_out(args)
     _check_positive(args, "count")
-    _echo_config(args, out)
     dictionary = load_checkpoint(args.dict)
     _, valid = experiment_mod.load_dataset(config.dataset, config.seed)
     if not valid:
         raise FormatError("validation split is empty")
+    _echo_config(args, out)
     samples = valid[:args.count]
     codes = experiment_mod._lone_pass(dictionary, samples, config.period_spec()).features
     strip = export_mod.render_reconstruction_strip(
@@ -393,6 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -403,7 +393,13 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
+        out = getattr(args, "out", None)
+        if out is not None and Path(out).is_dir():
+            atomic.write_text(Path(out) / "partial.marker",
+                              f"{args.command} interrupted; files here may be incomplete\n")
+            print("interrupted; wrote partial.marker", file=sys.stderr)
+        else:
+            print("interrupted", file=sys.stderr)
         return 2
     except (FormatError, NumericError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -504,7 +504,9 @@ def run_training(
 
     Artifacts under ``out_dir``: ``metrics.csv`` (rewritten after every
     epoch, so an interrupted run leaves its completed epochs behind) and
-    ``dict_epoch_<k>.lcad`` checkpoints. The run trains as a lock-step
+    ``dict_epoch_<k>.lcad`` checkpoints. On ``KeyboardInterrupt`` a live
+    run saves its dictionary as it stands to ``dict_interrupted.lcad``, a
+    start to resume from, and re-raises. The run trains as a lock-step
     stack of one (see ``_LockStep``), the trainer ``run_sweep`` uses.
     """
     if train_samples is None or valid_samples is None:
@@ -513,7 +515,12 @@ def run_training(
         valid_samples = loaded_valid if valid_samples is None else valid_samples
     run = _prepare_run(config, train_samples, valid_samples, initial_dictionary, out_dir, progress)
     trainer = _LockStep([run])
-    trainer.train()
+    try:
+        trainer.train()
+    except KeyboardInterrupt:
+        if run.out_dir is not None and trainer.runs:  # the run is still live
+            save_checkpoint(trainer.state.dictionary(0), run.out_dir / "dict_interrupted.lcad")
+        raise
     if run.error is not None:
         raise run.error
     return trainer.result(run)

@@ -16,7 +16,10 @@ spikes; ``accumulator._output_stage`` picks between them. At a fixed point
 with output = soft_threshold(u), u minimizes the energy
 ``0.5 * ||input - synthesize(code)||^2 + lam * ||code||_1`` locally.
 
-A period works in place: it copies the start potentials once and steps
+One function runs a period: ``_run_period`` holds the step loop and all
+three passes of a period (the first pass, the rerun of an exact spiking
+period on the corrected path, the checked replay of a non-finite one).
+A pass works in place: it copies the start potentials once and steps
 them through ``_euler`` in buffers it allocates once, and the stages
 write their code and spikes into buffers of their own, so a step creates
 no Python objects. Finiteness is checked once per period; a period that
@@ -278,28 +281,70 @@ def _run_period(
     pass are computed with overflow and invalid-value warnings silenced;
     the checked replay's errors are the report.
 
-    With ``half`` false the last-half mean is not summed and ``half_mean``
-    is None. ``stage`` may skip the reads before ``_first_read`` of the
-    period (see ``accumulator._SpikingStage``).
+    Each pass steps on buffers it allocates once. Each step,
+    ``stage.emit(u, code)`` gives the value that drives ``_euler``, and
+    ``stage.read(u, value)`` the step's code from the new potentials.
+    ``_euler`` is looked up as a module global on every step, so a wrapper
+    installed on it (a profiler or tracer) sees each one. With ``half``
+    false the last-half mean is not summed and ``half_mean`` is None.
+    ``stage`` may skip the reads before ``_first_read`` of the period (see
+    ``accumulator._SpikingStage``).
     """
     x = np.asarray(x, dtype=np.float64)
     runs, n, d = elements.shape
     if x.ndim != 3 or x.shape[0] != runs or x.shape[2] != d:
         raise ValueError(f"input has shape {x.shape}, expected ({runs}, B, {d})")
-    one_sample = rows is None and x.shape[:2] == (1, 1)
-    if (record_codes or record_trace or early_stop is not None) and not one_sample:
+    record = record_codes or record_trace or early_stop is not None
+    if record and not (rows is None and x.shape[:2] == (1, 1)):
         raise ValueError("per-step codes, traces and early stop are for one sample, not a batch")
     state = initial_state if initial_state is not None else MembraneState.zeros(x.shape[:2] + (n,))
-
+    rate = params.dt / params.tau
+    half_start = params.steps // 2 if half else params.steps  # no step is summed
     # The encoder steps its carry in place, so each pass restarts from a copy.
     encoder_start = None if input_encoder is None else input_encoder.carry.copy()
 
     def integrate(check):
+        """One pass from the period's start (left as it was), checking every step with ``check``."""
         if input_encoder is not None:
             input_encoder.carry[...] = encoder_start
-        return _integrate(
-            elements, inhib, x, params, stage, state, drive, input_encoder,
-            record_codes, record_trace, early_stop, half, rows, errors, check,
+        u = np.array(state.u, dtype=np.float64)
+        tmp, du = np.empty(u.shape), np.empty(u.shape)
+        prev = u.copy() if record else None
+        codes = np.zeros((params.steps, n)) if record_codes else None
+        trace: list = []
+        half_sum = np.zeros(u.shape) if half else None
+        half_count = 0
+        step_drive = drive
+        code = stage.begin(u, check)
+        for i in range(params.steps):
+            if input_encoder is not None:
+                step_drive = _drive(elements, input_encoder.step())
+            value = stage.emit(u, code)
+            _euler(u, step_drive, inhib, value, rate, tmp, du)
+            if check:
+                _check_finite(u, state.step_index + i, rows, errors)
+            code = stage.read(u, value)
+            if i >= half_start:
+                half_sum += code
+                half_count += 1
+            if record:  # the one sample of the one run
+                du_inf = float(np.abs(u - prev).max())
+                np.copyto(prev, u)
+                if record_codes:
+                    codes[i] = code
+                if record_trace:
+                    one = code[0, 0]
+                    step_energy = _cost(x[0, 0] - one @ elements[0], one, params.lam)
+                    trace.append([state.step_index + i + 1, step_energy,
+                                  int(np.count_nonzero(code)), du_inf])
+                if early_stop is not None and du_inf < early_stop:
+                    break
+        half_mean = None
+        if half:
+            half_mean = half_sum / half_count if half_count else code.copy()
+        return InferenceResult(  # the loop ran i + 1 steps
+            code=code, state=MembraneState(u, state.step_index + i + 1), half_mean=half_mean,
+            codes=None if codes is None else codes[: i + 1], trace=trace,
         )
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -310,68 +355,6 @@ def _run_period(
         if not np.isfinite(result.state.u).all():
             result = integrate(True)
     return result
-
-
-def _integrate(
-    elements, inhib, input_vector, params, stage, state, drive, input_encoder,
-    record_codes, record_trace, early_stop, half, rows, errors, check,
-) -> InferenceResult:
-    """The step loop of ``_run_period``, on buffers it allocates once.
-
-    Each step, ``stage.emit(u, code)`` gives the value that drives
-    ``_euler``, and ``stage.read(u, value)`` gives the code recorded for
-    the step from the new potentials. ``_euler`` is looked up as a module
-    global on every step, so a wrapper installed on it (a profiler or
-    tracer) sees each one. ``state`` is not modified. With ``check`` set,
-    the potentials of each run are checked after every step by
-    ``_check_finite``, which raises without ``errors``; with them, the
-    period runs to its end for the runs that stay finite. The last-half
-    mean is summed only with ``half``.
-    """
-    u = np.array(state.u, dtype=np.float64)
-    step_index = state.step_index
-    tmp, du = np.empty(u.shape), np.empty(u.shape)
-    watch_du = record_trace or early_stop is not None
-    prev = np.empty(u.shape) if watch_du else None
-    codes = np.zeros((params.steps, u.shape[-1])) if record_codes else None
-    trace: list = []
-    half_start = params.steps // 2 if half else params.steps  # no step is summed
-    half_sum = np.zeros(u.shape) if half else None
-    half_count = 0
-    rate = params.dt / params.tau
-    code = stage.begin(u, check)
-    for i in range(params.steps):
-        if input_encoder is not None:
-            drive = _drive(elements, input_encoder.step())
-        value = stage.emit(u, code)
-        if watch_du:
-            np.copyto(prev, u)
-        _euler(u, drive, inhib, value, rate, tmp, du)
-        if check:
-            _check_finite(u, step_index, rows, errors)
-        step_index += 1
-        du_inf = float(np.abs(u - prev).max()) if watch_du else 0.0
-        code = stage.read(u, value)
-        if i >= half_start:
-            half_sum += code
-            half_count += 1
-        if record_codes:
-            codes[i] = code
-        if record_trace:
-            one = code[0, 0]  # the one sample of the one run
-            step_energy = _cost(input_vector[0, 0] - one @ elements[0], one, params.lam)
-            trace.append([step_index, step_energy, int(np.count_nonzero(code)), du_inf])
-        if early_stop is not None and du_inf < early_stop:
-            if record_codes:
-                codes = codes[: i + 1]
-            break
-    half_mean = None
-    if half:
-        half_mean = half_sum / half_count if half_count else code.copy()
-    return InferenceResult(
-        code=code, state=MembraneState(u, step_index), half_mean=half_mean, codes=codes,
-        trace=trace,
-    )
 
 
 def _lone_period(dictionary, input_vector, params, stage, initial_state=None,

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from lcalearn import experiment as experiment_mod
 from lcalearn import filters as filters_mod
 from lcalearn.classifier import ClassifierConfig
 from lcalearn.data import SyntheticSpec, save_events
-from lcalearn.dictionary import init_random, load_checkpoint, save_checkpoint
+from lcalearn.dictionary import InputDims, init_random, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture()
@@ -702,3 +703,130 @@ class TestSweepFailureReport:
         rows = (out / "sweep.csv").read_text().strip().splitlines()
         assert rows[0] == ",".join(experiment_mod.SWEEP_HEADER)
         assert rows[2].split(",")[2] == "1"
+
+
+def write_config(config_path, name, **changes):
+    """The config at ``config_path`` with ``changes``, as ``<name>.json`` beside it."""
+    raw = json.loads(config_path.read_text())
+    path = config_path.with_name(f"{name}.json")
+    path.write_text(json.dumps({**raw, **changes}))
+    return path
+
+
+def interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+class TestInterrupt:
+    def test_interrupted_train_keeps_its_dictionary_to_resume_from(
+            self, config_path, tmp_path, monkeypatch, capsys):
+        two = write_config(config_path, "two", epochs=2)
+        with monkeypatch.context() as patch:
+            patch.setattr(experiment_mod._LockStep, "end_epoch", interrupt)
+            assert run("train", "--config", two, "--out", tmp_path / "cut") == 2
+        assert capsys.readouterr().err == "interrupted; wrote partial.marker\n"
+        saved = tmp_path / "cut" / "dict_interrupted.lcad"
+        assert (tmp_path / "cut" / "partial.marker").read_text() == (
+            "train interrupted; files here may be incomplete\n")
+        assert run("train", "--config", config_path, "--out", tmp_path / "one") == 0
+        assert saved.read_bytes() == (tmp_path / "one" / "dict_epoch_1.lcad").read_bytes()
+        assert run("train", "--config", two, "--out", tmp_path / "resumed",
+                   "--init-dict", saved) == 0
+
+    def test_interrupted_sweep_leaves_the_marker(self, config_path, tmp_path, monkeypatch,
+                                                 capsys):
+        monkeypatch.setattr(experiment_mod, "run_sweep", interrupt)
+        out = tmp_path / "sw"
+        assert run("sweep", "--config", config_path, "--out", out,
+                   "--axis", "s", "--values", "1,5") == 2
+        assert capsys.readouterr().err == "interrupted; wrote partial.marker\n"
+        assert (out / "partial.marker").read_text() == (
+            "sweep interrupted; files here may be incomplete\n")
+
+    def test_interrupted_infer_leaves_the_marker_once_its_out_exists(
+            self, config_path, tmp_path, monkeypatch, capsys):
+        assert run("train", "--config", config_path, "--out", tmp_path / "run") == 0
+        capsys.readouterr()
+        monkeypatch.setattr(experiment_mod, "_period", interrupt)
+        out = tmp_path / "inf"
+        assert run("infer", "--config", config_path, "--out", out,
+                   "--dict", tmp_path / "run" / "dict_epoch_1.lcad") == 2
+        assert capsys.readouterr().err == "interrupted; wrote partial.marker\n"
+        assert (out / "partial.marker").read_text() == (
+            "infer interrupted; files here may be incomplete\n")
+
+    def test_interrupt_before_the_out_exists_writes_nothing(
+            self, config_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "load_checkpoint", interrupt)
+        out = tmp_path / "inf"
+        assert run("infer", "--config", config_path, "--out", out,
+                   "--dict", tmp_path / "any.lcad") == 2
+        assert capsys.readouterr().err == "interrupted\n"
+        assert not out.exists()
+
+
+class TestInputsCheckedBeforeWriting:
+    """A bad checkpoint fails before anything is written under ``--out``."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--init-dict"), ("classify-train", "--dict"), ("export-recon", "--dict"),
+    ])
+    def test_bad_checkpoint_writes_nothing(self, config_path, tmp_path, capsys, command, flag):
+        bad = tmp_path / "bad.lcad"
+        bad.write_bytes(b"LCAD" + b"\x00" * 4)
+        out = tmp_path / "o"
+        assert run(command, "--config", config_path, "--out", out, flag, bad) == 2
+        assert capsys.readouterr().err == f"error: {bad}: truncated header (8 bytes)\n"
+        assert not (out / "config.json").exists()
+
+
+class TestLessTravelledPaths:
+    def test_verbose_train_reports_each_epoch(self, config_path, tmp_path, capsys):
+        path = write_config(config_path, "two", epochs=2)
+        assert run("train", "--config", path, "--out", tmp_path / "run", "--verbose") == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        for k, line in enumerate(lines, 1):
+            assert re.fullmatch(
+                rf"epoch {k}/2: rmse_train=\d+\.\d{{4}} rmse_val=\d+\.\d{{4}} "
+                r"sparsity=\d+\.\d{2}%", line)
+
+    def test_verbose_classify_train_logs_its_sample_counts(self, config_path, tmp_path, capsys):
+        assert run("train", "--config", config_path, "--out", tmp_path / "run") == 0
+        capsys.readouterr()
+        assert run("classify-train", "--config", config_path, "--out", tmp_path / "cls",
+                   "--dict", tmp_path / "run" / "dict_epoch_1.lcad", "--verbose") == 0
+        config = experiment_mod.load_config(config_path)
+        train, valid = experiment_mod.load_dataset(config.dataset, config.seed)
+        assert capsys.readouterr().err == (
+            f"extracting features for {len(train)} train / {len(valid)} valid samples\n")
+
+    def test_zero_epochs_writes_the_initial_dictionary(self, config_path, tmp_path, capsys):
+        path = write_config(config_path, "zero", epochs=0)
+        out = tmp_path / "run"
+        assert run("train", "--config", path, "--out", out) == 0
+        assert capsys.readouterr().out == "epochs=0: wrote the initial dictionary unchanged\n"
+        assert load_checkpoint(out / "dict_epoch_0.lcad").element_count == 16
+
+    def test_dict_size_sweep_takes_counts_and_ratios(self, config_path, tmp_path, capsys):
+        out = tmp_path / "sw"
+        assert run("sweep", "--config", config_path, "--out", out,
+                   "--axis", "dict_size", "--values", "8,0.5x") == 0
+        rows = (out / "sweep.csv").read_text().strip().splitlines()
+        failed = experiment_mod.SWEEP_HEADER.index("failed")
+        assert len(rows) == 3
+        assert [row.split(",")[failed] for row in rows[1:]] == ["0", "0"]
+
+    def test_empty_values_entry_is_usage_error(self, config_path, tmp_path, capsys):
+        out = tmp_path / "sw"
+        assert run("sweep", "--config", config_path, "--out", out,
+                   "--axis", "s", "--values", "1,,2") == 1
+        assert capsys.readouterr().err == "error: empty entry in --values '1,,2'\n"
+        assert not out.exists()
+
+    def test_colour_dictionary_exports_a_ppm(self, tmp_path, capsys):
+        path = tmp_path / "colour.lcad"
+        save_checkpoint(init_random(0, 6, InputDims(8, 8, 3)), path)  # a CIFAR 8x8 crop
+        out = tmp_path / "fig"
+        assert run("export-dict", "--dict", path, "--out", out) == 0
+        assert (out / "dictionary.ppm").read_bytes().startswith(b"P6")

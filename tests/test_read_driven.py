@@ -14,7 +14,7 @@ import re
 import numpy as np
 import pytest
 
-from lcalearn import experiment, lca
+from lcalearn import accumulator, experiment, lca
 from lcalearn.data import FrameSequence, LabeledSample
 from lcalearn.dictionary import init_random
 from lcalearn.errors import NumericError
@@ -365,8 +365,10 @@ class TestValidationFailure:
                   good[::-1]]
         checks = []
         with monkeypatch.context() as patch:
-            real = lca._integrate
-            patch.setattr(lca, "_integrate", lambda *args: checks.append(args[-1]) or real(*args))
+            stage_type = lca._GradedStage if height == 0 else accumulator._SpikingStage
+            real = stage_type.begin  # every pass begins the stage once
+            patch.setattr(stage_type, "begin",
+                          lambda stage, u, check: checks.append(check) or real(stage, u, check))
             runs = [experiment._prepare_run(config, train, valid, overflow_instance())
                     for valid in valids]
             trainer = experiment._LockStep(runs)

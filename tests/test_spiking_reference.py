@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcalearn import experiment, lca
+from lcalearn import experiment
 from lcalearn.accumulator import (
     AccumulatorState,
     InputRateEncoder,
@@ -285,8 +285,9 @@ class TestRunSpikingInference:
         first = min(steps.values())
         row = min(r for r, k in steps.items() if k == first)
         passes = []
-        real = lca._integrate
-        monkeypatch.setattr(lca, "_integrate", lambda *args: passes.append(args[-1]) or real(*args))
+        real = _SpikingStage.begin  # every pass begins the stage once
+        monkeypatch.setattr(_SpikingStage, "begin",
+                            lambda stage, u, check: passes.append(check) or real(stage, u, check))
         with pytest.raises(NumericError) as info:
             run_spiking_inference(dictionary, x, OVERFLOW_PARAMS, height,
                                   make_filter({"kind": "boxcar", "window_ms": 7.0}, 1.0))
