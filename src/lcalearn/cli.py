@@ -2,13 +2,17 @@
 
 Exit codes: 0 success, 1 usage error (bad flags, unreadable or invalid
 config), 2 runtime error (bad data files, numeric failures, interrupts).
-Every command writes only under ``--out``, and checks every input (config,
-checkpoint, dataset, flags) before it writes anything there. Configs are
-echoed verbatim into the run directory before any computation, so a run
-directory is self-describing. An interrupted command whose ``--out``
-exists leaves a ``partial.marker`` there; an interrupted ``train`` also
-keeps the metrics rows of its completed epochs and its dictionary as it
-stood (``dict_interrupted.lcad``).
+Every command writes only under ``--out``, and calls ``_inputs`` before
+it reads a file. That one step loads the command's flags, config,
+checkpoint, model and dataset, and checks them against each other before
+anything is written: the dictionary's dims against the dataset's, the
+model's feature count against the dictionary's element count, a non-empty
+split, and ``--index`` within it. A failed cross-check exits 1 and names
+both files. Configs are then echoed verbatim into the run directory before
+any computation, so a run directory is self-describing. An interrupted
+command whose ``--out`` exists leaves a ``partial.marker`` there; an
+interrupted ``train`` also keeps the metrics rows of its completed epochs
+and its dictionary as it stood (``dict_interrupted.lcad``).
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import astuple
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,7 +32,7 @@ from lcalearn import data as data_mod
 from lcalearn import experiment as experiment_mod
 from lcalearn import export as export_mod
 from lcalearn.accumulator import write_raster_csv
-from lcalearn.dictionary import load_checkpoint, save_checkpoint, synthesize
+from lcalearn.dictionary import load_checkpoint, synthesize
 from lcalearn.errors import ConfigError, FormatError, NumericError, check_value
 from lcalearn.lca import write_trace_csv
 
@@ -49,38 +55,93 @@ def _progress(args):
     return (lambda line: print(line, file=sys.stderr)) if args.verbose else None
 
 
-def _require_out(args) -> Path:
-    if args.out is None:
-        raise UsageError(f"{args.command}: --out is required")
-    return Path(args.out)
+# Integer flags that must be at least 1, on whichever command has them.
+_POSITIVE_FLAGS = ("repeats", "count", "top_k", "cols", "window_us", "saturation",
+                   "sensor_width", "sensor_height")
 
 
-def _load_config(args) -> experiment_mod.ExperimentConfig:
-    if args.config is None:
-        raise UsageError(f"{args.command}: --config is required")
-    path = Path(args.config)
-    if not path.is_file():
-        raise UsageError(f"config file not found: {path}")
-    config = experiment_mod.load_config(path)
-    if args.seed is not None:
-        config = experiment_mod.config_from_dict(
-            {**experiment_mod.config_to_dict(config), "seed": args.seed}
-        )
-    return config
+def _synth_spec(raw, seed):
+    """``synth``'s dataset spec and seed from its spec file's JSON; ``--seed`` overrides the spec's."""
+    if not isinstance(raw, dict):
+        raise ConfigError("synthetic spec must be a JSON object")
+    kwargs = dict(raw)
+    spec_seed = kwargs.pop("seed", 0)
+    seed = spec_seed if seed is None else seed
+    check_value("seed", seed, "int", 0)
+    try:
+        spec = data_mod.SyntheticSpec(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+    for name in ("train_per_class", "valid_per_class"):  # a training config may leave one at 0
+        if getattr(spec, name) < 1:
+            raise ConfigError(f"{name} must be >= 1 for synth, which writes both splits")
+    return spec, seed
 
 
-def _echo_config(args, out: Path) -> None:
-    """Copy the config file byte for byte into the run directory."""
-    out.mkdir(parents=True, exist_ok=True)
-    atomic.write_bytes(out / "config.json", Path(args.config).read_bytes())
+def _inputs(args, split=None, config="run"):
+    """Load a command's inputs, check them against each other, then echo its config.
 
-
-def _check_positive(args, *names) -> None:
-    """Each named integer flag, where given, must be at least 1."""
-    for name in names:
-        value = getattr(args, name)
+    Every command calls this before it writes anything. It loads, in order:
+    the flags; the config (``config`` is ``"run"`` for a required
+    experiment config, ``"spec"`` for ``synth``'s optional dataset spec,
+    None for none); the checkpoint (``--dict`` or ``--init-dict``); the
+    model (``--model``); and the dataset, when the command reads ``split``.
+    Then it checks the dictionary's dims against the dataset's, the model's
+    feature count against the dictionary's element count, that ``split``
+    is not empty and that ``--index`` and ``--top-k`` are in range. A
+    failed cross-check is a ``ConfigError`` (or ``UsageError`` for a flag)
+    naming both files. Only then is the config file copied byte for byte to
+    ``<out>/config.json``, its one writer.
+    """
+    for name in _POSITIVE_FLAGS:
+        value = getattr(args, name, None)
         if value is not None and value < 1:
             raise UsageError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+    if args.out is None and args.command != "classify-eval":  # which may only print
+        raise UsageError(f"{args.command}: --out is required")
+    got = SimpleNamespace(out=None if args.out is None else Path(args.out), config=None,
+                          dictionary=None, model=None, samples=None)
+    path = None if args.config is None or config is None else Path(args.config)
+    if path is None and config == "run":
+        raise UsageError(f"{args.command}: --config is required")
+    if path is not None and not path.is_file():
+        raise UsageError(f"config file not found: {path}")
+    if config == "spec":
+        raw = {} if path is None else experiment_mod.read_json(path)
+        got.config, got.seed = _synth_spec(raw, args.seed)
+    elif path is not None:
+        got.config = experiment_mod.load_config(path)
+        if args.seed is not None:
+            got.config = experiment_mod.config_from_dict(
+                {**experiment_mod.config_to_dict(got.config), "seed": args.seed})
+    checkpoint = getattr(args, "dict", None) or getattr(args, "init_dict", None)
+    if checkpoint:
+        got.dictionary = load_checkpoint(checkpoint)
+    if getattr(args, "model", None):
+        got.model = classifier_mod.load_model(args.model)
+    if split:
+        got.train, got.valid = experiment_mod.load_dataset(got.config.dataset, got.config.seed)
+        got.samples = got.train if split == "train" else got.valid
+        if not got.samples:
+            raise ConfigError(f"{path}: the {split} split of its dataset is empty")
+        dims = got.samples[0].input.dims
+        if got.dictionary is not None and got.dictionary.dims != dims:
+            raise ConfigError(f"{checkpoint}: dictionary dims {astuple(got.dictionary.dims)} do "
+                              f"not match the dims {astuple(dims)} of the dataset of {path}")
+        index = getattr(args, "index", 0)
+        if not 0 <= index < len(got.samples):
+            raise UsageError(f"--index {index} out of range for {len(got.samples)} samples")
+    if got.model is not None and got.model.n_features != got.dictionary.element_count:
+        raise ConfigError(f"{args.model}: the model takes {got.model.n_features} features, but "
+                          f"{checkpoint} has {got.dictionary.element_count} elements")
+    top_k = getattr(args, "top_k", None)
+    if top_k is not None and top_k > got.dictionary.element_count:
+        raise UsageError(
+            f"--top-k must be at most the {got.dictionary.element_count} elements, got {top_k}")
+    if path is not None and got.out is not None:
+        got.out.mkdir(parents=True, exist_ok=True)
+        atomic.write_bytes(got.out / "config.json", path.read_bytes())
+    return got
 
 
 def _image_name(stem: str, channels: int) -> str:
@@ -92,18 +153,15 @@ def _image_name(stem: str, channels: int) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_train(args) -> int:
-    config = _load_config(args)
-    out = _require_out(args)
-    initial = load_checkpoint(args.init_dict) if args.init_dict else None
-    train, valid = experiment_mod.load_dataset(config.dataset, config.seed)
-    _echo_config(args, out)
+    got = _inputs(args, "train")
     result = experiment_mod.run_training(
-        config, train, valid, out_dir=out, initial_dictionary=initial, progress=_progress(args)
+        got.config, got.train, got.valid, out_dir=got.out, initial_dictionary=got.dictionary,
+        progress=_progress(args)
     )
     metrics = result.metrics
     if metrics.rmse_train:
         print(
-            f"trained {config.epochs} epochs: "
+            f"trained {got.config.epochs} epochs: "
             f"rmse_val={metrics.rmse_val[-1]:.4f} "
             f"sparsity={metrics.sparsity_pct[-1]:.2f}%"
         )
@@ -132,16 +190,12 @@ def _parse_values(axis: str, raw: str) -> list:
 
 
 def _cmd_sweep(args) -> int:
-    config = _load_config(args)
-    out = _require_out(args)
     values = _parse_values(args.axis, args.values)
-    if args.repeats < 1:
-        raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
-    _echo_config(args, out)
+    got = _inputs(args)  # no dataset: run_sweep loads the data once per seed
     result = experiment_mod.run_sweep(
-        config, args.axis, values, repeats=args.repeats, progress=_progress(args)
+        got.config, args.axis, values, repeats=args.repeats, progress=_progress(args)
     )
-    result.write_csv(out / "sweep.csv")
+    result.write_csv(got.out / "sweep.csv")
     for failure in result.failures:
         print(
             f"failed run: {args.axis}={failure['value']} seed={failure['seed']}: "
@@ -158,17 +212,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    config = _load_config(args)
-    out = _require_out(args)
-    dictionary = load_checkpoint(args.dict)
-    train, valid = experiment_mod.load_dataset(config.dataset, config.seed)
-    samples = train if args.split == "train" else valid
-    if not 0 <= args.index < len(samples):
-        raise UsageError(f"--index {args.index} out of range for {len(samples)} samples")
-    _echo_config(args, out)
-    sample = samples[args.index]
+    got = _inputs(args, args.split)
+    out, dictionary = got.out, got.dictionary
+    sample = got.samples[args.index]
     vec = sample.input.flattened
-    spec = config.period_spec()
+    spec = got.config.period_spec()
     result = experiment_mod._period(experiment_mod._Stack.lone(dictionary, spec),
                                     vec[None, None], spec, record=True, rows=None)
     write_trace_csv(out / "trace.csv", result.trace)
@@ -187,17 +235,14 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_classify_train(args) -> int:
-    config = _load_config(args)
-    out = _require_out(args)
-    dictionary = load_checkpoint(args.dict)
-    train, valid = experiment_mod.load_dataset(config.dataset, config.seed)
-    _echo_config(args, out)
+    got = _inputs(args, "train")
+    config, dictionary, train, valid = got.config, got.dictionary, got.train, got.valid
     _log(args, f"extracting features for {len(train)} train / {len(valid)} valid samples")
     train_features = experiment_mod.collect_features(dictionary, train, config)
     model = classifier_mod.train(
         train_features, np.array([s.label for s in train]), config.classifier_config()
     )
-    classifier_mod.save_model(model, out / "classifier.lcls")
+    classifier_mod.save_model(model, got.out / "classifier.lcls")
     train_acc = classifier_mod.evaluate(
         model, train_features, np.array([s.label for s in train])
     )
@@ -213,29 +258,22 @@ def _cmd_classify_train(args) -> int:
 
 
 def _cmd_classify_eval(args) -> int:
-    config = _load_config(args)
-    dictionary = load_checkpoint(args.dict)
-    model = classifier_mod.load_model(args.model)
-    _, valid = experiment_mod.load_dataset(config.dataset, config.seed)
-    if not valid:
-        raise FormatError("validation split is empty")
-    features = experiment_mod.collect_features(dictionary, valid, config)
+    got = _inputs(args, "valid")
+    valid = got.samples
+    features = experiment_mod.collect_features(got.dictionary, valid, got.config)
     labels = np.array([s.label for s in valid])
-    accuracy = classifier_mod.evaluate(model, features, labels)
+    accuracy = classifier_mod.evaluate(got.model, features, labels)
     print(f"validation accuracy {accuracy:.4f} on {len(valid)} samples")
-    if args.out is not None:
-        out = _require_out(args)
-        _echo_config(args, out)
+    if got.out is not None:
         atomic.write_text(
-            out / "eval.json",
+            got.out / "eval.json",
             json.dumps({"accuracy": accuracy, "samples": len(valid)}, indent=2) + "\n",
         )
     return 0
 
 
 def _cmd_events_to_frames(args) -> int:
-    out = _require_out(args)
-    _check_positive(args, "window_us", "saturation", "sensor_width", "sensor_height")
+    out = _inputs(args, config=None).out
     events, frames = data_mod.recording_frames(
         args.input, args.window_us, args.saturation,
         width=args.sensor_width, height=args.sensor_height,
@@ -251,42 +289,16 @@ def _cmd_events_to_frames(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    out = _require_out(args)
-    spec_kwargs = {}
-    if args.config is not None:
-        path = Path(args.config)
-        if not path.is_file():
-            raise UsageError(f"config file not found: {path}")
-        raw = experiment_mod.read_json(path)
-        if not isinstance(raw, dict):
-            raise ConfigError("synthetic spec must be a JSON object")
-        spec_kwargs = dict(raw)
-    spec_seed = spec_kwargs.pop("seed", 0)
-    seed = spec_seed if args.seed is None else args.seed  # --seed overrides the spec's
-    check_value("seed", seed, "int", 0)
-    try:
-        spec = data_mod.SyntheticSpec(**spec_kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    for name in ("train_per_class", "valid_per_class"):  # a training config may leave one at 0
-        if getattr(spec, name) < 1:
-            raise ConfigError(f"{name} must be >= 1 for synth, which writes both splits")
-    train, valid = data_mod.generate_synthetic(seed, spec)
-    data_mod.save_dataset_npy(out, train, valid)
-    if args.config is not None:
-        _echo_config(args, out)
-    print(f"wrote {len(train)} train / {len(valid)} valid samples under {out}")
+    got = _inputs(args, config="spec")
+    train, valid = data_mod.generate_synthetic(got.seed, got.config)
+    data_mod.save_dataset_npy(got.out, train, valid)
+    print(f"wrote {len(train)} train / {len(valid)} valid samples under {got.out}")
     return 0
 
 
 def _cmd_export_dict(args) -> int:
-    out = _require_out(args)
-    _check_positive(args, "top_k", "cols")
-    dictionary = load_checkpoint(args.dict)
-    if args.top_k is not None and args.top_k > dictionary.element_count:
-        raise UsageError(
-            f"--top-k must be at most the {dictionary.element_count} elements, got {args.top_k}"
-        )
+    got = _inputs(args, config=None)
+    out, dictionary = got.out, got.dictionary
     activity = np.load(args.activity) if args.activity else None
     grid = export_mod.render_dictionary_grid(
         dictionary, activity=activity, top_k=args.top_k, cols=args.cols
@@ -301,16 +313,10 @@ def _cmd_export_dict(args) -> int:
 
 
 def _cmd_export_recon(args) -> int:
-    config = _load_config(args)
-    out = _require_out(args)
-    _check_positive(args, "count")
-    dictionary = load_checkpoint(args.dict)
-    _, valid = experiment_mod.load_dataset(config.dataset, config.seed)
-    if not valid:
-        raise FormatError("validation split is empty")
-    _echo_config(args, out)
-    samples = valid[:args.count]
-    codes = experiment_mod._lone_pass(dictionary, samples, config.period_spec()).features
+    got = _inputs(args, "valid")
+    out, dictionary = got.out, got.dictionary
+    samples = got.samples[:args.count]
+    codes = experiment_mod._lone_pass(dictionary, samples, got.config.period_spec()).features
     strip = export_mod.render_reconstruction_strip(
         [s.input.flattened for s in samples], list(synthesize(dictionary, codes)),
         dictionary.dims)

@@ -1,5 +1,6 @@
 """Command dispatch, exit codes, and run-directory artifacts."""
 
+import argparse
 import json
 import math
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lcalearn import classifier as classifier_mod
 from lcalearn import cli
 from lcalearn import experiment as experiment_mod
 from lcalearn import filters as filters_mod
@@ -765,11 +767,17 @@ class TestInterrupt:
         assert not out.exists()
 
 
+# The refusal of a 4x4 dictionary against the 8x8x2 data of the ``config_path`` fixture.
+SMALL_DICT = ("config error: {small}: dictionary dims (4, 4, 1, 1) do not match the dims "
+              "(8, 8, 1, 2) of the dataset of {config}")
+
+
 class TestInputsCheckedBeforeWriting:
-    """A bad checkpoint fails before anything is written under ``--out``."""
+    """Every input is loaded and cross-checked by ``cli._inputs`` before anything is written."""
 
     @pytest.mark.parametrize("command, flag", [
         ("train", "--init-dict"), ("classify-train", "--dict"), ("export-recon", "--dict"),
+        ("infer", "--dict"),
     ])
     def test_bad_checkpoint_writes_nothing(self, config_path, tmp_path, capsys, command, flag):
         bad = tmp_path / "bad.lcad"
@@ -778,6 +786,85 @@ class TestInputsCheckedBeforeWriting:
         assert run(command, "--config", config_path, "--out", out, flag, bad) == 2
         assert capsys.readouterr().err == f"error: {bad}: truncated header (8 bytes)\n"
         assert not (out / "config.json").exists()
+
+    @pytest.fixture()
+    def files(self, config_path, tmp_path):
+        """A good dictionary and model for ``config_path``, and the bad inputs beside them."""
+        dims = InputDims(8, 8, 1, 2)
+        paths = {"config": config_path, "dict": tmp_path / "d.lcad",
+                 "small": tmp_path / "small.lcad", "model": tmp_path / "m.lcls",
+                 "wide": tmp_path / "wide.lcls", "missing": tmp_path / "missing.json",
+                 "list": tmp_path / "list.json"}
+        save_checkpoint(init_random(0, 16, dims), paths["dict"])
+        save_checkpoint(init_random(0, 3, InputDims(4, 4)), paths["small"])
+        for name, features in (("model", 16), ("wide", 32)):
+            model = classifier_mod.LinearClassifier(np.zeros((4, features)), np.zeros(4))
+            classifier_mod.save_model(model, paths[name])
+        dataset = json.loads(config_path.read_text())["dataset"]
+        for split in ("train", "valid"):
+            paths[f"no_{split}"] = write_config(
+                config_path, f"no_{split}", dataset={**dataset, f"{split}_per_class": 0})
+        paths["list"].write_text("[1, 2]")
+        return paths
+
+    @pytest.mark.parametrize("argv, message", [
+        (["infer", "--dict", "{dict}"], "error: infer: --config is required"),
+        (["synth", "--config", "{missing}"], "error: config file not found: {missing}"),
+        (["synth", "--config", "{list}"], "config error: synthetic spec must be a JSON object"),
+        (["classify-eval", "--config", "{no_valid}", "--dict", "{dict}", "--model", "{model}"],
+         "config error: {no_valid}: the valid split of its dataset is empty"),
+        (["export-recon", "--config", "{no_valid}", "--dict", "{dict}"],
+         "config error: {no_valid}: the valid split of its dataset is empty"),
+        (["train", "--config", "{no_train}"],
+         "config error: {no_train}: the train split of its dataset is empty"),
+        (["classify-train", "--config", "{no_train}", "--dict", "{dict}"],
+         "config error: {no_train}: the train split of its dataset is empty"),
+        (["train", "--config", "{config}", "--init-dict", "{small}"], SMALL_DICT),
+        (["infer", "--config", "{config}", "--dict", "{small}"], SMALL_DICT),
+        (["classify-train", "--config", "{config}", "--dict", "{small}"], SMALL_DICT),
+        (["export-recon", "--config", "{config}", "--dict", "{small}"], SMALL_DICT),
+        (["classify-eval", "--config", "{config}", "--dict", "{small}", "--model", "{model}"],
+         SMALL_DICT),
+        (["classify-eval", "--config", "{config}", "--dict", "{dict}", "--model", "{wide}"],
+         "config error: {wide}: the model takes 32 features, but {dict} has 16 elements"),
+    ], ids=["no-config", "synth-missing-spec", "synth-list-spec", "classify-eval-no-valid",
+            "export-recon-no-valid", "train-no-train", "classify-train-no-train",
+            "train-small-dict", "infer-small-dict", "classify-train-small-dict",
+            "export-recon-small-dict", "classify-eval-small-dict", "classify-eval-wide-model"])
+    def test_refusal_exits_1_names_its_files_and_writes_nothing(
+            self, files, tmp_path, monkeypatch, capsys, argv, message):
+        passes = []
+        monkeypatch.setattr(experiment_mod, "collect_features",
+                            lambda *args: passes.append(args))
+        out = tmp_path / "o"
+        assert run(*[a.format(**files) for a in argv], "--out", out) == 1
+        assert capsys.readouterr().err == message.format(**files) + "\n"
+        assert not out.exists()
+        assert passes == []  # no feature pass ran before the refusal
+
+    def test_no_command_reads_an_input_before_the_step(self, tmp_path, monkeypatch):
+        class Sentinel(Exception):
+            pass
+
+        out = tmp_path / "o"
+        seen = []
+
+        def step(args, *rest, **options):
+            seen.append(out.exists())
+            raise Sentinel
+
+        monkeypatch.setattr(cli, "_inputs", step)
+        commands = next(action.choices for action in cli.build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        for name, parser in commands.items():
+            required = []  # each required flag with its first choice, or "1"
+            for action in parser._actions:
+                if action.required:
+                    required += [action.option_strings[0],
+                                 action.choices[0] if action.choices else "1"]
+            with pytest.raises(Sentinel):
+                run(name, "--config", tmp_path / "cfg.json", "--out", out, *required)
+        assert seen == [False] * len(commands)
 
 
 class TestLessTravelledPaths:
