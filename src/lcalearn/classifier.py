@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from lcalearn import atomic
-from lcalearn.errors import FormatError, check_fields
+from lcalearn.errors import ConfigError, FormatError, check_fields
 
 MODEL_MAGIC = b"LCLS"
 MODEL_VERSION = 1
@@ -32,12 +32,17 @@ FEATURE_SCHEMES = ("final", "mean_last_half")
 
 @dataclass
 class ClassifierConfig:
+    """A config's ``classifier`` block; its ``seed`` is no key there, as the run's seed sets it."""
+
     epochs: int = field(default=200, metadata={">=": 1})
     learning_rate: float = field(default=0.01, metadata={">": 0})
-    seed: int = field(default=0, metadata={">=": 0})
+    seed: int = field(default=0, metadata={">=": 0, "key": None})
+    feature_scheme: str = "mean_last_half"
 
     def __post_init__(self):
         check_fields(self)
+        if self.feature_scheme not in FEATURE_SCHEMES:
+            raise ConfigError(f"unknown feature_scheme {self.feature_scheme!r}")
 
 
 @dataclass

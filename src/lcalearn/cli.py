@@ -5,10 +5,11 @@ config), 2 runtime error (bad data files, numeric failures, interrupts).
 Every command writes only under ``--out``, and calls ``_inputs`` before
 it reads a file. That one step loads the command's flags, config,
 checkpoint, model and dataset, and checks them against each other before
-anything is written: the dictionary's dims against the dataset's, the
-model's feature count against the dictionary's element count, a non-empty
-split, and ``--index`` within it. A failed cross-check exits 1 and names
-both files. Configs are then echoed verbatim into the run directory before
+anything is written: a non-empty split whose samples share their dims,
+two classes or more for a readout fit, the dictionary's dims against the
+dataset's, the model's feature count against the dictionary's element
+count, and ``--index`` within the split. A failed cross-check exits 1 and
+names the files it involves. Configs are then echoed verbatim into the run directory before
 any computation, so a run directory is self-describing. An interrupted
 command whose ``--out`` exists leaves a ``partial.marker`` there; an
 interrupted ``train`` also keeps the metrics rows of its completed epochs
@@ -20,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -33,7 +34,7 @@ from lcalearn import experiment as experiment_mod
 from lcalearn import export as export_mod
 from lcalearn.accumulator import write_raster_csv
 from lcalearn.dictionary import load_checkpoint, synthesize
-from lcalearn.errors import ConfigError, FormatError, NumericError, check_value
+from lcalearn.errors import ConfigError, FormatError, NumericError, read_block
 from lcalearn.lca import write_trace_csv
 
 
@@ -60,24 +61,6 @@ _POSITIVE_FLAGS = ("repeats", "count", "top_k", "cols", "window_us", "saturation
                    "sensor_width", "sensor_height")
 
 
-def _synth_spec(raw, seed):
-    """``synth``'s dataset spec and seed from its spec file's JSON; ``--seed`` overrides the spec's."""
-    if not isinstance(raw, dict):
-        raise ConfigError("synthetic spec must be a JSON object")
-    kwargs = dict(raw)
-    spec_seed = kwargs.pop("seed", 0)
-    seed = spec_seed if seed is None else seed
-    check_value("seed", seed, "int", 0)
-    try:
-        spec = data_mod.SyntheticSpec(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    for name in ("train_per_class", "valid_per_class"):  # a training config may leave one at 0
-        if getattr(spec, name) < 1:
-            raise ConfigError(f"{name} must be >= 1 for synth, which writes both splits")
-    return spec, seed
-
-
 def _inputs(args, split=None, config="run"):
     """Load a command's inputs, check them against each other, then echo its config.
 
@@ -86,9 +69,11 @@ def _inputs(args, split=None, config="run"):
     experiment config, ``"spec"`` for ``synth``'s optional dataset spec,
     None for none); the checkpoint (``--dict`` or ``--init-dict``); the
     model (``--model``); and the dataset, when the command reads ``split``.
-    Then it checks the dictionary's dims against the dataset's, the model's
-    feature count against the dictionary's element count, that ``split``
-    is not empty and that ``--index`` and ``--top-k`` are in range. A
+    Then it checks that ``split`` is not empty, that every sample of both
+    splits has the dims of its first, that a command which fits a readout
+    has train samples of two classes or more, the dictionary's dims against
+    the dataset's, the model's feature count against the dictionary's
+    element count, and that ``--index`` and ``--top-k`` are in range. A
     failed cross-check is a ``ConfigError`` (or ``UsageError`` for a flag)
     naming both files. Only then is the config file copied byte for byte to
     ``<out>/config.json``, its one writer.
@@ -106,14 +91,16 @@ def _inputs(args, split=None, config="run"):
         raise UsageError(f"{args.command}: --config is required")
     if path is not None and not path.is_file():
         raise UsageError(f"config file not found: {path}")
-    if config == "spec":
+    if config == "spec":  # a synthetic dataset block without its kind
         raw = {} if path is None else experiment_mod.read_json(path)
-        got.config, got.seed = _synth_spec(raw, args.seed)
+        got.config = read_block(data_mod.SyntheticSpec, raw, "synth spec", path, nulls=True)
+        for name in ("train_per_class", "valid_per_class"):  # a training config may leave one at 0
+            if getattr(got.config, name) < 1:
+                raise ConfigError(f"{name} must be >= 1 for synth, which writes both splits")
     elif path is not None:
         got.config = experiment_mod.load_config(path)
-        if args.seed is not None:
-            got.config = experiment_mod.config_from_dict(
-                {**experiment_mod.config_to_dict(got.config), "seed": args.seed})
+    if args.seed is not None and got.config is not None:
+        got.config = replace(got.config, seed=args.seed)
     checkpoint = getattr(args, "dict", None) or getattr(args, "init_dict", None)
     if checkpoint:
         got.dictionary = load_checkpoint(checkpoint)
@@ -125,6 +112,18 @@ def _inputs(args, split=None, config="run"):
         if not got.samples:
             raise ConfigError(f"{path}: the {split} split of its dataset is empty")
         dims = got.samples[0].input.dims
+        for name, samples in (("train", got.train), ("valid", got.valid)):
+            odd = next((i for i, s in enumerate(samples) if s.input.dims != dims), None)
+            if odd is not None:
+                raise ConfigError(f"{path}: {name} sample {odd} of its dataset has dims "
+                                  f"{astuple(samples[odd].input.dims)}, but {split} sample 0 "
+                                  f"has {astuple(dims)}")
+        classes = {s.label for s in got.train}
+        if len(classes) < 2 and (args.command == "classify-train" or (
+                args.command == "train" and got.config.classifier is not None)):
+            raise ConfigError(f"{path}: a readout needs train samples from at least two "
+                              f"classes, but its dataset's train split holds only class "
+                              f"{classes.pop()}")
         if got.dictionary is not None and got.dictionary.dims != dims:
             raise ConfigError(f"{checkpoint}: dictionary dims {astuple(got.dictionary.dims)} do "
                               f"not match the dims {astuple(dims)} of the dataset of {path}")
@@ -290,7 +289,7 @@ def _cmd_events_to_frames(args) -> int:
 
 def _cmd_synth(args) -> int:
     got = _inputs(args, config="spec")
-    train, valid = data_mod.generate_synthetic(got.seed, got.config)
+    train, valid = got.config.load()
     data_mod.save_dataset_npy(got.out, train, valid)
     print(f"wrote {len(train)} train / {len(valid)} valid samples under {got.out}")
     return 0

@@ -7,6 +7,11 @@ script (see README). Events travel as one ``EVENT_DTYPE`` structured array,
 the EVT1 record layout itself, from the file to the (T, H, W) frames built
 from them. Event frames hold signed values in [-1, 1]; image frames hold
 [0, 1] per channel.
+
+Each dataset kind of a config is one spec dataclass in ``DATASET_KINDS``
+(``SyntheticSpec``, ``CifarSpec``, ``EventsSpec``, ``NpySpec``). Its fields
+are the keys of its block, with their types and bounds; ``read_dataset``
+reads a block into one, and its ``load`` returns the (train, valid) split.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 from lcalearn import atomic
 from lcalearn.dictionary import InputDims
-from lcalearn.errors import ConfigError, FormatError, check_fields
+from lcalearn.errors import ConfigError, FormatError, check_fields, read_block
 
 EVENT_MAGIC = b"EVT1"
 EVENT_VERSION = 1
@@ -69,7 +74,10 @@ class LabeledSample:
 
 @dataclass
 class SyntheticSpec:
-    """Parameters of the event-like synthetic dataset used for desk-scale runs."""
+    """Parameters of the event-like synthetic dataset used for desk-scale runs.
+
+    ``seed`` None draws from the seed ``load`` is given, the run's.
+    """
 
     n_classes: int = field(default=4, metadata={">=": 1})
     height: int = field(default=16, metadata={">=": 1})
@@ -80,11 +88,79 @@ class SyntheticSpec:
     train_per_class: int = field(default=12, metadata={">=": 0})
     valid_per_class: int = field(default=5, metadata={">=": 0})
     saturation: int = field(default=2, metadata={">=": 1})
+    seed: int | None = field(default=None, metadata={">=": 0})
 
     def __post_init__(self):
         check_fields(self)
         if self.density > 1:
             raise ConfigError(f"density must be in (0, 1], got {self.density}")
+
+    def load(self, seed: int = 0):
+        return generate_synthetic(seed if self.seed is None else self.seed, self)
+
+
+@dataclass
+class CifarSpec:
+    """CIFAR records at ``path``; the last ``valid_fraction`` of them (at least one) validate."""
+
+    path: str
+    crop: int = field(default=16, metadata={">=": 1})
+    limit: int | None = field(default=None, metadata={">=": 1})
+    valid_fraction: float = field(default=0.2, metadata={">=": 0})
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.crop > 32:
+            raise ConfigError(f"crop must be in 1..32, got {self.crop}")
+        if self.valid_fraction >= 1:
+            raise ConfigError(f"valid_fraction must be in [0, 1), got {self.valid_fraction}")
+
+    def load(self, seed: int = 0):
+        samples = load_cifar(self.path, self.crop, self.limit)
+        split = len(samples) - max(1, int(len(samples) * self.valid_fraction))
+        return samples[:split], samples[split:]
+
+
+@dataclass
+class EventsSpec:
+    """An event-recording directory at ``path``, as ``load_event_dataset`` reads it."""
+
+    path: str
+    window_us: int = field(default=1000, metadata={">=": 1})
+    frames_per_window: int = field(default=5, metadata={">=": 1})
+    stride: int = field(default=1, metadata={">=": 1})
+    saturation: int = field(default=2, metadata={">=": 1})
+    sensor_width: int | None = field(default=None, metadata={">=": 1})
+    sensor_height: int | None = field(default=None, metadata={">=": 1})
+
+    def __post_init__(self):
+        check_fields(self)
+        if (self.sensor_width is None) != (self.sensor_height is None):
+            raise ConfigError("sensor_width and sensor_height must be given together")
+
+    def load(self, seed: int = 0):
+        sensor = None if self.sensor_width is None else (self.sensor_width, self.sensor_height)
+        return load_event_dataset(self.path, self.window_us, self.frames_per_window,
+                                  self.stride, self.saturation, sensor)
+
+
+@dataclass
+class NpySpec:
+    """The four ``.npy`` arrays ``save_dataset_npy`` writes under ``path``."""
+
+    path: str
+
+    def load(self, seed: int = 0):
+        return load_dataset_npy(self.path)
+
+
+DATASET_KINDS = {"synthetic": SyntheticSpec, "cifar": CifarSpec, "events": EventsSpec,
+                 "npy": NpySpec}
+
+
+def read_dataset(raw):
+    """The spec of a ``dataset`` block; its ``kind`` picks the class, a null value its default."""
+    return read_block(DATASET_KINDS, raw, "dataset", nested=True, nulls=True)
 
 
 # ---------------------------------------------------------------------------

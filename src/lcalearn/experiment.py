@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Optional
@@ -49,7 +49,7 @@ from lcalearn.dictionary import (
     init_random,
     save_checkpoint,
 )
-from lcalearn.errors import ConfigError, NumericError, check_fields, check_value
+from lcalearn.errors import ConfigError, NumericError, check_fields, check_value, read_block
 from lcalearn.filters import make_filter
 from lcalearn.lca import LcaParams, MembraneState, _fail, _first_read, _run_period, inhibition
 from lcalearn import classifier as classifier_mod
@@ -62,21 +62,6 @@ METRICS_HEADER = [
     "accuracy",
     "max_spikes_per_step",
 ]
-
-_DATASET_KEYS = {
-    "synthetic": {
-        "kind", "seed", "n_classes", "height", "width", "frames", "density",
-        "noise", "train_per_class", "valid_per_class", "saturation",
-    },
-    "cifar": {"kind", "path", "crop", "limit", "valid_fraction"},
-    "events": {
-        "kind", "path", "window_us", "frames_per_window", "stride",
-        "saturation", "sensor_width", "sensor_height",
-    },
-    "npy": {"kind", "path"},
-}
-# The readout's ``seed`` is not among them: the run's seed sets it.
-_CLASSIFIER_KEYS = {"feature_scheme", "epochs", "learning_rate"}
 
 # Samples per batched frozen-dictionary period (validation included). It
 # caps memory: a boxcar filter holds window x chunk x N floats.
@@ -131,10 +116,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self)
-        for name in ("dataset", "filter", "classifier"):
-            value = getattr(self, name)
-            if not isinstance(value, dict) and (name == "dataset" or value is not None):
-                raise ConfigError(f"{name} must be a JSON object, got {value!r}")
         # Fields owned by other types are checked by building those types.
         try:
             self.lca_params()
@@ -158,31 +139,11 @@ class ExperimentConfig:
             raise ConfigError(f"dict_size must be an integer or a ratio, got {self.dict_size!r}")
         else:
             check_value("dict_size", self.dict_size, "int", 1)
-        kind = self.dataset.get("kind")
-        if kind not in _DATASET_KEYS:
-            raise ConfigError(f"unknown dataset kind {kind!r}")
-        extra = set(self.dataset) - _DATASET_KEYS[kind]
-        if extra:
-            raise ConfigError(f"unknown dataset keys {sorted(extra)}")
-        if kind != "synthetic" and self.dataset.get("path") is None:
-            raise ConfigError(f"dataset kind {kind!r} needs a path")
-        try:
-            if kind == "synthetic":
-                _synthetic_spec(self.dataset)
-            else:
-                _file_options(self.dataset)
-        except ValueError as exc:
-            raise ConfigError(f"dataset: {exc}") from exc
+        data_mod.read_dataset(self.dataset)
+        if self.filter is not None and not isinstance(self.filter, dict):
+            raise ConfigError(f"filter must be a JSON object, got {self.filter!r}")
         make_filter(self.filter, self.dt)
-        extra = set(self.classifier or {}) - _CLASSIFIER_KEYS
-        if extra:
-            raise ConfigError(f"unknown classifier keys {sorted(extra)}")
-        if self.feature_scheme not in classifier_mod.FEATURE_SCHEMES:
-            raise ConfigError(f"unknown feature_scheme {self.feature_scheme!r}")
-        try:
-            self.classifier_config()
-        except ConfigError as exc:
-            raise ConfigError(f"classifier: {exc}") from exc
+        self.classifier_config()
 
     @property
     def display_steps(self) -> int:
@@ -194,7 +155,8 @@ class ExperimentConfig:
 
     @property
     def feature_scheme(self) -> str:
-        return (self.classifier or {}).get("feature_scheme", "mean_last_half")
+        default = classifier_mod.ClassifierConfig.feature_scheme
+        return (self.classifier or {}).get("feature_scheme", default)
 
     def lca_params(self) -> LcaParams:
         return LcaParams(lam=self.lam, dt=self.dt, tau=self.tau, steps=self.display_steps)
@@ -205,30 +167,15 @@ class ExperimentConfig:
         return PeriodSpec(self.lca_params(), self.spike_height, self.filter, rate)
 
     def classifier_config(self) -> classifier_mod.ClassifierConfig:
-        """Readout settings: the ``classifier`` block minus ``feature_scheme``, plus the seed."""
-        spec = {k: v for k, v in (self.classifier or {}).items() if k != "feature_scheme"}
-        return classifier_mod.ClassifierConfig(**spec, seed=self.seed)
+        """Readout settings: the ``classifier`` block, with the run's seed."""
+        block = {} if self.classifier is None else self.classifier
+        config = read_block(classifier_mod.ClassifierConfig, block, "classifier", nested=True)
+        return replace(config, seed=self.seed)
 
 
-_CONFIG_KEYS = {f.metadata.get("key", f.name) for f in fields(ExperimentConfig)}
-
-
-def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a config from parsed JSON; unknown keys are errors."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    extra = set(raw) - _CONFIG_KEYS
-    if extra:
-        raise ConfigError(f"unknown config keys {sorted(extra)}")
-    missing = {"dataset", "dict_size", "lambda"} - set(raw)
-    if missing:
-        raise ConfigError(f"missing required config keys {sorted(missing)}")
-    kwargs = dict(raw)
-    kwargs["lam"] = kwargs.pop("lambda")
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+def config_from_dict(raw: dict, path=None) -> ExperimentConfig:
+    """Build a config from parsed JSON (read from ``path``, if given); unknown keys are errors."""
+    return read_block(ExperimentConfig, raw, "config", path)
 
 
 def read_json(path):
@@ -240,7 +187,7 @@ def read_json(path):
 
 
 def load_config(path) -> ExperimentConfig:
-    return config_from_dict(read_json(path))
+    return config_from_dict(read_json(path), path)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -323,57 +270,11 @@ def resolve_dict_size(dict_size: int | dict, input_size: int) -> int:
     return int(dict_size)
 
 
-def _dataset_options(spec: dict) -> dict:
-    """The loader arguments a dataset spec sets; an absent or null key keeps the loader's default."""
-    return {k: v for k, v in spec.items() if k not in ("kind", "path", "seed") and v is not None}
-
-
-def _synthetic_spec(spec: dict) -> data_mod.SyntheticSpec:
-    if spec.get("seed") is not None:
-        check_value("seed", spec["seed"], "int", 0)
-    return data_mod.SyntheticSpec(**_dataset_options(spec))
-
-
-def _file_options(spec: dict) -> dict:
-    """The checked options a file dataset spec sets; the two sensor keys become ``sensor``."""
-    options = _dataset_options(spec)
-    for key, value in options.items():
-        if key == "valid_fraction":
-            check_value(key, value, "float", 0)
-        else:
-            check_value(key, value, "int", 1)
-    if options.get("crop", 1) > 32:
-        raise ValueError(f"crop must be in 1..32, got {options['crop']}")
-    if options.get("valid_fraction", 0) >= 1:
-        raise ValueError(f"valid_fraction must be in [0, 1), got {options['valid_fraction']}")
-    if ("sensor_width" in options) != ("sensor_height" in options):
-        raise ValueError("sensor_width and sensor_height must be given together")
-    if "sensor_width" in options:
-        options["sensor"] = (options.pop("sensor_width"), options.pop("sensor_height"))
-    return options
-
-
 def load_dataset(
     spec: dict, fallback_seed: int = 0
 ) -> tuple[list[data_mod.LabeledSample], list[data_mod.LabeledSample]]:
     """Materialize (train, valid) sample lists from a dataset config."""
-    kind = spec["kind"]
-    if kind == "synthetic":
-        seed = spec.get("seed")
-        return data_mod.generate_synthetic(
-            fallback_seed if seed is None else seed, _synthetic_spec(spec)
-        )
-    if kind == "npy":
-        return data_mod.load_dataset_npy(spec["path"])
-    options = _file_options(spec)
-    if kind == "cifar":
-        fraction = options.pop("valid_fraction", 0.2)
-        samples = data_mod.load_cifar(spec["path"], **options)
-        split = len(samples) - max(1, int(len(samples) * fraction))
-        return samples[:split], samples[split:]
-    if kind == "events":
-        return data_mod.load_event_dataset(spec["path"], **options)
-    raise ConfigError(f"unknown dataset kind {kind!r}")
+    return data_mod.read_dataset(spec).load(fallback_seed)
 
 
 def _period(stack, x, spec, *, warm=None, record=False, half=True, rows=0, errors=None):

@@ -163,7 +163,7 @@ def make_filter(spec: dict | None, dt: float) -> CodeFilter:
     if spec is None:
         return IdentityFilter()
     kind = spec.get("kind")
-    if kind not in _FILTER_PARAMS:
+    if not isinstance(kind, str) or kind not in _FILTER_PARAMS:
         raise ConfigError(f"unknown filter kind {kind!r}")
     expected = _FILTER_PARAMS[kind]
     given = set(spec) - {"kind"}

@@ -15,7 +15,7 @@ from lcalearn import cli
 from lcalearn import experiment as experiment_mod
 from lcalearn import filters as filters_mod
 from lcalearn.classifier import ClassifierConfig
-from lcalearn.data import SyntheticSpec, save_events
+from lcalearn.data import DATASET_KINDS, save_events
 from lcalearn.dictionary import InputDims, init_random, load_checkpoint, save_checkpoint
 
 
@@ -496,15 +496,12 @@ def _typed_keys():
     The block is None for the top level, else the dataset kind, "classifier"
     or the filter kind that holds the key.
     """
-    owners = {None: experiment_mod.ExperimentConfig, "synthetic": SyntheticSpec,
+    owners = {None: experiment_mod.ExperimentConfig, **DATASET_KINDS,
               "classifier": ClassifierConfig}
-    keys = [(block, f.metadata.get("key", f.name), f.type)
+    keys = [(block, f.metadata.get("key", f.name), f.type.removesuffix(" | None"))
             for block, owner in owners.items() for f in fields(owner)
-            if f.type in ("int", "float") and (block, f.name) != ("classifier", "seed")]
-    keys.append(("synthetic", "seed", "int"))
-    for kind in ("cifar", "events"):
-        for key in sorted(experiment_mod._DATASET_KEYS[kind] - {"kind", "path"}):
-            keys.append((kind, key, "float" if key == "valid_fraction" else "int"))
+            if f.type.removesuffix(" | None") in ("int", "float")
+            and f.metadata.get("key", f.name) is not None]  # the classifier's seed is no key
     for kind, params in filters_mod._FILTER_PARAMS.items():
         keys += [(kind, key, "float") for key in sorted(params)]
     return keys
@@ -561,6 +558,69 @@ class TestEveryFieldTyped:
         assert run("train", "--config", config_path, "--out", out) == 1
         assert capsys.readouterr().err == f"config error: unknown classifier keys ['{key}']\n"
         assert not out.exists()
+
+
+# A small run config; ``_block_cases`` swaps one of its blocks.
+_RUN = {"dataset": {"kind": "synthetic", "seed": 1, "height": 4, "width": 4, "frames": 2,
+                    "train_per_class": 2, "valid_per_class": 1},
+        "dict_size": 8, "lambda": 0.3, "tau": 10.0, "display_ms": 10.0}
+
+
+def _block_cases():
+    """(block, value, message) for a non-object, an unknown key and a missing key of each block.
+
+    ``value`` replaces the whole config for "config", is the spec file for
+    "synth", and else is the block of that name in ``_RUN``; a dataset kind
+    names its block "dataset". ``{path}`` in ``message`` is the file read.
+    """
+    top = {k: v for k, v in _RUN.items() if k != "lambda"}
+    cases = [("config", [1, 2], "{path}: config must be a JSON object, got [1, 2]"),
+             ("config", {**_RUN, "foo": 1}, "unknown config keys ['foo']"),
+             ("config", top, "missing required config keys ['lambda']"),
+             ("dataset", "npy", "dataset must be a JSON object, got 'npy'"),
+             ("classifier", [1], "classifier must be a JSON object, got [1]"),
+             ("classifier", {"foo": 1}, "unknown classifier keys ['foo']"),
+             ("synth", [1, 2], "{path}: synth spec must be a JSON object, got [1, 2]"),
+             ("synth", {"foo": 1}, "unknown synth spec keys ['foo']")]
+    for kind, spec in DATASET_KINDS.items():
+        required = {f.name: "absent" for f in fields(spec) if f.name == "path"}
+        cases.append(("dataset", {"kind": kind, **required, "foo": 1},
+                      "unknown dataset keys ['foo']"))
+        if required:
+            cases.append(("dataset", {"kind": kind}, "missing required dataset keys ['path']"))
+    return cases
+
+
+class TestEveryBlockRead:
+    """Every block is read by ``errors.read_block``: one rule for its keys, one message each."""
+
+    @pytest.mark.parametrize("block, value, message", [
+        pytest.param(*case, id=f"{case[0]}-{i}") for i, case in enumerate(_block_cases())])
+    def test_refusal_names_the_block_and_writes_nothing(self, tmp_path, capsys, block, value,
+                                                        message):
+        path = tmp_path / "cfg.json"
+        if block in ("config", "synth"):
+            path.write_text(json.dumps(value))
+        else:
+            path.write_text(json.dumps({**_RUN, block: value}))
+        out = tmp_path / "o"
+        assert run("synth" if block == "synth" else "train", "--config", path, "--out", out) == 1
+        assert capsys.readouterr().err == f"config error: {message.format(path=path)}\n"
+        assert not out.exists()
+
+    def test_null_keeps_the_default_in_a_synth_spec_and_a_dataset_block(self, tmp_path, capsys):
+        shape = {"height": 4, "width": 4, "frames": 2, "train_per_class": 2, "valid_per_class": 1}
+        arrays = []
+        for name, spec in (("plain", shape), ("null", {**shape, "noise": None, "seed": None})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(spec))
+            assert run("synth", "--config", path, "--out", tmp_path / name) == 0
+            arrays.append(np.load(tmp_path / name / "train_inputs.npy"))
+            block = {"kind": "synthetic", **spec}
+            train, _ = experiment_mod.load_dataset(block)  # the run seed 0 for a null seed
+            arrays.append(np.array([s.input.frames for s in train]))
+        for array in arrays[1:]:
+            assert np.array_equal(array, arrays[0])
 
 
 class TestDatasetValues:
@@ -767,6 +827,9 @@ class TestInterrupt:
         assert not out.exists()
 
 
+# The refusal of a readout fit on a train split of one class.
+ONE_CLASS = ("config error: {config}: a readout needs train samples from at least two classes, "
+             "but its dataset's train split holds only class 0")
 # The refusal of a 4x4 dictionary against the 8x8x2 data of the ``config_path`` fixture.
 SMALL_DICT = ("config error: {small}: dictionary dims (4, 4, 1, 1) do not match the dims "
               "(8, 8, 1, 2) of the dataset of {config}")
@@ -805,12 +868,31 @@ class TestInputsCheckedBeforeWriting:
             paths[f"no_{split}"] = write_config(
                 config_path, f"no_{split}", dataset={**dataset, f"{split}_per_class": 0})
         paths["list"].write_text("[1, 2]")
+        paths["one_class"] = write_config(config_path, "one_class", classifier={"epochs": 5},
+                                          dataset={**dataset, "n_classes": 1})
+        events = tmp_path / "events"
+        recordings = {"train/0_a": "0,0,0,1\n10,2,2,-1\n", "train/1_b": "0,3,3,1\n10,1,2,1\n",
+                      "valid/0_c": "0,2,2,1\n"}
+        for name, rows in recordings.items():
+            (events / name).parent.mkdir(parents=True, exist_ok=True)
+            (events / f"{name}.csv").write_text("t_us,x,y,p\n" + rows)
+        paths["mixed"] = write_config(config_path, "mixed", dataset={
+            "kind": "events", "path": str(events), "frames_per_window": 1})
         return paths
 
     @pytest.mark.parametrize("argv, message", [
         (["infer", "--dict", "{dict}"], "error: infer: --config is required"),
         (["synth", "--config", "{missing}"], "error: config file not found: {missing}"),
-        (["synth", "--config", "{list}"], "config error: synthetic spec must be a JSON object"),
+        (["synth", "--config", "{list}"],
+         "config error: {list}: synth spec must be a JSON object, got [1, 2]"),
+        (["train", "--config", "{list}"],
+         "config error: {list}: config must be a JSON object, got [1, 2]"),
+        (["train", "--config", "{one_class}"], ONE_CLASS.format(config="{one_class}")),
+        (["classify-train", "--config", "{one_class}", "--dict", "{dict}"],
+         ONE_CLASS.format(config="{one_class}")),
+        (["train", "--config", "{mixed}"],
+         "config error: {mixed}: train sample 1 of its dataset has dims (4, 4, 1, 1), but train "
+         "sample 0 has (3, 3, 1, 1)"),
         (["classify-eval", "--config", "{no_valid}", "--dict", "{dict}", "--model", "{model}"],
          "config error: {no_valid}: the valid split of its dataset is empty"),
         (["export-recon", "--config", "{no_valid}", "--dict", "{dict}"],
@@ -827,7 +909,9 @@ class TestInputsCheckedBeforeWriting:
          SMALL_DICT),
         (["classify-eval", "--config", "{config}", "--dict", "{dict}", "--model", "{wide}"],
          "config error: {wide}: the model takes 32 features, but {dict} has 16 elements"),
-    ], ids=["no-config", "synth-missing-spec", "synth-list-spec", "classify-eval-no-valid",
+    ], ids=["no-config", "synth-missing-spec", "synth-list-spec", "train-list-config",
+            "train-one-class", "classify-train-one-class", "train-mixed-dims",
+            "classify-eval-no-valid",
             "export-recon-no-valid", "train-no-train", "classify-train-no-train",
             "train-small-dict", "infer-small-dict", "classify-train-small-dict",
             "export-recon-small-dict", "classify-eval-small-dict", "classify-eval-wide-model"])

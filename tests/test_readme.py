@@ -2,9 +2,11 @@
 
 import argparse
 import re
+from dataclasses import fields
 from pathlib import Path
 
 from lcalearn import cli, experiment
+from lcalearn.data import DATASET_KINDS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -28,7 +30,7 @@ def test_config_reference_lists_every_config_key():
     block = jsonc_block(section("Config reference").split("\n### ", 1)[0])
     listed = re.findall(r'^  "([a-z_]+)":', block, flags=re.M)
     assert len(listed) == len(set(listed))
-    assert set(listed) == experiment._CONFIG_KEYS
+    assert set(listed) == {f.metadata.get("key", f.name) for f in fields(experiment.ExperimentConfig)}
 
 
 def test_dataset_kinds_list_every_dataset_key():
@@ -37,7 +39,8 @@ def test_dataset_kinds_list_every_dataset_key():
     for kind, body in re.findall(r'\{"kind": "([a-z]+)"(.*?)\}', block, flags=re.S):
         assert kind not in kinds
         kinds[kind] = {"kind"} | set(re.findall(r'"([a-z_]+)":', body))
-    assert kinds == experiment._DATASET_KEYS
+    assert kinds == {kind: {"kind"} | {f.name for f in fields(spec)}
+                     for kind, spec in DATASET_KINDS.items()}
 
 
 def test_python_api_example_runs(capsys):

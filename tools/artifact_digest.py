@@ -28,6 +28,15 @@ repeat's run part-way through a period, so its stderr holds the error
 messages a failing stacked run reports. A command that exits non-zero
 stops the run with exit status 1.
 
+Then each command of ``refused()`` runs, a config that must be refused
+before anything is written: an unknown dataset key, an unknown ``synth``
+key, a file that is JSON but not an object (as a config and as a ``synth``
+spec), a train split of one class under ``train`` with a classifier block
+and under ``classify-train``, and an ``events`` dataset whose recordings
+disagree on their dims. Its exit status and standard error are saved as
+``<out>/refused/<name>.txt``, and whatever it wrote under its
+``--out``, ``refused/<name>``, is digested too.
+
 Then one Python-API step (``API_SCRIPT``, run the same way) saves what
 public calls return, on the trained ``s0.5_boxcar`` dictionary and the
 ``synth`` data, as files under ``<out>/api``: every array of a result as
@@ -183,6 +192,42 @@ def commands() -> list[list[str]]:
     return argv
 
 
+def refused() -> list[tuple[str, list[str]]]:
+    """(name, arguments) of each command that must refuse its config, in order."""
+    one_class = "cfg/one_class.json"
+    return [
+        ("unknown_dataset_key", ["train", "--config", "cfg/unknown_dataset_key.json"]),
+        ("unknown_synth_key", ["synth", "--config", "cfg/unknown_synth_key.json"]),
+        ("non_object_config", ["train", "--config", "cfg/list.json"]),
+        ("non_object_spec", ["synth", "--config", "cfg/list.json"]),
+        ("one_class_train", ["train", "--config", one_class]),
+        ("one_class_classify", ["classify-train", "--config", one_class,
+                                "--dict", "train/s0.0_none/dict_epoch_2.lcad"]),
+        ("mixed_dims", ["train", "--config", "cfg/mixed_dims.json"]),
+    ]
+
+
+def write_refused_inputs(out: Path) -> None:
+    """The configs ``refused()`` reads, and the recordings of its ``events`` dataset."""
+    configs = {
+        "unknown_dataset_key": {**BASE, "dataset": {"kind": "npy", "path": "data", "foo": 1}},
+        "unknown_synth_key": {**SYNTH, "foo": 1},
+        "list": [1, 2],
+        "one_class": {**BASE, "dataset": {"kind": "synthetic", **SYNTH, "n_classes": 1}},
+        "mixed_dims": {**BASE, "dataset": {"kind": "events", "path": "mixed",
+                                           "frames_per_window": 1}},
+    }
+    for name, config in configs.items():
+        (out / "cfg" / f"{name}.json").write_text(json.dumps(config, indent=2) + "\n")
+    # A 3x3 and a 4x4 recording: their samples disagree on dims.
+    recordings = {"train/0_a": "0,0,0,1\n10,2,2,-1\n", "train/1_b": "0,3,3,1\n10,1,2,1\n",
+                  "valid/0_c": "0,2,2,1\n"}
+    for name, rows in recordings.items():
+        path = out / "mixed" / f"{name}.csv"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("t_us,x,y,p\n" + rows)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -218,6 +263,13 @@ def main(argv: list[str]) -> int:
             return 1
         (out / "stdout" / f"{index:03d}.txt").write_text(done.stdout)
         (out / "stderr" / f"{index:03d}.txt").write_text(done.stderr)
+    write_refused_inputs(out)
+    (out / "refused").mkdir()
+    for name, args in refused():
+        done = subprocess.run([sys.executable, "-m", "lcalearn.cli", *args,
+                               "--out", f"refused/{name}"],
+                              env=env, cwd=out, capture_output=True, text=True)
+        (out / "refused" / f"{name}.txt").write_text(f"exit {done.returncode}\n{done.stderr}")
     done = subprocess.run([sys.executable, "-c", API_SCRIPT], env=env, cwd=out,
                           capture_output=True, text=True)
     if done.returncode != 0:
