@@ -10,7 +10,7 @@ from them. Event frames hold signed values in [-1, 1]; image frames hold
 
 Each dataset kind of a config is one spec dataclass in ``DATASET_KINDS``
 (``SyntheticSpec``, ``CifarSpec``, ``EventsSpec``, ``NpySpec``). Its fields
-are the keys of its block, with their types and bounds; ``read_dataset``
+are the keys of its block, with their types and rules; ``read_dataset``
 reads a block into one, and its ``load`` returns the (train, valid) split.
 """
 
@@ -83,7 +83,7 @@ class SyntheticSpec:
     height: int = field(default=16, metadata={">=": 1})
     width: int = field(default=16, metadata={">=": 1})
     frames: int = field(default=5, metadata={">=": 1})
-    density: float = field(default=0.18, metadata={">": 0})
+    density: float = field(default=0.18, metadata={">": 0, "<=": 1})
     noise: float = field(default=0.02, metadata={">=": 0})
     train_per_class: int = field(default=12, metadata={">=": 0})
     valid_per_class: int = field(default=5, metadata={">=": 0})
@@ -92,8 +92,6 @@ class SyntheticSpec:
 
     def __post_init__(self):
         check_fields(self)
-        if self.density > 1:
-            raise ConfigError(f"density must be in (0, 1], got {self.density}")
 
     def load(self, seed: int = 0):
         return generate_synthetic(seed if self.seed is None else self.seed, self)
@@ -104,16 +102,12 @@ class CifarSpec:
     """CIFAR records at ``path``; the last ``valid_fraction`` of them (at least one) validate."""
 
     path: str
-    crop: int = field(default=16, metadata={">=": 1})
+    crop: int = field(default=16, metadata={">=": 1, "<=": 32})
     limit: int | None = field(default=None, metadata={">=": 1})
-    valid_fraction: float = field(default=0.2, metadata={">=": 0})
+    valid_fraction: float = field(default=0.2, metadata={">=": 0, "<": 1})
 
     def __post_init__(self):
         check_fields(self)
-        if self.crop > 32:
-            raise ConfigError(f"crop must be in 1..32, got {self.crop}")
-        if self.valid_fraction >= 1:
-            raise ConfigError(f"valid_fraction must be in [0, 1), got {self.valid_fraction}")
 
     def load(self, seed: int = 0):
         samples = load_cifar(self.path, self.crop, self.limit)
@@ -149,6 +143,9 @@ class NpySpec:
     """The four ``.npy`` arrays ``save_dataset_npy`` writes under ``path``."""
 
     path: str
+
+    def __post_init__(self):
+        check_fields(self)
 
     def load(self, seed: int = 0):
         return load_dataset_npy(self.path)

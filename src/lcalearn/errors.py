@@ -1,16 +1,18 @@
-"""Exception types shared across the package, and the one reader of a config block.
+"""Exception types shared across the package, and the one rule table for a config value.
 
 ``read_block`` reads every JSON block of a config (the top level, the
-dataset, the classifier and a ``synth`` spec) into its config dataclass:
-it refuses a non-object, unknown keys and missing required keys by name.
-The dataclass then runs ``check_fields``, which runs ``check_value`` over
-each of its fields, with the type from the field's annotation string (``T |
-None`` for a nullable one) and, from its metadata, the lower bound
-(``{">=": low}`` or ``{">": low}``) and the JSON key if not the name.
+dataset, the classifier, the filter and a ``synth`` spec) into its config
+dataclass: it refuses a non-object, unknown keys and missing required keys
+by name. The dataclass then runs ``check_fields``, which runs
+``check_value`` over each of its fields, with the type from the field's
+annotation string (``T | None`` for a nullable one) and its rules from the
+field's metadata: bounds (``">="``, ``">"``, ``"<="``, ``"<"``), a tuple of
+allowed values (``"in"``) and the JSON key if not the name.
 """
 
 import math
 import numbers
+import operator
 from dataclasses import MISSING, fields
 
 
@@ -26,11 +28,16 @@ class ConfigError(ValueError):
     """An experiment or command configuration is malformed."""
 
 
-def check_value(key: str, value, kind: str, low=None, strict: bool = False) -> None:
-    """Check that ``value`` is a ``kind`` ("float", "int" or "bool") at or above ``low``.
+_BOUNDS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
 
-    A float is a finite real and an int an integral one, neither a bool; with
-    ``strict`` the value must exceed ``low``. Any other kind is not checked.
+
+def check_value(key: str, value, kind: str, rules) -> None:
+    """Check that ``value`` is a ``kind`` ("float", "int", "bool" or "str") within ``rules``.
+
+    A float is a finite real and an int an integral one, neither a bool.
+    ``rules`` maps ``"in"`` to the allowed values and each of ``">="``,
+    ``">"``, ``"<="`` and ``"<"`` to a bound; other entries are ignored, as
+    is any other kind's type.
     """
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     if kind == "float" and not (real and math.isfinite(value)):
@@ -39,8 +46,13 @@ def check_value(key: str, value, kind: str, low=None, strict: bool = False) -> N
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     if kind == "bool" and not isinstance(value, bool):
         raise ConfigError(f"{key} must be true or false, got {value!r}")
-    if low is not None and (value <= low if strict else value < low):
-        raise ConfigError(f"{key} must be {'>' if strict else '>='} {low}, got {value}")
+    if kind == "str" and not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    if "in" in rules and value not in rules["in"]:
+        raise ConfigError(f"unknown {key} {value!r}")
+    for op, holds in _BOUNDS.items():
+        if op in rules and not holds(value, rules[op]):
+            raise ConfigError(f"{key} must be {op} {rules[op]}, got {value}")
 
 
 def check_fields(config) -> None:
@@ -49,21 +61,19 @@ def check_fields(config) -> None:
         value, kind = getattr(config, f.name), f.type.removesuffix(" | None")
         if value is None and kind != f.type:
             continue
-        strict = ">" in f.metadata
-        low = f.metadata[">"] if strict else f.metadata.get(">=")
-        check_value(f.metadata.get("key") or f.name, value, kind, low, strict)
+        check_value(f.metadata.get("key") or f.name, value, kind, f.metadata)
 
 
-def read_block(cls, raw, block: str, path=None, *, nested=False, nulls=False):
+def read_block(cls, raw, block: str, path=None, *, nested=False, nulls=False, **owned):
     """Build the config dataclass ``cls`` from ``raw``, the JSON value of a ``block``.
 
     ``cls`` may be a kind table, ``{kind: dataclass}``, whose entry the
     block's ``kind`` key picks. A non-object (naming ``path``, the file it
     came from, if given), an unknown kind, unknown keys and missing required
     keys are refused by name. A field's JSON key is its ``key`` metadata,
-    else its name; a field whose key is None is not read. With ``nulls`` a
-    null value keeps its field's default; with ``nested`` a value ``cls``
-    refuses is named as the block's.
+    else its name; a field whose key is None is not read, and its owner may
+    set it through ``owned``. With ``nulls`` a null value keeps its field's
+    default; with ``nested`` a value ``cls`` refuses is named as the block's.
     """
     if not isinstance(raw, dict):
         where = "" if path is None else f"{path}: "
@@ -85,7 +95,7 @@ def read_block(cls, raw, block: str, path=None, *, nested=False, nulls=False):
     if missing:
         raise ConfigError(f"missing required {block} keys {sorted(missing)}")
     try:
-        return cls(**{names[key].name: value for key, value in raw.items()})
+        return cls(**{names[key].name: value for key, value in raw.items()}, **owned)
     except ConfigError as exc:
         if not nested:
             raise

@@ -109,7 +109,7 @@ class ExperimentConfig:
     classifier: Optional[dict] = None
     seed: int = field(default=0, metadata={">=": 0})
     warm_start: bool = False
-    input_encoding: str = "constant"
+    input_encoding: str = field(default="constant", metadata={"in": ("constant", "rate")})
     input_spike_height: float = field(default=0.01, metadata={">": 0})
     checkpoint_every: int = field(default=0, metadata={">=": 0})  # 0 writes only the final checkpoint
     batch_size: int = field(default=1, metadata={">=": 1})
@@ -126,8 +126,6 @@ class ExperimentConfig:
             ratio = value / self.dt
             if abs(ratio - round(ratio)) > 1e-9:
                 raise ConfigError(f"{name}={value} is not a whole number of dt={self.dt} steps")
-        if self.input_encoding not in ("constant", "rate"):
-            raise ConfigError(f"input_encoding must be 'constant' or 'rate', got {self.input_encoding!r}")
         if isinstance(self.dict_size, dict):
             extra = set(self.dict_size) - {"ratio"}
             if extra:
@@ -138,10 +136,8 @@ class ExperimentConfig:
         elif isinstance(self.dict_size, bool) or not isinstance(self.dict_size, numbers.Integral):
             raise ConfigError(f"dict_size must be an integer or a ratio, got {self.dict_size!r}")
         else:
-            check_value("dict_size", self.dict_size, "int", 1)
+            check_value("dict_size", self.dict_size, "int", {">=": 1})
         data_mod.read_dataset(self.dataset)
-        if self.filter is not None and not isinstance(self.filter, dict):
-            raise ConfigError(f"filter must be a JSON object, got {self.filter!r}")
         make_filter(self.filter, self.dt)
         self.classifier_config()
 
@@ -155,8 +151,7 @@ class ExperimentConfig:
 
     @property
     def feature_scheme(self) -> str:
-        default = classifier_mod.ClassifierConfig.feature_scheme
-        return (self.classifier or {}).get("feature_scheme", default)
+        return self.classifier_config().feature_scheme
 
     def lca_params(self) -> LcaParams:
         return LcaParams(lam=self.lam, dt=self.dt, tau=self.tau, steps=self.display_steps)
@@ -169,8 +164,8 @@ class ExperimentConfig:
     def classifier_config(self) -> classifier_mod.ClassifierConfig:
         """Readout settings: the ``classifier`` block, with the run's seed."""
         block = {} if self.classifier is None else self.classifier
-        config = read_block(classifier_mod.ClassifierConfig, block, "classifier", nested=True)
-        return replace(config, seed=self.seed)
+        return read_block(classifier_mod.ClassifierConfig, block, "classifier", nested=True,
+                          seed=self.seed)
 
 
 def config_from_dict(raw: dict, path=None) -> ExperimentConfig:
@@ -407,7 +402,8 @@ def run_training(
     epoch, so an interrupted run leaves its completed epochs behind) and
     ``dict_epoch_<k>.lcad`` checkpoints. On ``KeyboardInterrupt`` a live
     run saves its dictionary as it stands to ``dict_interrupted.lcad``, a
-    start to resume from, and re-raises. The run trains as a lock-step
+    start to restart from (not a resume: it keeps no epoch count, RNG state
+    or metrics), and re-raises. The run trains as a lock-step
     stack of one (see ``_LockStep``), the trainer ``run_sweep`` uses.
     """
     if train_samples is None or valid_samples is None:
@@ -603,7 +599,8 @@ class _LockStep:
         n, d = self.state.elements.shape[1:]
         n_train = len(self.runs[0].train)
         want_features = config.classifier is not None
-        half = want_features and config.feature_scheme == "mean_last_half"
+        scheme = config.feature_scheme
+        half = want_features and scheme == "mean_last_half"
         for epoch in range(config.epochs):
             for run in self.runs:
                 run.order = run.rng.permutation(n_train)
@@ -624,7 +621,7 @@ class _LockStep:
                 if config.warm_start:
                     self.warm = out
                 residual = out.x - np.matmul(out.code, self.state.elements)
-                feature = _feature(out, config.feature_scheme) if want_features else None
+                feature = _feature(out, scheme) if want_features else None
                 for i, run in enumerate(self.runs):
                     res = residual[i, 0]
                     run.rmse_sum += _rms(res)
@@ -840,7 +837,8 @@ def run_sweep(
         raise ConfigError("sweep needs at least one value")
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    run_seeded = base.dataset["kind"] == "synthetic" and base.dataset.get("seed") is None
+    spec = data_mod.read_dataset(base.dataset)
+    run_seeded = isinstance(spec, data_mod.SyntheticSpec) and spec.seed is None
     datasets: dict = {}  # run seed the data depends on (None if none) -> (train, valid)
     cells = []  # (value, repeat, _Run or the exception that stopped it), value-major
     for value in values:

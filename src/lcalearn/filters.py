@@ -11,13 +11,33 @@ a filter is fed only from ``first_frame(first_read)``, the first frame
 that a read at or after step ``first_read`` depends on, and ``step``
 computes its output only on steps that are read. The outputs read keep
 their bits.
+
+Each filter is a config dataclass: its parameters are its fields, with
+their rules in the field metadata, and ``dt`` is a field its owner sets.
+So ``make_filter`` reads a ``filter`` block with ``errors.read_block``,
+like every other block, and a filter built in code is checked by the same
+``check_fields`` (a non-finite window or time constant is refused by
+name). Filters compare and hash by identity, as each holds its own state.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
-from lcalearn.errors import ConfigError, check_value
+from lcalearn.errors import ConfigError, check_fields, read_block
+
+
+def _dt():
+    """A filter's step in ms: its owner sets it, not the ``filter`` block."""
+    return field(default=1.0, metadata={">": 0, "key": None})
+
+
+def _at_least_dt(key: str, value: float, dt: float) -> None:
+    """A window or time constant spans at least one step."""
+    if value < dt:
+        raise ConfigError(f"{key} must be >= dt ({dt} ms), got {value}")
 
 
 class CodeFilter:
@@ -50,7 +70,13 @@ class CodeFilter:
         return 0
 
 
+@dataclass(eq=False)
 class IdentityFilter(CodeFilter):
+    dt: float = _dt()
+
+    def __post_init__(self):
+        check_fields(self)
+
     def step(self, value: np.ndarray, read: bool = True) -> np.ndarray:
         return np.asarray(value, dtype=np.float64)
 
@@ -61,6 +87,7 @@ class IdentityFilter(CodeFilter):
         return first_read
 
 
+@dataclass(eq=False)
 class ExponentialFilter(CodeFilter):
     """First-order low-pass: y += (dt / time_constant) * (value - y).
 
@@ -70,14 +97,13 @@ class ExponentialFilter(CodeFilter):
     steps its state on every frame, read or not.
     """
 
-    def __init__(self, time_constant_ms: float, dt: float = 1.0):
-        if dt <= 0:
-            raise ValueError(f"dt must be > 0, got {dt}")
-        if time_constant_ms < dt:
-            raise ValueError(
-                f"time constant {time_constant_ms} ms shorter than dt {dt} ms"
-            )
-        self.alpha = dt / time_constant_ms
+    time_constant_ms: float
+    dt: float = _dt()
+
+    def __post_init__(self):
+        check_fields(self)
+        _at_least_dt("time_constant_ms", self.time_constant_ms, self.dt)
+        self.alpha = self.dt / self.time_constant_ms
         self._y: np.ndarray | None = None
 
     def step(self, value: np.ndarray, read: bool = True) -> np.ndarray:
@@ -93,6 +119,7 @@ class ExponentialFilter(CodeFilter):
         self._y = None
 
 
+@dataclass(eq=False)
 class BoxcarFilter(CodeFilter):
     """Causal moving average over the last ceil(window/dt) frames.
 
@@ -113,12 +140,13 @@ class BoxcarFilter(CodeFilter):
     step 0, and its outputs have the same bits. Only a read step divides.
     """
 
-    def __init__(self, window_ms: float, dt: float = 1.0):
-        if dt <= 0:
-            raise ValueError(f"dt must be > 0, got {dt}")
-        if window_ms < dt:
-            raise ValueError(f"window {window_ms} ms shorter than dt {dt} ms")
-        self.window_steps = int(np.ceil(window_ms / dt))
+    window_ms: float
+    dt: float = _dt()
+
+    def __post_init__(self):
+        check_fields(self)
+        _at_least_dt("window_ms", self.window_ms, self.dt)
+        self.window_steps = int(np.ceil(self.window_ms / self.dt))
         self.reset()
 
     def reset(self, exact: bool = False, start: int = 0) -> None:
@@ -151,33 +179,15 @@ class BoxcarFilter(CodeFilter):
         return self._ring[:filled].sum(axis=0) / filled
 
 
-_FILTER_PARAMS = {
-    "identity": set(),
-    "exponential": {"time_constant_ms"},
-    "boxcar": {"window_ms"},
-}
+FILTER_KINDS = {"identity": IdentityFilter, "exponential": ExponentialFilter,
+                "boxcar": BoxcarFilter}
 
 
 def make_filter(spec: dict | None, dt: float) -> CodeFilter:
-    """Build a fresh filter from a config mapping like {"kind": "boxcar", "window_ms": 40}."""
+    """Build a fresh filter from a config mapping like {"kind": "boxcar", "window_ms": 40}.
+
+    None is the identity; any other value is read as a ``filter`` block.
+    """
     if spec is None:
-        return IdentityFilter()
-    kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in _FILTER_PARAMS:
-        raise ConfigError(f"unknown filter kind {kind!r}")
-    expected = _FILTER_PARAMS[kind]
-    given = set(spec) - {"kind"}
-    if given != expected:
-        raise ConfigError(
-            f"filter kind {kind!r} takes keys {sorted(expected)}, got {sorted(given)}"
-        )
-    for key in expected:
-        check_value(key, spec[key], "float")
-    try:
-        if kind == "identity":
-            return IdentityFilter()
-        if kind == "exponential":
-            return ExponentialFilter(spec["time_constant_ms"], dt)
-        return BoxcarFilter(spec["window_ms"], dt)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        return IdentityFilter(dt)
+    return read_block(FILTER_KINDS, spec, "filter", nested=True, dt=dt)

@@ -491,30 +491,69 @@ class TestConfigRejectedAtLoad:
 
 
 def _typed_keys():
-    """(block, key, type) for every int and float a config sets, read from the code that owns it.
+    """(block, key, type) for every int, float and str of a config, read from the code that owns it.
 
     The block is None for the top level, else the dataset kind, "classifier"
     or the filter kind that holds the key.
     """
     owners = {None: experiment_mod.ExperimentConfig, **DATASET_KINDS,
-              "classifier": ClassifierConfig}
-    keys = [(block, f.metadata.get("key", f.name), f.type.removesuffix(" | None"))
+              "classifier": ClassifierConfig, **filters_mod.FILTER_KINDS}
+    return [(block, f.metadata.get("key", f.name), f.type.removesuffix(" | None"))
             for block, owner in owners.items() for f in fields(owner)
-            if f.type.removesuffix(" | None") in ("int", "float")
-            and f.metadata.get("key", f.name) is not None]  # the classifier's seed is no key
-    for kind, params in filters_mod._FILTER_PARAMS.items():
-        keys += [(kind, key, "float") for key in sorted(params)]
-    return keys
+            if f.type.removesuffix(" | None") in _WRONG_VALUES
+            and f.metadata.get("key", f.name) is not None]  # set by the owner, not the block
 
 
-_WRONG_VALUES = {"int": [2.5, True], "float": [math.nan, math.inf, "1", True]}
+_WRONG_VALUES = {"int": [2.5, True], "float": [math.nan, math.inf, "1", True],
+                 "str": [1, True, [1]]}
+
+# One value past each bound or outside each choice that a field's metadata sets.
+_OUT_OF_RULE = [("synthetic", "density", 1.5), ("cifar", "crop", 33),
+                ("cifar", "valid_fraction", 1.0), (None, "input_encoding", "spikes"),
+                ("classifier", "feature_scheme", "max")]
+
+
+def _train_with(tmp_path, capsys, block, key, value):
+    """Run ``train`` on a small config with ``key`` set to ``value`` in ``block``.
+
+    Asserts that it exits 1 with one ``config error:`` line, before the run
+    directory is written, and returns that line.
+    """
+    raw = {
+        "dataset": {"kind": "synthetic", "seed": 1, "height": 4, "width": 4, "frames": 2,
+                    "train_per_class": 2, "valid_per_class": 1},
+        "dict_size": 8, "lambda": 0.3, "tau": 10.0, "display_ms": 10.0,
+    }
+    if block is None:
+        raw[key] = value
+    elif block == "synthetic":
+        raw["dataset"][key] = value
+    elif block in DATASET_KINDS:
+        raw["dataset"] = {"kind": block, "path": "absent", key: value}
+    elif block == "classifier":
+        raw["classifier"] = {key: value}
+    else:
+        raw["filter"] = {"kind": block, key: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    code = run("train", "--config", path, "--out", out)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error:")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert not (out / "config.json").exists()
+    return err
 
 
 class TestEveryFieldTyped:
-    """Every int field refuses 2.5 and true, every float field NaN, Infinity, "1" and true.
+    """Every field refuses a value of the wrong type, past its bounds or outside its choices.
 
-    At the top level and in every block alike: exit 1 with one ``config
-    error:`` line naming the key, before the run directory is written.
+    An int field refuses 2.5 and true, a float field NaN, Infinity, "1" and
+    true, a str field 1, true and [1]. At the top level and in every block
+    alike: exit 1 with one ``config error:`` line naming the key, before the
+    run directory is written.
     """
 
     @pytest.mark.parametrize("block, key, value", [
@@ -522,32 +561,22 @@ class TestEveryFieldTyped:
         for block, key, kind in _typed_keys() for value in _WRONG_VALUES[kind]
     ])
     def test_wrong_type_exits_1_naming_the_key(self, tmp_path, capsys, block, key, value):
-        raw = {
-            "dataset": {"kind": "synthetic", "seed": 1, "height": 4, "width": 4, "frames": 2,
-                        "train_per_class": 2, "valid_per_class": 1},
-            "dict_size": 8, "lambda": 0.3, "tau": 10.0, "display_ms": 10.0,
-        }
-        if block is None:
-            raw[key] = value
-        elif block == "synthetic":
-            raw["dataset"][key] = value
-        elif block in ("cifar", "events"):
-            raw["dataset"] = {"kind": block, "path": "absent", key: value}
-        elif block == "classifier":
-            raw["classifier"] = {key: value}
-        else:
-            raw["filter"] = {"kind": block, key: value}
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(raw))
-        out = tmp_path / "o"
-        code = run("train", "--config", path, "--out", out)
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.err.startswith("config error:")
-        assert f"{key} must be " in captured.err
-        assert len(captured.err.splitlines()) == 1
-        assert "Traceback" not in captured.err
-        assert not (out / "config.json").exists()
+        assert f"{key} must be " in _train_with(tmp_path, capsys, block, key, value)
+
+    def test_str_fields_are_covered(self):
+        typed = {(block, key) for block, key, kind in _typed_keys() if kind == "str"}
+        assert typed == {("cifar", "path"), ("events", "path"), ("npy", "path"),
+                         (None, "input_encoding"), ("classifier", "feature_scheme")}
+
+    def test_a_wrong_path_type_is_refused_by_name(self, tmp_path, capsys):
+        err = _train_with(tmp_path, capsys, "npy", "path", [1])
+        assert err == "config error: dataset: path must be a string, got [1]\n"
+
+    @pytest.mark.parametrize("block, key, value", [
+        pytest.param(*case, id=f"{case[0] or 'top'}-{case[1]}") for case in _OUT_OF_RULE])
+    def test_value_outside_its_rule_exits_1_naming_the_key(self, tmp_path, capsys, block, key,
+                                                          value):
+        assert key in _train_with(tmp_path, capsys, block, key, value)
 
     @pytest.mark.parametrize("key", ["foo", "seed"])
     def test_unknown_classifier_key_is_refused_by_name(self, config_path, tmp_path, capsys, key):

@@ -1,5 +1,7 @@
 """Output smoothing filters: identity, exponential low-pass, boxcar mean."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -94,16 +96,46 @@ class TestFactory:
         assert f.window_steps == 40
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^unknown filter kind 'kalman'$"):
             make_filter({"kind": "kalman"}, 1.0)
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^unknown filter keys \['foo'\]$"):
             make_filter({"kind": "boxcar", "window_ms": 40.0, "foo": 1}, 1.0)
 
     def test_missing_parameter_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^missing required filter keys \['window_ms'\]$"):
             make_filter({"kind": "boxcar"}, 1.0)
+
+    def test_dt_is_set_by_the_owner_not_the_block(self):
+        with pytest.raises(ConfigError, match=r"^unknown filter keys \['dt'\]$"):
+            make_filter({"kind": "boxcar", "window_ms": 40.0, "dt": 2.0}, 1.0)
+        assert make_filter({"kind": "boxcar", "window_ms": 40.0}, 3.0).window_steps == 14
+
+
+class TestParametersChecked:
+    """A filter built in code is checked by the rules its config block is read with."""
+
+    @pytest.mark.parametrize("build, key", [
+        (lambda: ExponentialFilter(math.nan), "time_constant_ms"),
+        (lambda: ExponentialFilter(math.inf), "time_constant_ms"),
+        (lambda: ExponentialFilter(5.0, math.nan), "dt"),
+        (lambda: BoxcarFilter(math.nan), "window_ms"),
+        (lambda: BoxcarFilter(math.inf), "window_ms"),
+        (lambda: BoxcarFilter(5.0, math.inf), "dt"),
+        (lambda: IdentityFilter(math.nan), "dt"),
+    ], ids=["exp-nan", "exp-inf", "exp-dt-nan", "box-nan", "box-inf", "box-dt-inf", "id-dt-nan"])
+    def test_non_finite_parameter_refused_by_name(self, build, key):
+        with pytest.raises(ConfigError, match=f"^{key} must be a finite number, got "):
+            build()
+
+    def test_a_bad_block_value_is_named_in_the_filter_block(self):
+        with pytest.raises(ConfigError, match=r"^filter: window_ms must be >= dt \(2.0 ms\)"):
+            make_filter({"kind": "boxcar", "window_ms": 1.0}, 2.0)
+
+    def test_filters_compare_by_identity(self):
+        a, b = BoxcarFilter(3.0), BoxcarFilter(3.0)
+        assert a != b and len({a, b}) == 2
 
 
 class TestBoxcarRing:

@@ -32,10 +32,11 @@ Then each command of ``refused()`` runs, a config that must be refused
 before anything is written: an unknown dataset key, an unknown ``synth``
 key, a file that is JSON but not an object (as a config and as a ``synth``
 spec), a train split of one class under ``train`` with a classifier block
-and under ``classify-train``, and an ``events`` dataset whose recordings
-disagree on their dims. Its exit status and standard error are saved as
-``<out>/refused/<name>.txt``, and whatever it wrote under its
-``--out``, ``refused/<name>``, is digested too.
+and under ``classify-train``, an ``events`` dataset whose recordings
+disagree on their dims, an ``npy`` dataset whose ``path`` is not a
+string, and a boxcar filter with an unknown key. Its exit status and
+standard error are saved as ``<out>/refused/<name>.txt``, and whatever it
+wrote under its ``--out``, ``refused/<name>``, is digested too.
 
 Then one Python-API step (``API_SCRIPT``, run the same way) saves what
 public calls return, on the trained ``s0.5_boxcar`` dictionary and the
@@ -204,6 +205,8 @@ def refused() -> list[tuple[str, list[str]]]:
         ("one_class_classify", ["classify-train", "--config", one_class,
                                 "--dict", "train/s0.0_none/dict_epoch_2.lcad"]),
         ("mixed_dims", ["train", "--config", "cfg/mixed_dims.json"]),
+        ("path_not_string", ["train", "--config", "cfg/path_not_string.json"]),
+        ("unknown_filter_key", ["train", "--config", "cfg/unknown_filter_key.json"]),
     ]
 
 
@@ -216,6 +219,8 @@ def write_refused_inputs(out: Path) -> None:
         "one_class": {**BASE, "dataset": {"kind": "synthetic", **SYNTH, "n_classes": 1}},
         "mixed_dims": {**BASE, "dataset": {"kind": "events", "path": "mixed",
                                            "frames_per_window": 1}},
+        "path_not_string": {**BASE, "dataset": {"kind": "npy", "path": [1]}},
+        "unknown_filter_key": {**BASE, "filter": {**FILTERS["boxcar"], "order": 2}},
     }
     for name, config in configs.items():
         (out / "cfg" / f"{name}.json").write_text(json.dumps(config, indent=2) + "\n")
