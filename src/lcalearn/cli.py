@@ -109,21 +109,12 @@ def _inputs(args, split=None, config="run"):
     if split:
         got.train, got.valid = experiment_mod.load_dataset(got.config.dataset, got.config.seed)
         got.samples = got.train if split == "train" else got.valid
-        if not got.samples:
-            raise ConfigError(f"{path}: the {split} split of its dataset is empty")
-        dims = got.samples[0].input.dims
-        for name, samples in (("train", got.train), ("valid", got.valid)):
-            odd = next((i for i, s in enumerate(samples) if s.input.dims != dims), None)
-            if odd is not None:
-                raise ConfigError(f"{path}: {name} sample {odd} of its dataset has dims "
-                                  f"{astuple(samples[odd].input.dims)}, but {split} sample 0 "
-                                  f"has {astuple(dims)}")
-        classes = {s.label for s in got.train}
-        if len(classes) < 2 and (args.command == "classify-train" or (
-                args.command == "train" and got.config.classifier is not None)):
-            raise ConfigError(f"{path}: a readout needs train samples from at least two "
-                              f"classes, but its dataset's train split holds only class "
-                              f"{classes.pop()}")
+        readout = args.command == "classify-train" or (
+            args.command == "train" and got.config.classifier is not None)
+        try:
+            dims = data_mod.check_splits(got.train, got.valid, split, readout)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
         if got.dictionary is not None and got.dictionary.dims != dims:
             raise ConfigError(f"{checkpoint}: dictionary dims {astuple(got.dictionary.dims)} do "
                               f"not match the dims {astuple(dims)} of the dataset of {path}")
@@ -170,19 +161,14 @@ def _cmd_train(args) -> int:
 
 
 def _parse_values(axis: str, raw: str) -> list:
+    _, convert = experiment_mod.SWEEP_AXES[axis]
     values = []
     for item in raw.split(","):
         item = item.strip()
         if not item:
             raise UsageError(f"empty entry in --values {raw!r}")
         try:
-            if axis == "dict_size":
-                if item.endswith("x"):
-                    values.append({"ratio": float(item[:-1])})
-                else:
-                    values.append(int(item))
-            else:
-                values.append(float(item))
+            values.append(convert(item))
         except ValueError:
             raise UsageError(f"--values entry {item!r} is not a valid {axis} value") from None
     return values
@@ -351,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=int, default=0)
 
     p = add("sweep", _cmd_sweep, "repeat runs over one axis, tabulating mean and CI")
-    p.add_argument("--axis", required=True, choices=experiment_mod.SWEEP_AXES)
+    p.add_argument("--axis", required=True, choices=tuple(experiment_mod.SWEEP_AXES))
     p.add_argument("--values", required=True,
                    help="comma-separated; dict_size takes ints or ratios like 0.5x")
     p.add_argument("--repeats", type=int, default=1)

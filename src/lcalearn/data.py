@@ -17,7 +17,7 @@ reads a block into one, and its ``load`` returns the (train, valid) split.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +158,32 @@ DATASET_KINDS = {"synthetic": SyntheticSpec, "cifar": CifarSpec, "events": Event
 def read_dataset(raw):
     """The spec of a ``dataset`` block; its ``kind`` picks the class, a null value its default."""
     return read_block(DATASET_KINDS, raw, "dataset", nested=True, nulls=True)
+
+
+def check_splits(train, valid, split: str = "train", readout: bool = False) -> InputDims:
+    """The dims every sample of a dataset's (train, valid) split shares; refuses a bad split.
+
+    The ``split`` a run reads ("train" or "valid") must not be empty, every
+    sample of both splits must have the dims of its first sample, and a
+    ``readout`` (a classifier fit on the train split) needs train samples
+    of two classes or more. A refusal is a ``ConfigError`` that speaks of
+    "its dataset"; the command line puts the config file's name before it.
+    """
+    samples = train if split == "train" else valid
+    if not samples:
+        raise ConfigError(f"the {split} split of its dataset is empty")
+    dims = samples[0].input.dims
+    for name, part in (("train", train), ("valid", valid)):
+        odd = next((i for i, s in enumerate(part) if s.input.dims != dims), None)
+        if odd is not None:
+            raise ConfigError(f"{name} sample {odd} of its dataset has dims "
+                              f"{astuple(part[odd].input.dims)}, but {split} sample 0 "
+                              f"has {astuple(dims)}")
+    classes = {s.label for s in train}
+    if readout and len(classes) < 2:
+        raise ConfigError(f"a readout needs train samples from at least two classes, but its "
+                          f"dataset's train split holds only class {classes.pop()}")
+    return dims
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Optional
@@ -453,17 +453,18 @@ class _Run:
 def _prepare_run(
     config, train, valid, initial_dictionary=None, out_dir=None, progress=None,
 ) -> _Run:
-    """Check a run's samples and build its start dictionary; raises what the run would."""
-    if not train:
-        raise ConfigError("training set is empty")
-    dims = train[0].input.dims
-    for sample in list(train) + list(valid):
-        if sample.input.dims != dims:
-            raise ConfigError("samples disagree on input dimensions")
+    """Check a run's samples and build its start dictionary; raises what the run would.
+
+    The samples go through ``data.check_splits``, the command line's rules
+    in its words, with the readout rule under a classifier block, so a bad
+    split is refused before any period runs.
+    """
+    dims = data_mod.check_splits(train, valid, readout=config.classifier is not None)
     n = resolve_dict_size(config.dict_size, dims.size)
     if initial_dictionary is not None:
         if initial_dictionary.dims != dims:
-            raise ConfigError("initial dictionary does not match the dataset dims")
+            raise ConfigError(f"dictionary dims {astuple(initial_dictionary.dims)} do not match "
+                              f"the dims {astuple(dims)} of the dataset")
         n = initial_dictionary.element_count
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -760,7 +761,17 @@ def collect_features(
 # Sweeps
 # ---------------------------------------------------------------------------
 
-SWEEP_AXES = ("lambda", "s", "dict_size")
+def _dict_size_value(value):
+    """A ``dict_size`` sweep value: an int, a ``{"ratio": r}``, or the text of either ("0.5x")."""
+    if isinstance(value, str) and value.endswith("x"):
+        return {"ratio": float(value[:-1])}
+    return value if isinstance(value, dict) else int(value)
+
+
+# Each sweep axis: the config field its values set, and the converter that reads
+# a value from ``--values`` text ("64", "0.5x") or from Python.
+SWEEP_AXES = {"lambda": ("lam", float), "s": ("spike_height", float),
+              "dict_size": ("dict_size", _dict_size_value)}
 
 SWEEP_HEADER = [
     "value", "repeats", "failed",
@@ -802,15 +813,17 @@ def _mean_ci(values: list[float]) -> tuple[float, float]:
     return mean, half
 
 
+def _sweep_axis(axis: str):
+    """The (config field, value converter) of a sweep axis; refuses an unknown one."""
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {tuple(SWEEP_AXES)}")
+    return SWEEP_AXES[axis]
+
+
 def apply_axis(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    if axis == "lambda":
-        return replace(config, lam=float(value))
-    if axis == "s":
-        return replace(config, spike_height=float(value))
-    if axis == "dict_size":
-        size = value if isinstance(value, dict) else int(value)
-        return replace(config, dict_size=size)
-    raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    """``config`` with ``axis``'s field set to ``value``, converted by ``SWEEP_AXES``."""
+    name, convert = _sweep_axis(axis)
+    return replace(config, **{name: convert(value)})
 
 
 def run_sweep(
@@ -831,8 +844,7 @@ def run_sweep(
     most ``STACK_BYTES``; each gives the results, and any error, it gives
     alone. Rows, failures and progress lines keep the value-major order.
     """
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    _sweep_axis(axis)
     if not values:
         raise ConfigError("sweep needs at least one value")
     if repeats < 1:

@@ -16,9 +16,10 @@ spikes; ``accumulator._output_stage`` picks between them. At a fixed point
 with output = soft_threshold(u), u minimizes the energy
 ``0.5 * ||input - synthesize(code)||^2 + lam * ||code||_1`` locally.
 
-One function runs a period: ``_run_period`` holds the step loop and all
-three passes of a period (the first pass, the rerun of an exact spiking
-period on the corrected path, the checked replay of a non-finite one).
+One function runs a period: ``_run_period`` holds the step loop and both
+passes of a period (the first pass, and one checked replay from its
+start, on the corrected path, when the first ends non-finite or is an
+exact spiking period whose peak broke its bound).
 A pass works in place: it copies the start potentials once and steps
 them through ``_euler`` in buffers it allocates once, and the stages
 write their code and spikes into buffers of their own, so a step creates
@@ -274,12 +275,13 @@ def _run_period(
     first bad row unless ``rows`` is None (see ``_check_finite``). Given
     an ``errors`` dict, the replay puts each bad run's error there and the
     result holds the other runs' periods; without one, the first bad step
-    raises its error. A finite period whose stage's ``end()`` is false is
-    run again from its start: a spiking period run exact past its bound
-    is rerun on the corrected path (see ``accumulator``), which the
-    checked replay of a non-finite one also takes. The drive and every
-    pass are computed with overflow and invalid-value warnings silenced;
-    the checked replay's errors are the report.
+    raises its error. A period whose stage's ``end()`` is false, a
+    spiking period run exact past its bound, takes the same checked
+    replay, on the corrected path (see ``accumulator``); the check only
+    reads, so the replay has the bits of an unchecked rerun, and a period
+    replays at most once. The drive and both passes are computed with
+    overflow and invalid-value warnings silenced; the checked replay's
+    errors are the report.
 
     Each pass steps on buffers it allocates once. Each step,
     ``stage.emit(u, code)`` gives the value that drives ``_euler``, and
@@ -350,9 +352,7 @@ def _run_period(
     with np.errstate(over="ignore", invalid="ignore"):
         drive = _drive(elements, x) if input_encoder is None else None
         result = integrate(False)
-        if not stage.end() and np.isfinite(result.state.u).all():
-            result = integrate(False)
-        if not np.isfinite(result.state.u).all():
+        if not (stage.end() and np.isfinite(result.state.u).all()):  # end() runs first, always
             result = integrate(True)
     return result
 

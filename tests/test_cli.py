@@ -1017,6 +1017,24 @@ class TestLessTravelledPaths:
         assert len(rows) == 3
         assert [row.split(",")[failed] for row in rows[1:]] == ["0", "0"]
 
+    @pytest.mark.parametrize("axis, text, value", [
+        ("lambda", "0.25", 0.25), ("s", "5", 5.0), ("dict_size", "64", 64),
+        ("dict_size", "0.5x", {"ratio": 0.5}),
+    ])
+    def test_values_text_sets_what_its_python_value_does(self, config_path, axis, text, value):
+        config = experiment_mod.load_config(config_path)
+        want = experiment_mod.apply_axis(config, axis, value)
+        assert cli._parse_values(axis, text) == [value]
+        assert experiment_mod.apply_axis(config, axis, text) == want
+        assert want != config
+
+    @pytest.mark.parametrize("text", ["64.0", "x"])
+    def test_dict_size_values_take_only_counts_and_ratios(self, config_path, text):
+        with pytest.raises(cli.UsageError, match=f"entry '{text}' is not a valid dict_size"):
+            cli._parse_values("dict_size", text)
+        with pytest.raises(ValueError):
+            experiment_mod.apply_axis(experiment_mod.load_config(config_path), "dict_size", text)
+
     def test_empty_values_entry_is_usage_error(self, config_path, tmp_path, capsys):
         out = tmp_path / "sw"
         assert run("sweep", "--config", config_path, "--out", out,

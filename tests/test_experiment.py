@@ -11,15 +11,16 @@ import numpy as np
 import pytest
 
 import lcalearn
-from lcalearn import experiment
+from lcalearn import experiment, lca
 from lcalearn.data import (
     FrameSequence,
     LabeledSample,
     SyntheticSpec,
     generate_synthetic,
+    save_dataset_npy,
     save_events,
 )
-from lcalearn.dictionary import init_random, load_checkpoint
+from lcalearn.dictionary import InputDims, init_random, load_checkpoint
 from lcalearn.errors import ConfigError
 from lcalearn.experiment import (
     METRICS_HEADER,
@@ -573,3 +574,58 @@ class TestSweepFailureReasons:
     def test_no_failures_when_every_run_completes(self):
         config = config_from_dict(base_raw(epochs=1))
         assert run_sweep(config, "lambda", [0.3], repeats=1).failures == []
+
+
+class TestSplitsRefusedBeforeTraining:
+    """``run_training`` and every ``run_sweep`` cell refuse a bad split in the commands' words."""
+
+    @pytest.fixture()
+    def bad(self, tmp_path):
+        """(config, the refusal minus the config's path) for each bad split."""
+        train, _ = generate_synthetic(1, SyntheticSpec(height=8, width=8, frames=2,
+                                                        train_per_class=2, valid_per_class=0))
+        odd = [LabeledSample(FrameSequence(np.zeros((1, 4, 4))), 0)]
+        save_dataset_npy(tmp_path / "odd", train, odd)
+        empty = base_raw()["dataset"] | {"train_per_class": 0}
+        one_class = base_raw()["dataset"] | {"n_classes": 1}
+        return {
+            "empty-train": (base_raw(dataset=empty), "the train split of its dataset is empty"),
+            "valid-of-other-dims": (
+                base_raw(dataset={"kind": "npy", "path": str(tmp_path / "odd")}),
+                "valid sample 0 of its dataset has dims (4, 4, 1, 1), but train sample 0 has "
+                "(8, 8, 1, 2)"),
+            "one-class-readout": (
+                base_raw(dataset=one_class, classifier={"epochs": 5}),
+                "a readout needs train samples from at least two classes, but its dataset's "
+                "train split holds only class 0"),
+        }
+
+    @pytest.fixture()
+    def steps(self, monkeypatch):
+        calls = []
+        real = lca._euler
+        monkeypatch.setattr(lca, "_euler", lambda *args: calls.append(1) or real(*args))
+        return calls
+
+    @pytest.mark.parametrize("case", ["empty-train", "valid-of-other-dims", "one-class-readout"])
+    def test_run_training_refuses_before_any_step(self, bad, steps, case):
+        raw, message = bad[case]
+        with pytest.raises(ConfigError) as info:
+            run_training(config_from_dict(raw))
+        assert str(info.value) == message
+        assert steps == []
+
+    @pytest.mark.parametrize("case", ["empty-train", "valid-of-other-dims", "one-class-readout"])
+    def test_each_sweep_cell_refuses_before_any_step(self, bad, steps, case):
+        raw, message = bad[case]
+        result = run_sweep(config_from_dict(raw), "s", [0.0, 1.0])
+        assert [f["error"] for f in result.failures] == [f"ConfigError: {message}"] * 2
+        assert [row["failed"] for row in result.rows] == [1, 1]
+        assert steps == []
+
+    def test_a_start_dictionary_of_other_dims_is_refused_in_the_commands_words(self):
+        config = config_from_dict(base_raw())
+        with pytest.raises(ConfigError) as info:
+            run_training(config, initial_dictionary=init_random(0, 3, InputDims(4, 4)))
+        assert str(info.value) == ("dictionary dims (4, 4, 1, 1) do not match the dims "
+                                   "(8, 8, 1, 2) of the dataset")

@@ -17,11 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcalearn import experiment
+from lcalearn import experiment, lca
 from lcalearn.accumulator import (
     AccumulatorState,
     InputRateEncoder,
     _discharge,
+    _output_stage,
     _SpikingStage,
     run_spiking_inference,
 )
@@ -29,7 +30,7 @@ from lcalearn.dictionary import Dictionary, InputDims
 from lcalearn.errors import NumericError
 from lcalearn.experiment import config_from_dict
 from lcalearn.filters import BoxcarFilter, ExponentialFilter, make_filter
-from lcalearn.lca import LcaParams, _run_period, inhibition
+from lcalearn.lca import LcaParams, _lone_period, _run_period, inhibition
 
 from reference_spiking import (
     ReferenceBoxcar,
@@ -192,6 +193,14 @@ class ReplaySpy:
         monkeypatch.setattr(_SpikingStage, "end", end)
 
 
+def count_steps(monkeypatch):
+    """A list that gains an item at every ``lca._euler`` call."""
+    calls = []
+    real = lca._euler
+    monkeypatch.setattr(lca, "_euler", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
 def oracle_period(dictionary, x, params, height, spec, carry=None, **kwargs):
     """``_run_period`` on the frozen corrected stage and filter; returns (result, stage).
 
@@ -254,6 +263,31 @@ class TestRunSpikingInference:
         assert got.max_counts > 2**53 // (2**26 * 40)
         assert_spiking_matches_oracle(got, want, stage)
         assert spy.answers == [False]  # the exact pass did not stand
+
+    @pytest.mark.parametrize("spec", FILTERS, ids=filter_id)
+    def test_a_broken_bound_costs_one_replay(self, monkeypatch, spec):
+        # The first pass, then one checked replay on the corrected path.
+        height = (2**26 - 1) * 2.0**-26
+        dictionary, x = instance(4, scale=1e9)
+        steps = count_steps(monkeypatch)
+        got = run_spiking_inference(dictionary, x, PARAMS, height, make_filter(spec, PARAMS.dt))
+        assert len(steps) == 2 * PARAMS.steps
+        want, stage = oracle_period(dictionary, x, PARAMS, height, spec)
+        assert_spiking_matches_oracle(got, want, stage)
+
+    @pytest.mark.parametrize("height", [0.0, 2.0**964], ids=["graded", "spiking"])
+    def test_a_nonfinite_period_costs_one_replay(self, monkeypatch, height):
+        # Row 1 overflows part-way; the checked replay runs every step and
+        # names that row's first bad step, as the reference loop does.
+        dictionary, x = overflow_instance(), overflow_input([0.5, 1.19])
+        first = int(reference_error(dictionary, x[1], height).rsplit(" ", 1)[1])
+        stage = _output_stage(OVERFLOW_PARAMS.lam, height,
+                              code_filter=make_filter({"kind": "boxcar", "window_ms": 7.0}, 1.0))
+        steps, errors = count_steps(monkeypatch), {}
+        _lone_period(dictionary, x, OVERFLOW_PARAMS, stage, errors=errors)
+        assert len(steps) == 2 * OVERFLOW_PARAMS.steps
+        assert list(errors) == [0]
+        assert str(errors[0]) == f"non-finite membrane potential at step {first}, row 1"
 
     @pytest.mark.parametrize("spec", FILTERS, ids=filter_id)
     def test_adversarial_start_carries_past_the_bound(self, spec):

@@ -25,8 +25,11 @@ and a classifier block on the last-half-mean features, plus ``sweep --axis
 s`` on the final-code features and with no classifier block; and a
 ``sweep --axis s`` over 1 and 1e-310, where the tiny height fails each
 repeat's run part-way through a period, so its stderr holds the error
-messages a failing stacked run reports. A command that exits non-zero
-stops the run with exit status 1.
+messages a failing stacked run reports; and a ``sweep --axis s`` over the
+one-class and the mixed-dims configs of ``refused()``, whose every cell
+is refused before it trains, so their stderr and ``sweep.csv`` pin the
+refusals a sweep cell reports. A command that exits non-zero stops the
+run with exit status 1.
 
 Then each command of ``refused()`` runs, a config that must be refused
 before anything is written: an unknown dataset key, an unknown ``synth``
@@ -190,6 +193,9 @@ def commands() -> list[list[str]]:
     for name in sweep_configs():
         argv.append(["sweep", "--config", f"cfg/{name}.json", "--out", f"sweep/{name}",
                      "--axis", "s", "--values", "0.5,1,5,0.37", "--repeats", "2"])
+    for name in ("one_class", "mixed_dims"):  # configs of refused(): every cell fails
+        argv.append(["sweep", "--config", f"cfg/{name}.json", "--out", f"sweep/{name}",
+                     "--axis", "s", "--values", "0.5,1"])
     return argv
 
 
@@ -211,7 +217,7 @@ def refused() -> list[tuple[str, list[str]]]:
 
 
 def write_refused_inputs(out: Path) -> None:
-    """The configs ``refused()`` reads, and the recordings of its ``events`` dataset."""
+    """The configs ``refused()`` (and two sweeps) read, and the recordings of an ``events`` one."""
     configs = {
         "unknown_dataset_key": {**BASE, "dataset": {"kind": "npy", "path": "data", "foo": 1}},
         "unknown_synth_key": {**SYNTH, "foo": 1},
@@ -257,6 +263,7 @@ def main(argv: list[str]) -> int:
     (out / "cfg" / "synth.json").write_text(json.dumps(SYNTH, indent=2) + "\n")
     for name, config in [*cases(), *sweep_configs().items()]:
         (out / "cfg" / f"{name}.json").write_text(json.dumps(config, indent=2) + "\n")
+    write_refused_inputs(out)
     for stream in ("stdout", "stderr"):
         (out / stream).mkdir()
     for index, args in enumerate(commands()):
@@ -268,7 +275,6 @@ def main(argv: list[str]) -> int:
             return 1
         (out / "stdout" / f"{index:03d}.txt").write_text(done.stdout)
         (out / "stderr" / f"{index:03d}.txt").write_text(done.stderr)
-    write_refused_inputs(out)
     (out / "refused").mkdir()
     for name, args in refused():
         done = subprocess.run([sys.executable, "-m", "lcalearn.cli", *args,
